@@ -280,7 +280,6 @@ pub fn run_chaos(world: &ChaosWorld, cfg: &ChaosConfig) -> ChaosReport {
     // below it predate a kill, so the crash-shaped trailing-checkpoint
     // attack must not target them.
     let mut last_recovery_wm: u64 = 0;
-    let mut refreshing = false;
     // The closed-loop policy rides along: some steps are control-plane
     // ticks that sample *real* fleet stats and actuate whatever the
     // pure policy decides, through the same public epoch ops the raw
@@ -343,11 +342,10 @@ pub fn run_chaos(world: &ChaosWorld, cfg: &ChaosConfig) -> ChaosReport {
                         panic!("[chaos seed {seed}] step {step} reshard_step: {e}")
                     });
                     report.reshard_steps += 1;
-                } else if refreshing {
-                    let left = engine.refresh_step().unwrap_or_else(|e| {
+                } else if engine.is_refreshing() {
+                    engine.refresh_step().unwrap_or_else(|e| {
                         panic!("[chaos seed {seed}] step {step} refresh_step: {e}")
                     });
-                    refreshing = left > 0;
                     report.refresh_steps += 1;
                 } else if rng.chance(50) {
                     let to = 1 + rng.below(3) as usize;
@@ -363,7 +361,6 @@ pub fn run_chaos(world: &ChaosWorld, cfg: &ChaosConfig) -> ChaosReport {
                         .unwrap_or_else(|e| {
                             panic!("[chaos seed {seed}] step {step} begin_refresh: {e}")
                         });
-                    refreshing = true;
                     report.refreshes_begun += 1;
                 }
             }
@@ -392,7 +389,7 @@ pub fn run_chaos(world: &ChaosWorld, cfg: &ChaosConfig) -> ChaosReport {
                     staleness: stats.neighborhood.events_since_refresh,
                     tier_present: stats.neighborhood.two_tier,
                     delta_ready: stats.neighborhood.delta_ready,
-                    epoch_in_flight: engine.is_migrating() || refreshing,
+                    epoch_in_flight: engine.is_migrating() || engine.is_refreshing(),
                 };
                 match policy.decide(&obs) {
                     Decision::Hold => {}
@@ -411,7 +408,6 @@ pub fn run_chaos(world: &ChaosWorld, cfg: &ChaosConfig) -> ChaosReport {
                             .unwrap_or_else(|e| {
                                 panic!("[chaos seed {seed}] step {step} policy refresh: {e}")
                             });
-                        refreshing = true;
                         report.refreshes_begun += 1;
                         report.policy_refreshes += 1;
                     }
@@ -421,7 +417,6 @@ pub fn run_chaos(world: &ChaosWorld, cfg: &ChaosConfig) -> ChaosReport {
                             .unwrap_or_else(|e| {
                                 panic!("[chaos seed {seed}] step {step} policy delta: {e}")
                             });
-                        refreshing = true;
                         report.refreshes_begun += 1;
                         report.policy_refreshes += 1;
                     }
@@ -431,7 +426,7 @@ pub fn run_chaos(world: &ChaosWorld, cfg: &ChaosConfig) -> ChaosReport {
             // Checkpoint — and pin the whole-engine ops' typed
             // rejection while an epoch is in flight.
             79..=85 => {
-                let in_epoch = engine.is_migrating() || refreshing;
+                let in_epoch = engine.is_migrating() || engine.is_refreshing();
                 match engine.checkpoint() {
                     Ok(_) => {
                         assert!(
@@ -489,7 +484,6 @@ pub fn run_chaos(world: &ChaosWorld, cfg: &ChaosConfig) -> ChaosReport {
                 // that survived is durable from here on. The recovered
                 // engine's pressure counters restart at zero, so the
                 // policy's per-window baselines restart with them.
-                refreshing = false;
                 last_sends = 0;
                 last_stalls = 0;
                 next_seq = max_seq;

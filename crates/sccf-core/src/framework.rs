@@ -91,8 +91,7 @@ impl Exclusion {
 }
 
 /// Why one typed query could not be served. The serving layer wraps
-/// this into `sccf_serving::api::ServingError`; the deprecated
-/// infallible entry points panic with its message instead.
+/// this into `sccf_serving::api::ServingError`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
     /// The user id is outside the indexed population.

@@ -50,8 +50,8 @@
 //! *neighborhood*, never the *catalog*. This crate enforces that as an
 //! API contract:
 //!
-//! * Steady-state [`RealtimeEngine::process_event`] and
-//!   [`RealtimeEngine::recommend`] perform **no heap allocation
+//! * Steady-state [`RealtimeEngine::try_process_event`] and
+//!   [`RealtimeEngine::recommend_query`] perform **no heap allocation
 //!   proportional to `n_items`**. All catalog-sized state lives in a
 //!   [`QueryScratch`] allocated once (per engine, or per serving thread
 //!   via [`Sccf::new_scratch`]) and reset in O(1) by epoch stamps

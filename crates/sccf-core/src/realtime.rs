@@ -71,9 +71,7 @@ impl EngineTimings {
 /// The typed, fallible entry points
 /// ([`RealtimeEngine::try_process_event`],
 /// [`RealtimeEngine::recommend_query`]) are the primary surface — the
-/// serving layer's `ServingApi` rides on them. The old infallible
-/// signatures remain as deprecated wrappers that panic where the typed
-/// path returns a [`QueryError`].
+/// serving layer's `ServingApi` rides on them.
 pub struct RealtimeEngine<M: InductiveUiModel> {
     sccf: Sccf<M>,
     /// Per-user histories, grown as events arrive and addressed by
@@ -272,20 +270,11 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         Ok((neighbors, timing))
     }
 
-    /// Deprecated infallible form of
-    /// [`RealtimeEngine::try_process_event`] (bit-identical for valid
-    /// ids; panics where the typed path returns an error).
-    #[deprecated(note = "use `try_process_event` or the `sccf_serving::api::ServingApi` surface")]
-    pub fn process_event(&mut self, user: u32, item: u32) -> (Vec<Scored>, EventTiming) {
-        self.try_process_event(user, item)
-            .unwrap_or_else(|e| panic!("process_event: {e}"))
-    }
-
     /// Typed top-`k` recommendation: explicit candidate source and
     /// exclusion policy, per-stage timing split, errors instead of
-    /// panics. With the defaults (`CandidateSource::Configured`,
-    /// [`Exclusion::History`]) the items are bit-identical to the
-    /// deprecated [`RealtimeEngine::recommend`].
+    /// panics. The defaults are `CandidateSource::Configured` and
+    /// [`Exclusion::History`]. Reuses the engine's scratch: no
+    /// catalog-sized allocation.
     pub fn recommend_query(
         &mut self,
         user: u32,
@@ -311,17 +300,6 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         )?;
         self.recommends += 1;
         Ok(out)
-    }
-
-    /// Deprecated infallible form of
-    /// [`RealtimeEngine::recommend_query`] with the default source and
-    /// exclusion. Reuses the engine's scratch: no catalog-sized
-    /// allocation.
-    #[deprecated(note = "use `recommend_query` or the `sccf_serving::api::ServingApi` surface")]
-    pub fn recommend(&mut self, user: u32, n: usize) -> Vec<Scored> {
-        self.recommend_query(user, n, CandidateSource::Configured, &Exclusion::History)
-            .map(|(items, _)| items)
-            .unwrap_or_else(|e| panic!("recommend: {e}"))
     }
 
     /// Serialize the engine's mutable state — the per-user histories.
@@ -659,7 +637,7 @@ pub fn decode_user_state(bytes: &[u8]) -> Result<(u32, Vec<f32>, Vec<u32>), Snap
 /// format: magic, user count, then per user a length-prefixed item
 /// list, all little-endian u32/u64. This is the one serving-state
 /// artifact of the system — produced by [`RealtimeEngine::snapshot`]
-/// and `ShardedEngine::snapshot`, consumed by [`RealtimeEngine::restore`]
+/// and `ShardedEngine::try_snapshot`, consumed by [`RealtimeEngine::restore`]
 /// and `ShardedEngine::restore` at *any* shard count (offline
 /// resharding N→M re-partitions at load time).
 pub fn encode_histories(histories: &[Vec<u32>]) -> Vec<u8> {
@@ -779,10 +757,6 @@ pub fn decode_histories(bytes: &[u8]) -> Result<Vec<Vec<u32>>, SnapshotDecodeErr
 
 #[cfg(test)]
 mod tests {
-    // Deliberately exercises the deprecated infallible wrappers
-    // (`process_event`/`recommend`): these tests are the bit-identical
-    // pin for the compat surface over the typed path.
-    #![allow(deprecated)]
     use super::*;
     use crate::framework::SccfConfig;
     use crate::integrator::IntegratorConfig;
@@ -857,11 +831,19 @@ mod tests {
         RealtimeEngine::new(sccf, histories)
     }
 
+    /// The default query (configured source, history excluded).
+    fn top(engine: &mut RealtimeEngine<Fism>, user: u32, n: usize) -> Vec<Scored> {
+        let (items, _) = engine
+            .recommend_query(user, n, CandidateSource::Configured, &Exclusion::History)
+            .expect("valid user");
+        items
+    }
+
     #[test]
     fn event_updates_history_and_times_both_legs() {
         let mut engine = build_engine();
         let before = engine.history(0).len();
-        let (neighbors, t) = engine.process_event(0, 3);
+        let (neighbors, t) = engine.try_process_event(0, 3).unwrap();
         assert_eq!(engine.history(0).len(), before + 1);
         assert!(t.infer_ms >= 0.0 && t.identify_ms >= 0.0);
         assert!(t.total_ms() >= t.infer_ms);
@@ -877,7 +859,7 @@ mod tests {
         // must move toward group B in the index.
         let rep_before = engine.sccf().model().infer_user(engine.history(0));
         for item in [6u32, 7, 8, 9, 10] {
-            engine.process_event(0, item);
+            engine.try_process_event(0, item).unwrap();
         }
         let rep_after = engine.sccf().model().infer_user(engine.history(0));
         assert_ne!(rep_before, rep_after);
@@ -892,8 +874,8 @@ mod tests {
     #[test]
     fn recommendations_available_after_events() {
         let mut engine = build_engine();
-        engine.process_event(0, 4);
-        let recs = engine.recommend(0, 5);
+        engine.try_process_event(0, 4).unwrap();
+        let recs = top(&mut engine, 0, 5);
         assert!(!recs.is_empty());
         // never recommend the user's own history
         let hist: sccf_util::FxHashSet<u32> = engine.history(0).iter().copied().collect();
@@ -903,18 +885,18 @@ mod tests {
     #[test]
     fn snapshot_restore_roundtrips_state() {
         let mut engine = build_engine();
-        engine.process_event(0, 6);
-        engine.process_event(3, 7);
+        engine.try_process_event(0, 6).unwrap();
+        engine.try_process_event(3, 7).unwrap();
         let snap = engine.snapshot();
         let histories: Vec<Vec<u32>> = (0..12u32).map(|u| engine.history(u).to_vec()).collect();
-        let recs_before = engine.recommend(0, 5);
+        let recs_before = top(&mut engine, 0, 5);
 
         let mut restored = RealtimeEngine::restore(engine.into_sccf(), &snap).unwrap();
         for (u, h) in histories.iter().enumerate() {
             assert_eq!(restored.history(u as u32), h.as_slice());
         }
         // recommendations are identical: the state is fully derived
-        assert_eq!(restored.recommend(0, 5), recs_before);
+        assert_eq!(top(&mut restored, 0, 5), recs_before);
         // timing statistics start fresh
         assert_eq!(restored.timings().infer.count(), 0);
     }
@@ -924,9 +906,9 @@ mod tests {
         // Events after the snapshot must NOT be visible in the restored
         // engine — restore is point-in-time, not tail-replay.
         let mut engine = build_engine();
-        engine.process_event(0, 6);
+        engine.try_process_event(0, 6).unwrap();
         let snap = engine.snapshot();
-        engine.process_event(0, 7); // post-snapshot event
+        engine.try_process_event(0, 7).unwrap(); // post-snapshot event
         let len_after = engine.history(0).len();
         let restored = RealtimeEngine::restore(engine.into_sccf(), &snap).unwrap();
         assert_eq!(restored.history(0).len(), len_after - 1);
@@ -987,17 +969,16 @@ mod tests {
     }
 
     #[test]
-    fn typed_recommend_matches_deprecated_wrapper_bitwise() {
+    fn identically_built_engines_recommend_bitwise_identically() {
+        // The determinism every cross-engine bit-identity pin rests on:
+        // same build, same event, same float bits.
         let mut a = build_engine();
         let mut b = build_engine();
-        a.process_event(0, 4);
+        a.try_process_event(0, 4).unwrap();
         b.try_process_event(0, 4).unwrap();
-        let old = a.recommend(0, 6);
-        let (new, _) = b
-            .recommend_query(0, 6, CandidateSource::Configured, &Exclusion::History)
-            .unwrap();
-        assert_eq!(old.len(), new.len());
-        for (x, y) in old.iter().zip(&new) {
+        let (xs, ys) = (top(&mut a, 0, 6), top(&mut b, 0, 6));
+        assert_eq!(xs.len(), ys.len());
+        for (x, y) in xs.iter().zip(&ys) {
             assert_eq!(x.id, y.id);
             assert_eq!(x.score.to_bits(), y.score.to_bits());
         }

@@ -38,7 +38,7 @@
 use sccf_core::EventTiming;
 use sccf_serving::api::{RecQuery, RecResponse, ServingApi, ServingError, ServingStats};
 use sccf_serving::fleet::{merge_fleet_snapshots, merge_fleet_stats, FleetTopology};
-use sccf_serving::ring::HashRing;
+use sccf_serving::ring::{group_by_owner, HashRing};
 
 use crate::client::{unexpected, Connection};
 use crate::proto::{Request, Response};
@@ -199,23 +199,6 @@ impl FleetRouter {
             });
         }
         Ok(())
-    }
-
-    /// Group `users` per owning member, preserving input positions.
-    fn group_by_owner(&self, users: &[u32]) -> Vec<(usize, Vec<u32>, Vec<usize>)> {
-        let mut groups: Vec<(Vec<u32>, Vec<usize>)> =
-            vec![(Vec::new(), Vec::new()); self.conns.len()];
-        for (pos, &u) in users.iter().enumerate() {
-            let m = self.owner_of(u);
-            groups[m].0.push(u);
-            groups[m].1.push(pos);
-        }
-        groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, (us, _))| !us.is_empty())
-            .map(|(m, (us, ps))| (m, us, ps))
-            .collect()
     }
 
     /// If a reconnect abandoned in-flight responses, surface them as a
@@ -503,24 +486,25 @@ impl FleetRouter {
         for &u in users {
             self.check_user(u)?;
         }
-        let groups = self.group_by_owner(users);
+        let groups = group_by_owner(users.iter().copied(), |&u| self.owner_of(u));
         let reqs: Vec<(usize, Request)> = groups
             .iter()
-            .map(|(m, us, _)| (*m, Request::ExportUsers(us.clone())))
+            .map(|g| (g.owner, Request::ExportUsers(g.items.clone())))
             .collect();
         let responses = self.scatter_gather(&reqs)?;
         let mut out: Vec<Vec<u8>> = vec![Vec::new(); users.len()];
-        for ((m, _, positions), resp) in groups.into_iter().zip(responses) {
+        for (g, resp) in groups.into_iter().zip(responses) {
             match resp {
                 Response::Blobs(blobs) => {
-                    if blobs.len() != positions.len() {
+                    if blobs.len() != g.positions.len() {
                         return Err(ServingError::Wire(format!(
-                            "member {m} returned {} blobs for {} users",
+                            "member {} returned {} blobs for {} users",
+                            g.owner,
                             blobs.len(),
-                            positions.len()
+                            g.positions.len()
                         )));
                     }
-                    for (pos, blob) in positions.into_iter().zip(blobs) {
+                    for (pos, blob) in g.positions.into_iter().zip(blobs) {
                         out[pos] = blob;
                     }
                 }
@@ -715,14 +699,14 @@ impl ServingApi for FleetRouter {
         for &u in users {
             self.check_user(u)?;
         }
-        let groups = self.group_by_owner(users);
+        let groups = group_by_owner(users.iter().copied(), |&u| self.owner_of(u));
         let reqs: Vec<(usize, Request)> = groups
             .iter()
-            .map(|(m, us, _)| {
+            .map(|g| {
                 (
-                    *m,
+                    g.owner,
                     Request::RecommendMany {
-                        users: us.clone(),
+                        users: g.items.clone(),
                         query: query.clone(),
                     },
                 )
@@ -730,17 +714,18 @@ impl ServingApi for FleetRouter {
             .collect();
         let responses = self.scatter_gather(&reqs)?;
         let mut out: Vec<Option<RecResponse>> = vec![None; users.len()];
-        for ((m, member_users, positions), resp) in groups.into_iter().zip(responses) {
-            let n_asked = member_users.len();
+        for (g, resp) in groups.into_iter().zip(responses) {
+            let n_asked = g.positions.len();
             match resp {
                 Response::Slates(slates) => {
                     if slates.len() != n_asked {
                         return Err(ServingError::Wire(format!(
-                            "member {m} returned {} slates for {n_asked} users",
+                            "member {} returned {} slates for {n_asked} users",
+                            g.owner,
                             slates.len()
                         )));
                     }
-                    for (pos, slate) in positions.into_iter().zip(slates) {
+                    for (pos, slate) in g.positions.into_iter().zip(slates) {
                         out[pos] = Some(slate);
                     }
                 }

@@ -21,9 +21,9 @@
 //!
 //! **Read-ahead.** Each connection splits into a *reader* thread and a
 //! *processing* loop joined by a bounded channel (`--read-ahead` frames
-//! deep, default 4; 0 restores the synchronous legacy loop). While the
-//! engine works on request *k*, the reader is already pulling and
-//! CRC-checking request *k+1* off the socket — so a pipelining router
+//! deep, default 4, at least 1). While the engine works on request
+//! *k*, the reader is already pulling and CRC-checking request *k+1*
+//! off the socket — so a pipelining router
 //! overlaps its socket time with engine work instead of parking behind
 //! it, and the socket buffer stops being the only pipeline. FIFO order
 //! is untouched: the channel is ordered and responses are written by
@@ -107,7 +107,7 @@ pub struct ServeShardArgs {
     /// Pre-trained model weights (skips in-process training).
     pub model_file: Option<PathBuf>,
     /// Frames each connection's reader thread may buffer ahead of the
-    /// engine (0 = synchronous legacy loop, no read-ahead).
+    /// engine. Must be ≥ 1.
     pub read_ahead: usize,
 }
 
@@ -156,7 +156,7 @@ impl ServeShardArgs {
             }
         }
         let d = ServeShardArgs::default();
-        Ok(Self {
+        let out = Self {
             port: parsed(&get, "port", d.port)?,
             base: parsed(&get, "base", d.base)?,
             count: parsed(&get, "count", d.count)?,
@@ -168,7 +168,11 @@ impl ServeShardArgs {
             world: WorldSpec::from_flag(get)?,
             model_file: get("model-file").map(PathBuf::from),
             read_ahead: parsed(&get, "read-ahead", d.read_ahead)?,
-        })
+        };
+        if out.read_ahead == 0 {
+            return Err("--read-ahead must be ≥ 1 (frames buffered ahead of the engine)".into());
+        }
+        Ok(out)
     }
 
     /// The inverse of [`ServeShardArgs::parse`] — what a launcher
@@ -365,27 +369,9 @@ fn serve_connection(
     let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(write_half);
 
-    if meta.read_ahead == 0 {
-        // Synchronous legacy loop: read one, process one.
-        let mut buf = Vec::new();
-        loop {
-            match read_message(&mut reader, &mut buf) {
-                Ok(Some(())) => {}
-                // Clean close, torn stream or corrupt frame: this
-                // connection is done (the engine is untouched — a
-                // corrupt request was never decoded, let alone applied).
-                Ok(None) | Err(_) => return,
-            }
-            if !process_payload(&buf, &engine, meta, &counters, &mut writer) {
-                return;
-            }
-        }
-    }
-
-    // Pipelined loop: a reader thread pulls and CRC-checks up to
-    // `read_ahead` frames ahead of the engine. The bounded channel is
-    // the depth limit; beyond it, backpressure falls back to the
-    // socket buffer as before.
+    // A reader thread pulls and CRC-checks up to `read_ahead` frames
+    // ahead of the engine. The bounded channel is the depth limit;
+    // beyond it, backpressure falls back to the socket buffer.
     let (tx, rx) = crossbeam::channel::bounded::<Vec<u8>>(meta.read_ahead);
     let reader_counters = Arc::clone(&counters);
     let reader_thread = std::thread::spawn(move || {
@@ -399,7 +385,9 @@ fn serve_connection(
                     reader_counters.observe_depth(tx.len() as u64);
                 }
                 // Clean close, torn stream or corrupt frame: stop
-                // reading; queued requests still get processed.
+                // reading; queued requests still get processed (the
+                // engine is untouched by the bad frame — a corrupt
+                // request was never decoded, let alone applied).
                 Ok(None) | Err(_) => return,
             }
         }
@@ -516,5 +504,7 @@ mod tests {
         );
         assert!(ServeShardArgs::parse(&["--port".into()]).is_err());
         assert!(ServeShardArgs::parse(&["oops".into(), "1".into()]).is_err());
+        let zero = ServeShardArgs::parse(&["--read-ahead".into(), "0".into()]);
+        assert!(zero.is_err_and(|msg| msg.contains("--read-ahead")));
     }
 }

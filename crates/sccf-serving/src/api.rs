@@ -396,8 +396,8 @@ pub struct TransportStats {
     pub read_ahead_hits: u64,
     /// High-water mark of any connection's read-ahead queue depth.
     pub peak_read_ahead: u64,
-    /// Configured read-ahead queue capacity per connection
-    /// (0 = synchronous legacy loop, no read-ahead).
+    /// Configured read-ahead queue capacity per connection: ≥ 1 on
+    /// every shard server, 0 on in-process engines (no wire).
     pub read_ahead_capacity: u64,
 }
 
@@ -447,9 +447,8 @@ impl ServingStats {
 /// The one serving interface both engines implement.
 ///
 /// Everything returns `Result`: invalid ids and unsatisfiable queries
-/// surface as [`ServingError`] instead of panicking (the historical
-/// infallible signatures remain as deprecated wrappers on the concrete
-/// engines). The trait is object-safe — `&mut dyn ServingApi` works —
+/// surface as [`ServingError`] instead of panicking. The trait is
+/// object-safe — `&mut dyn ServingApi` works —
 /// and batch entry points are **atomic**: the whole batch is validated
 /// before any event is applied, so an error means "nothing happened".
 ///

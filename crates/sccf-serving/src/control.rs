@@ -378,7 +378,7 @@ impl<M: InductiveUiModel + 'static> ControlDriver<M> {
             staleness: stats.neighborhood.events_since_refresh,
             tier_present: stats.neighborhood.two_tier,
             delta_ready: stats.neighborhood.delta_ready,
-            epoch_in_flight: self.engine.is_migrating() || self.engine.is_refreshing(),
+            epoch_in_flight: self.epoch_in_flight(),
         };
         let decision = self.policy.decide(&obs);
         let step = match decision {

@@ -94,8 +94,6 @@ pub use control::{
 };
 pub use fleet::{merge_fleet_snapshots, merge_fleet_stats, FleetMember, FleetTopology};
 pub use ring::{HashRing, RingDecodeError};
-#[allow(deprecated)] // the legacy shim stays importable from its old path
-pub use sharded::shard_of;
 pub use sharded::{
     DurabilityConfig, RecoveryReport, RefreshReport, ReshardReport, RouterKind, ShardReport,
     ShardedConfig, ShardedEngine,

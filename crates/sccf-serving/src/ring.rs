@@ -51,8 +51,9 @@ use std::hash::Hasher;
 
 use sccf_util::hash::FxHasher;
 
-/// FxHash of a user id — the hash the legacy `shard_of` used; the
-/// modulo mode must keep it bit-for-bit for the pinned equivalence.
+/// FxHash of a user id — the hash the original modulo router used; the
+/// modulo mode must keep it bit-for-bit (placement of every deployed
+/// modulo fleet depends on it; pinned by `ring::tests`).
 fn hash_user_fx(user: u32) -> u64 {
     let mut h = FxHasher::default();
     h.write_u32(user);
@@ -118,8 +119,8 @@ enum RingKind {
 }
 
 impl HashRing {
-    /// The legacy router: `FxHash(user) % n_shards`, bit-identical to
-    /// the deprecated free `shard_of` (pinned by `ring::tests`).
+    /// The legacy router: `FxHash(user) % n_shards` (the formula is
+    /// pinned by `ring::tests`).
     ///
     /// # Panics
     /// If `n_shards == 0` — engine construction rejects zero-shard
@@ -308,6 +309,45 @@ impl HashRing {
     }
 }
 
+/// One owner's share of a grouped batch: the items it owns, in input
+/// order, and where each stood in the input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OwnerGroup<T> {
+    pub owner: usize,
+    pub items: Vec<T>,
+    pub positions: Vec<usize>,
+}
+
+/// Split a batch by owner (a shard, a fleet member), preserving input
+/// order inside each group and listing groups in first-seen order —
+/// so the grouping is a pure function of the input, and a gather that
+/// writes `items[i]`'s reply to `positions[i]` restores input order.
+/// The one grouping step behind every scatter in the sharded engine
+/// and the fleet router.
+pub fn group_by_owner<T>(
+    items: impl IntoIterator<Item = T>,
+    owner_of: impl Fn(&T) -> usize,
+) -> Vec<OwnerGroup<T>> {
+    let mut groups: Vec<OwnerGroup<T>> = Vec::new();
+    for (pos, item) in items.into_iter().enumerate() {
+        let owner = owner_of(&item);
+        let at = groups
+            .iter()
+            .position(|g| g.owner == owner)
+            .unwrap_or_else(|| {
+                groups.push(OwnerGroup {
+                    owner,
+                    items: Vec::new(),
+                    positions: Vec::new(),
+                });
+                groups.len() - 1
+            });
+        groups[at].items.push(item);
+        groups[at].positions.push(pos);
+    }
+    groups
+}
+
 const RING_MAGIC: &[u8; 8] = b"SCCFRG01";
 
 /// Why a ring encoding could not be decoded.
@@ -361,14 +401,63 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // the pinned-equivalence test of the legacy shim
+    fn single_shard_rings_route_everything_to_zero() {
+        let modulo = HashRing::modulo(1);
+        let consistent = HashRing::consistent(1, 8);
+        assert!((0..1000u32).all(|u| modulo.route(u) == 0 && consistent.route(u) == 0));
+    }
+
+    #[test]
+    fn hashing_spreads_users() {
+        let n = 8usize;
+        let ring = HashRing::modulo(n);
+        let mut counts = vec![0usize; n];
+        for u in 0..8000u32 {
+            counts[ring.route(u)] += 1;
+        }
+        // FxHash of sequential ids is not perfectly uniform, but every
+        // shard must carry a meaningful fraction of the users.
+        for (s, &c) in counts.iter().enumerate() {
+            assert!(c > 8000 / n / 4, "shard {s} starved: {c} users");
+        }
+    }
+
+    #[test]
     fn modulo_ring_matches_deprecated_shard_of() {
+        // The placement formula of the removed free `shard_of`, written
+        // out: FxHash of the id's four bytes, mod the shard count.
+        let shard_of = |user: u32, n_shards: usize| {
+            let mut h = FxHasher::default();
+            h.write_u32(user);
+            (h.finish() % n_shards as u64) as usize
+        };
         for n in [1usize, 2, 3, 8, 16] {
             let ring = HashRing::modulo(n);
             for u in 0..4000u32 {
-                assert_eq!(ring.route(u), crate::sharded::shard_of(u, n));
+                assert_eq!(ring.route(u), shard_of(u, n));
             }
         }
+    }
+
+    #[test]
+    fn group_by_owner_keeps_input_order_and_positions() {
+        let groups = group_by_owner([7u32, 2, 9, 4, 3], |&u| (u % 2) as usize);
+        assert_eq!(
+            groups,
+            vec![
+                OwnerGroup {
+                    owner: 1,
+                    items: vec![7, 9, 3],
+                    positions: vec![0, 2, 4],
+                },
+                OwnerGroup {
+                    owner: 0,
+                    items: vec![2, 4],
+                    positions: vec![1, 3],
+                },
+            ]
+        );
+        assert!(group_by_owner(Vec::<u32>::new(), |_| 0).is_empty());
     }
 
     #[test]

@@ -1,0 +1,35 @@
+#!/usr/bin/env bash
+# Code-size report and deprecated-surface gate (run from the repo root).
+#
+# Per crate: non-comment, non-blank lines over src/**/*.rs, and the
+# number of `pub` items (fn/struct/enum/trait/const/type). ROADMAP
+# aim 2 asks every PR to report both; CHANGES.md quotes these numbers.
+#
+# Exits 1 if `#[deprecated` or `allow(deprecated)` appears anywhere
+# under crates/, src/, tests/ or examples/: the compat wrappers are
+# gone, and nothing may grow a new deprecated surface silently.
+set -euo pipefail
+
+code_lines() { xargs -r cat | grep -cvE '^\s*(//|$)' || true; }
+pub_items() { xargs -r cat | grep -cE '^\s*pub (fn|struct|enum|trait|const|type) ' || true; }
+
+printf '%-16s %8s %6s\n' crate lines pub
+total_lines=0
+total_pub=0
+for dir in crates/*/src src; do
+  if [ "$dir" = src ]; then name=sccf; else name=$(basename "$(dirname "$dir")"); fi
+  lines=$(find "$dir" -name '*.rs' | code_lines)
+  pubs=$(find "$dir" -name '*.rs' | pub_items)
+  printf '%-16s %8d %6d\n' "$name" "$lines" "$pubs"
+  total_lines=$((total_lines + lines))
+  total_pub=$((total_pub + pubs))
+done
+printf '%-16s %8d %6d\n' total "$total_lines" "$total_pub"
+# The two routers' crates together: the sum ROADMAP item 2 tracks.
+printf 'sccf-serving + sccf-net: %d\n' \
+  "$(find crates/sccf-serving/src crates/sccf-net/src -name '*.rs' | code_lines)"
+
+if grep -rnE '#\[deprecated|allow\(deprecated\)' crates src tests examples; then
+  echo 'error: deprecated surface found (see the lines above)' >&2
+  exit 1
+fi

@@ -9,7 +9,8 @@
 //!   fsync boundary recovers bit-identically to a reference fed the
 //!   surviving prefix, at every single cut;
 //! * the guard rails — dirty-directory rejection, recovery without a
-//!   checkpoint, recovery across shard counts.
+//!   checkpoint, recovery across shard counts, a reshard whose new
+//!   shard's WAL cannot be opened.
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -280,6 +281,82 @@ fn recover_into_different_shard_counts_is_bit_identical() {
         recovered.shutdown();
         reference.shutdown();
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn begin_reshard_is_atomic_when_a_new_shards_wal_cannot_open() {
+    // Regression: `begin_reshard` used to push each new worker into the
+    // fleet *before* opening its WAL, so an I/O failure returned `Err`
+    // with a half-spawned, log-less worker left behind — and a retried
+    // reshard skipped the spawn loop, leaving that shard to serve
+    // acknowledged events no recovery could replay.
+    let w = world();
+    let dir = scratch_dir("reshard_wal");
+    let mut fleet = fresh_fleet(w, 2);
+    fleet
+        .enable_durability(durability(&dir, 4))
+        .expect("fresh directory");
+    for k in 0..60 {
+        let (u, i) = event_at(w, k);
+        fleet.try_ingest(u, i).expect("ids in range");
+    }
+
+    // Obstruct new shard 2's log: the path exists but is no WAL.
+    let obstruction = wal::wal_path(&dir, 2);
+    std::fs::create_dir(&obstruction).expect("obstruct wal-2.log");
+    let workers_before = fleet.serving_stats().expect("stats").shards.len();
+    assert!(
+        matches!(
+            fleet.begin_reshard(shard_cfg(4), 8),
+            Err(ServingError::Durability(_))
+        ),
+        "an unopenable WAL must fail the reshard"
+    );
+    assert!(
+        !fleet.is_migrating(),
+        "a failed begin leaves the slot empty"
+    );
+    assert_eq!(
+        fleet.serving_stats().expect("stats").shards.len(),
+        workers_before,
+        "a failed begin must not leave a half-spawned worker in the fleet"
+    );
+
+    // Obstruction cleared: the retry spawns *and arms* every new shard,
+    // so events routed to them afterwards are in a log.
+    std::fs::remove_dir(&obstruction).expect("clear obstruction");
+    fleet.reshard(shard_cfg(4)).expect("retried reshard");
+    for k in 60..160 {
+        let (u, i) = event_at(w, k);
+        fleet.try_ingest(u, i).expect("ids in range");
+    }
+    let statuses = fleet.wal_sync().expect("durability enabled");
+    assert_eq!(statuses.len(), 4, "every shard, old and new, has a WAL");
+    assert!(
+        statuses[2..].iter().any(|st| st.appended > 0),
+        "the new shards must have logged the events routed to them"
+    );
+    // Kill right after the sync: the files are all that survives.
+    fleet.shutdown();
+
+    let (mut recovered, rec) =
+        ShardedEngine::recover(fresh_sccf(w), shard_cfg(4), durability(&dir, 4))
+            .expect("clean-tail recovery");
+    assert_eq!(rec.max_seq, 160, "every acknowledged event survived");
+    let mut reference = fresh_fleet(w, 4);
+    for k in 0..160 {
+        let (u, i) = event_at(w, k);
+        reference.try_ingest(u, i).expect("ids in range");
+    }
+    reference.flush().expect("barrier");
+    assert_fleets_identical(
+        &mut recovered,
+        &mut reference,
+        "recover after a failed-then-retried reshard",
+    );
+    recovered.shutdown();
+    reference.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -2,14 +2,12 @@
 //! it on a bad day — disordered and late events, corrupted snapshots,
 //! degenerate users, out-of-distribution vectors — and assert it degrades
 //! the way the design documents say it should (drop + count, reject +
-//! explain, never panic, never silently corrupt).
-//!
-//! Drives the deprecated infallible wrappers on purpose — part of the
-//! compat pin; the typed surface has its own suite in
-//! `tests/serving_api.rs`.
-#![allow(deprecated)]
+//! explain, never panic, never silently corrupt). The typed surface's
+//! happy paths have their own suite in `tests/serving_api.rs`.
 
-use sccf::core::{RealtimeEngine, Sccf, SccfConfig, SnapshotDecodeError};
+use sccf::core::{
+    CandidateSource, Exclusion, RealtimeEngine, Sccf, SccfConfig, SnapshotDecodeError,
+};
 use sccf::data::dataset::{Dataset, Interaction};
 use sccf::data::LeaveOneOut;
 use sccf::index::{Metric, SqIndex};
@@ -111,7 +109,9 @@ fn engine_survives_disordered_stream_via_watermark() {
     ];
     let mut processed = 0usize;
     let mut feed = |e: StreamEvent, engine: &mut RealtimeEngine<Fism>| {
-        engine.process_event(e.user, e.item);
+        engine
+            .try_process_event(e.user, e.item)
+            .expect("ids in range");
         processed += 1;
     };
     let mut pending: Vec<StreamEvent> = Vec::new();
@@ -151,7 +151,9 @@ fn bit_flip_in_snapshot_is_rejected_or_roundtrips_lengths() {
         Ok(mut restored) => {
             // decoded fine: the flip hit an item id; engine must be fully
             // initialized and serviceable
-            let recs = restored.recommend(0, 3);
+            let (recs, _) = restored
+                .recommend_query(0, 3, CandidateSource::Configured, &Exclusion::History)
+                .expect("valid user");
             assert!(recs.len() <= 3);
         }
         Err(e) => {
@@ -412,11 +414,11 @@ fn refresh_mid_reshard_is_cleanly_rejected_and_vice_versa() {
     assert!(fleet.is_migrating());
     assert!(matches!(
         fleet.begin_refresh(4),
-        Err(sccf::serving::ServingError::InvalidConfig(_))
+        Err(sccf::serving::ServingError::EpochInFlight { .. })
     ));
     assert!(matches!(
         fleet.refresh_global_tier(),
-        Err(sccf::serving::ServingError::InvalidConfig(_))
+        Err(sccf::serving::ServingError::EpochInFlight { .. })
     ));
     while fleet.is_migrating() {
         fleet.reshard_step().expect("drive migration to completion");
@@ -436,11 +438,11 @@ fn refresh_mid_reshard_is_cleanly_rejected_and_vice_versa() {
             },
             2,
         ),
-        Err(sccf::serving::ServingError::InvalidConfig(_))
+        Err(sccf::serving::ServingError::EpochInFlight { .. })
     ));
     assert!(matches!(
         fleet.clear_global_tier(),
-        Err(sccf::serving::ServingError::InvalidConfig(_))
+        Err(sccf::serving::ServingError::EpochInFlight { .. })
     ));
     // Traffic keeps flowing between collection batches.
     let mut extra = 0u64;
@@ -557,6 +559,152 @@ fn snapshot_mid_epoch_is_a_typed_rejection_not_a_corrupt_artifact() {
         baseline
     );
     fleet.shutdown();
+}
+
+#[test]
+fn epoch_exclusion_matrix_holds_cell_by_cell() {
+    use sccf::core::GlobalNeighborSnapshot;
+    use sccf::serving::{DurabilityConfig, ServingError};
+    // One epoch slot, one guard: every operation × every kind of epoch
+    // in flight. A blocked cell is the typed `EpochInFlight` naming
+    // both sides; an allowed cell succeeds; either way the epoch's
+    // cursor does not move, and (ingest aside) neither do the
+    // histories.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Slot {
+        Reshard,
+        FullRefresh,
+        DeltaRefresh,
+    }
+    // (operation — also the `requested` name of its rejection —
+    //  blocked by a reshard, blocked by a refresh)
+    const OPS: [(&str, bool, bool); 11] = [
+        ("begin_reshard", true, true),
+        ("begin_refresh", true, true),
+        ("begin_delta_refresh", true, true),
+        ("install_global_tier", false, true),
+        ("clear_global_tier", false, true),
+        ("snapshot", true, true),
+        ("checkpoint", true, true),
+        ("enable_durability", true, true),
+        ("export_user_states", false, false),
+        ("try_ingest", false, false),
+        ("try_recommend", false, false),
+    ];
+    const BATCH: usize = 3;
+    let cfg = |n_shards| ShardedConfig {
+        n_shards,
+        queue_capacity: 4,
+        router: RouterKind::Consistent { vnodes: 16 },
+    };
+    for slot in [Slot::Reshard, Slot::FullRefresh, Slot::DeltaRefresh] {
+        for (op, by_reshard, by_refresh) in OPS {
+            let cell = format!("{op} during {slot:?}");
+            let dir = std::env::temp_dir().join(format!(
+                "sccf_epoch_matrix_{slot:?}_{op}_{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut fleet = build_fleet(53, 2, 4);
+            for k in 0..30u32 {
+                fleet
+                    .try_ingest(k % 16, (k * 3) % 16)
+                    .expect("ids in range");
+            }
+            // A tier from the fleet's own pipeline: delta requests get
+            // past their precondition and reach the epoch guard.
+            fleet.refresh_global_tier().expect("full refresh");
+            let tier = fleet.global_tier().expect("tier installed").encode();
+            for k in 0..10u32 {
+                fleet.try_ingest(k, (k + 5) % 16).expect("ids in range");
+            }
+            if op == "checkpoint" {
+                fleet
+                    .enable_durability(DurabilityConfig::new(&dir))
+                    .expect("fresh directory");
+            }
+            let baseline = fleet.snapshot_state().expect("idle fleet snapshots");
+
+            // Occupy the slot and walk one batch in, so a disturbed
+            // cursor would show.
+            let before = match slot {
+                Slot::Reshard => {
+                    fleet.begin_reshard(cfg(4), 1).expect("begin reshard");
+                    fleet.reshard_step().expect("first handoff")
+                }
+                Slot::FullRefresh => {
+                    fleet.begin_refresh(BATCH).expect("begin refresh");
+                    fleet.refresh_step().expect("first batch")
+                }
+                Slot::DeltaRefresh => {
+                    fleet.begin_delta_refresh(BATCH).expect("begin delta");
+                    fleet.refresh_step().expect("first batch")
+                }
+            };
+            assert!(before > 0, "{cell}: the epoch must still be mid-flight");
+
+            let result: Result<(), ServingError> = match op {
+                "begin_reshard" => fleet.begin_reshard(cfg(3), 2),
+                "begin_refresh" => fleet.begin_refresh(BATCH),
+                "begin_delta_refresh" => fleet.begin_delta_refresh(BATCH),
+                "install_global_tier" => fleet.install_global_tier(
+                    GlobalNeighborSnapshot::decode(&tier).expect("own artifact"),
+                ),
+                "clear_global_tier" => fleet.clear_global_tier(),
+                "snapshot" => fleet.try_snapshot().map(drop),
+                "checkpoint" => fleet.checkpoint().map(drop),
+                "enable_durability" => fleet.enable_durability(DurabilityConfig::new(&dir)),
+                "export_user_states" => fleet.export_user_states(&[0, 5, 9]).map(drop),
+                "try_ingest" => fleet.try_ingest(2, 3).map(drop),
+                "try_recommend" => fleet.try_recommend(2, &RecQuery::top(3)).map(drop),
+                other => unreachable!("unknown op {other}"),
+            };
+            let (blocked, in_flight) = match slot {
+                Slot::Reshard => (by_reshard, "reshard"),
+                Slot::FullRefresh | Slot::DeltaRefresh => (by_refresh, "refresh"),
+            };
+            if blocked {
+                assert_eq!(
+                    result,
+                    Err(ServingError::EpochInFlight {
+                        requested: op,
+                        in_flight,
+                    }),
+                    "{cell}"
+                );
+            } else {
+                assert_eq!(result, Ok(()), "{cell}");
+            }
+
+            // The same epoch is still in the slot, its cursor where the
+            // first step left it: the next step covers exactly one
+            // more batch.
+            assert_eq!(fleet.is_migrating(), slot == Slot::Reshard, "{cell}");
+            assert_eq!(fleet.is_refreshing(), slot != Slot::Reshard, "{cell}");
+            let (after, batch) = match slot {
+                Slot::Reshard => (fleet.reshard_step().expect("second handoff"), 1),
+                _ => (fleet.refresh_step().expect("second batch"), BATCH),
+            };
+            assert_eq!(after, before.saturating_sub(batch), "{cell}: cursor moved");
+
+            // Drive the epoch out and compare histories.
+            while fleet.is_migrating() {
+                fleet.reshard_step().expect("handoff");
+            }
+            while fleet.refresh_step().expect("collection batch") > 0 {}
+            let end = fleet.snapshot_state().expect("idle again");
+            if op == "try_ingest" {
+                assert_ne!(end, baseline, "{cell}: the accepted event must land");
+            } else {
+                assert_eq!(end, baseline, "{cell}: histories changed");
+            }
+            if op == "enable_durability" {
+                assert!(!dir.exists(), "{cell}: a rejected arming touched the disk");
+            }
+            fleet.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
 
 #[test]

@@ -2,14 +2,10 @@
 //! reflect fresh interactions immediately, and the latency profile must
 //! match the paper's asymmetry (SCCF identify ≪ UserKNN identify at equal
 //! catalog size — dense low-d search vs sparse set scans).
-//!
-//! Deliberately driven through the deprecated infallible wrappers
-//! (`process_event`/`recommend`): these tests double as the
-//! bit-identical pin of the compat surface over the typed
-//! `try_process_event`/`recommend_query` path.
-#![allow(deprecated)]
 
-use sccf::core::{IntegratorConfig, RealtimeEngine, Sccf, SccfConfig, UserBasedConfig};
+use sccf::core::{
+    CandidateSource, Exclusion, IntegratorConfig, RealtimeEngine, Sccf, SccfConfig, UserBasedConfig,
+};
 use sccf::data::catalog::Scale;
 use sccf::data::synthetic::{generate, SyntheticConfig};
 use sccf::data::LeaveOneOut;
@@ -93,7 +89,7 @@ fn fresh_interactions_move_the_user_representation() {
 
     let rep_before = engine.sccf().model().infer_user(engine.history(user));
     for &i in &new_items {
-        engine.process_event(user, i);
+        engine.try_process_event(user, i).expect("ids in range");
     }
     let rep_after = engine.sccf().model().infer_user(engine.history(user));
     let sim = sccf::tensor::cosine(&rep_before, &rep_after);
@@ -105,14 +101,16 @@ fn fresh_interactions_move_the_user_representation() {
     // and the *recommendations* follow: the new category must now appear
     // more among the top fused recommendations than items of a never-
     // touched category would by chance
-    let recs = engine.recommend(user, 10);
+    let (recs, _) = engine
+        .recommend_query(user, 10, CandidateSource::Configured, &Exclusion::History)
+        .expect("valid user");
     assert!(!recs.is_empty());
 }
 
 #[test]
 fn engine_neighborhood_excludes_self_and_respects_beta() {
     let (_, mut engine, _) = build();
-    let (neighbors, _) = engine.process_event(3, 1);
+    let (neighbors, _) = engine.try_process_event(3, 1).expect("ids in range");
     assert!(neighbors.len() <= 30);
     assert!(neighbors.iter().all(|n| n.id != 3));
     // descending similarity
@@ -139,7 +137,7 @@ fn sccf_identify_is_faster_than_userknn_identify() {
         knn_ms += sw.elapsed_ms();
     }
     for &u in &users {
-        engine.process_event(u, 0);
+        engine.try_process_event(u, 0).expect("ids in range");
     }
     let sccf_ms = engine.timings().identify.mean_ms() * users.len() as f64;
     // The asymmetry should be visible even at this tiny scale; allow a
@@ -155,7 +153,9 @@ fn sccf_identify_is_faster_than_userknn_identify() {
 fn timings_accumulate_per_event() {
     let (_, mut engine, _) = build();
     for e in 0..5u32 {
-        engine.process_event(e % 3, e % 7);
+        engine
+            .try_process_event(e % 3, e % 7)
+            .expect("ids in range");
     }
     assert_eq!(engine.timings().infer.count(), 5);
     assert_eq!(engine.timings().identify.count(), 5);

@@ -4,8 +4,7 @@
 //!   same shard, across engines and across calls;
 //! * `ShardedEngine` with `n_shards = 1` produces **bit-identical**
 //!   recommendations to the plain single-writer `RealtimeEngine` on a
-//!   seeded event stream (driven through the deprecated wrappers on
-//!   purpose — that pins the compat surface over the typed path);
+//!   seeded event stream;
 //! * at `n_shards > 1`, drain/shutdown account for every event and
 //!   per-user event order is preserved end to end;
 //! * construction and routing edge cases (`n_shards = 0`, out-of-range
@@ -16,7 +15,9 @@
 //! is covered in `tests/serving_api.rs`.
 
 use rand::Rng;
-use sccf::core::{IntegratorConfig, RealtimeEngine, Sccf, SccfConfig, UserBasedConfig};
+use sccf::core::{
+    CandidateSource, Exclusion, IntegratorConfig, RealtimeEngine, Sccf, SccfConfig, UserBasedConfig,
+};
 use sccf::data::{Dataset, Interaction, LeaveOneOut};
 use sccf::models::{Fism, FismConfig, TrainConfig};
 use sccf::serving::{
@@ -109,6 +110,22 @@ fn event_stream(seed: u64, len: usize) -> Vec<(u32, u32)> {
         .collect()
 }
 
+/// The plain engine's default query (configured source, history
+/// excluded) — what `RecQuery::top(n)` asks of the sharded engine.
+fn plain_top(engine: &mut RealtimeEngine<Fism>, user: u32, n: usize) -> Vec<Scored> {
+    let (items, _) = engine
+        .recommend_query(user, n, CandidateSource::Configured, &Exclusion::History)
+        .expect("valid user");
+    items
+}
+
+fn sharded_top(engine: &mut ShardedEngine<Fism>, user: u32, n: usize) -> Vec<Scored> {
+    engine
+        .try_recommend(user, &RecQuery::top(n))
+        .expect("valid user")
+        .items
+}
+
 fn assert_bit_identical(a: &[Scored], b: &[Scored], ctx: &str) {
     assert_eq!(a.len(), b.len(), "{ctx}: length mismatch");
     for (x, y) in a.iter().zip(b) {
@@ -144,7 +161,6 @@ fn routing_is_deterministic_across_calls_and_spread() {
 }
 
 #[test]
-#[allow(deprecated)] // pins the compat wrappers bit-identical to the typed path
 fn single_shard_is_bit_identical_to_plain_engine() {
     for seed in [3u64, 11] {
         let (split, histories) = world(seed);
@@ -154,7 +170,7 @@ fn single_shard_is_bit_identical_to_plain_engine() {
         let sharded_sccf = build_sccf(&split, seed);
 
         let mut plain = RealtimeEngine::new(plain_sccf, histories.clone());
-        let mut sharded = ShardedEngine::new(
+        let mut sharded = ShardedEngine::try_new(
             sharded_sccf,
             histories,
             ShardedConfig {
@@ -162,22 +178,23 @@ fn single_shard_is_bit_identical_to_plain_engine() {
                 queue_capacity: 64,
                 router: RouterKind::Modulo,
             },
-        );
+        )
+        .expect("valid config");
 
         for (k, &(user, item)) in event_stream(seed, 120).iter().enumerate() {
-            plain.process_event(user, item);
-            sharded.ingest(user, item);
+            plain.try_process_event(user, item).expect("ids in range");
+            sharded.try_ingest(user, item).expect("ids in range");
             // recommend at a deterministic subsample of points
             if k % 7 == 0 {
-                let a = plain.recommend(user, 8);
-                let b = sharded.recommend(user, 8);
+                let a = plain_top(&mut plain, user, 8);
+                let b = sharded_top(&mut sharded, user, 8);
                 assert_bit_identical(&a, &b, &format!("seed {seed}, event {k}, user {user}"));
             }
         }
         // final pass: every user agrees bit-for-bit
         for u in 0..N_USERS {
-            let a = plain.recommend(u, 8);
-            let b = sharded.recommend(u, 8);
+            let a = plain_top(&mut plain, u, 8);
+            let b = sharded_top(&mut sharded, u, 8);
             assert_bit_identical(&a, &b, &format!("seed {seed}, final user {u}"));
         }
         let reports = sharded.shutdown();
@@ -187,14 +204,13 @@ fn single_shard_is_bit_identical_to_plain_engine() {
 }
 
 #[test]
-#[allow(deprecated)] // compat-wrapper pin (ingest/drain/recommend)
 fn multi_shard_accounts_for_every_event_and_preserves_user_order() {
     let seed = 5u64;
     let (split, histories) = world(seed);
     let sccf = build_sccf(&split, seed);
     let stream = event_stream(seed, 200);
 
-    let mut engine = ShardedEngine::new(
+    let mut engine = ShardedEngine::try_new(
         sccf,
         histories.clone(),
         ShardedConfig {
@@ -202,15 +218,16 @@ fn multi_shard_accounts_for_every_event_and_preserves_user_order() {
             queue_capacity: 16, // small: exercises backpressure
             router: RouterKind::Modulo,
         },
-    );
+    )
+    .expect("valid config");
     assert_eq!(engine.n_shards(), 4);
     for &(user, item) in &stream {
-        engine.ingest(user, item);
+        engine.try_ingest(user, item).expect("ids in range");
     }
-    engine.drain();
+    engine.flush().expect("barrier");
     // After the barrier, recommendations reflect all ingested events.
     for u in 0..N_USERS {
-        let recs = engine.recommend(u, 5);
+        let recs = sharded_top(&mut engine, u, 5);
         assert!(!recs.is_empty(), "user {u} must get recommendations");
     }
 
@@ -239,56 +256,18 @@ fn multi_shard_accounts_for_every_event_and_preserves_user_order() {
 }
 
 #[test]
-#[allow(deprecated)] // compat-wrapper pin (new/ingest/drain/recommend)
 fn sharded_engine_rejects_nothing_it_should_accept() {
     // Smoke: default config (auto shard count) works end to end.
     let (split, histories) = world(9);
     let sccf = build_sccf(&split, 9);
-    let mut engine = ShardedEngine::new(sccf, histories, ShardedConfig::default());
-    engine.ingest(0, 1);
-    engine.ingest(N_USERS - 1, 2);
-    engine.drain();
-    assert!(!engine.recommend(0, 3).is_empty());
+    let mut engine =
+        ShardedEngine::try_new(sccf, histories, ShardedConfig::default()).expect("valid config");
+    engine.try_ingest(0, 1).expect("ids in range");
+    engine.try_ingest(N_USERS - 1, 2).expect("ids in range");
+    engine.flush().expect("barrier");
+    assert!(!sharded_top(&mut engine, 0, 3).is_empty());
     let reports = engine.shutdown();
     assert_eq!(reports.iter().map(|r| r.events).sum::<u64>(), 2);
-}
-
-#[test]
-#[allow(deprecated)] // the deprecated wrappers are the panicking surface under test
-fn deprecated_ingest_panics_with_descriptive_error_not_a_dead_worker() {
-    let (split, histories) = world(13);
-    let sccf = build_sccf(&split, 13);
-    let mut engine = ShardedEngine::new(
-        sccf,
-        histories,
-        ShardedConfig {
-            n_shards: 2,
-            queue_capacity: 8,
-            router: RouterKind::Modulo,
-        },
-    );
-    // An out-of-range item id is rejected at the router (the typed path
-    // returns `ServingError`); the deprecated wrapper panics with that
-    // error's message — never a generic "worker exited" report, because
-    // the bad id no longer reaches (or kills) a worker.
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.ingest(0, 10_000);
-    }));
-    let payload = result.expect_err("out-of-range item must panic via the wrapper");
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
-    assert!(
-        msg.contains("item 10000") && !msg.contains("exited early"),
-        "want the typed error's message, got: {msg:?}"
-    );
-    // The fleet survived: the same engine keeps serving.
-    engine.drain();
-    assert!(!engine.recommend(0, 3).is_empty());
-    let reports = engine.shutdown();
-    assert_eq!(reports.iter().map(|r| r.events).sum::<u64>(), 0);
 }
 
 // ---------------------------------------------------------------------
@@ -478,7 +457,7 @@ fn overlapping_reshards_are_rejected_and_ingestion_flows_mid_migration() {
     // A second migration cannot start while one is in flight.
     assert!(matches!(
         engine.begin_reshard(consistent(3), 2),
-        Err(ServingError::InvalidConfig(_))
+        Err(ServingError::EpochInFlight { .. })
     ));
     // Mid-migration the fleet ingests and recommends for every user —
     // moved and unmoved alike.

@@ -4,24 +4,23 @@
 //! production deployment (§IV-F) care about.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use sccf_core::{
-    CandidateSource, Exclusion, IntegratorConfig, RealtimeEngine, Sccf, SccfConfig, UserBasedConfig,
-};
-use sccf_data::catalog::{ml1m_sim, Scale};
-use sccf_data::synthetic::generate;
+use sccf_bench::harness::{serving_sccf_config, serving_world, ServingWorld, WorldShape};
+use sccf_core::{CandidateSource, Exclusion, RealtimeEngine, Sccf};
 use sccf_data::LeaveOneOut;
-use sccf_models::{Fism, FismConfig, InductiveUiModel, SasRec, SasRecConfig, TrainConfig};
+use sccf_models::{InductiveUiModel, SasRec, SasRecConfig, TrainConfig};
 
-fn world() -> (LeaveOneOut, Vec<Vec<u32>>) {
-    let mut cfg = ml1m_sim(Scale::Quick);
-    cfg.n_users = 300;
-    cfg.n_items = 300;
-    let data = generate(&cfg, 1).dataset;
-    let split = LeaveOneOut::split(&data);
-    let histories: Vec<Vec<u32>> = (0..split.n_users() as u32)
-        .map(|u| split.train_plus_val(u))
-        .collect();
-    (split, histories)
+/// 300 × 300 `ml1m-sim` with a d=32 FISM backend.
+fn world() -> ServingWorld {
+    let shape = WorldShape {
+        n_users: 300,
+        n_items: 300,
+        n_categories: 18,
+        mean_len: 48.0,
+        min_len: 8,
+        dim: 32,
+        epochs: 2,
+    };
+    serving_world(&shape, 1)
 }
 
 fn engine_for<M: InductiveUiModel>(
@@ -29,43 +28,16 @@ fn engine_for<M: InductiveUiModel>(
     split: &LeaveOneOut,
     histories: Vec<Vec<u32>>,
 ) -> RealtimeEngine<M> {
-    let mut sccf = Sccf::build(
-        model,
-        split,
-        SccfConfig {
-            user_based: UserBasedConfig {
-                beta: 100,
-                recent_window: 15,
-            },
-            candidate_n: 100,
-            integrator: IntegratorConfig {
-                epochs: 3,
-                ..Default::default()
-            },
-            threads: 4,
-            profiles: None,
-            ui_ann: None,
-            frozen_tier: sccf_core::FrozenTierMode::Flat,
-        },
-    );
+    let mut cfg = serving_sccf_config(4, 42);
+    cfg.integrator.epochs = 3;
+    let mut sccf = Sccf::build(model, split, cfg);
     sccf.refresh_for_test(split);
     RealtimeEngine::new(sccf, histories)
 }
 
 fn bench_event_fism(c: &mut Criterion) {
-    let (split, histories) = world();
-    let fism = Fism::train(
-        &split,
-        &FismConfig {
-            train: TrainConfig {
-                dim: 32,
-                epochs: 2,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    let mut engine = engine_for(fism, &split, histories);
+    let w = world();
+    let mut engine = engine_for(w.fism, &w.split, w.histories);
     let mut i = 0u32;
     c.bench_function("realtime_event_fism_d32", |bench| {
         bench.iter(|| {
@@ -78,7 +50,9 @@ fn bench_event_fism(c: &mut Criterion) {
 }
 
 fn bench_event_sasrec(c: &mut Criterion) {
-    let (split, histories) = world();
+    let ServingWorld {
+        split, histories, ..
+    } = world();
     let sasrec = SasRec::train(
         &split,
         &SasRecConfig {
@@ -104,19 +78,8 @@ fn bench_event_sasrec(c: &mut Criterion) {
 }
 
 fn bench_fused_recommend(c: &mut Criterion) {
-    let (split, histories) = world();
-    let fism = Fism::train(
-        &split,
-        &FismConfig {
-            train: TrainConfig {
-                dim: 32,
-                epochs: 2,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    let mut engine = engine_for(fism, &split, histories);
+    let w = world();
+    let mut engine = engine_for(w.fism, &w.split, w.histories);
     c.bench_function("sccf_recommend_top10", |bench| {
         bench.iter(|| {
             black_box(

@@ -1,61 +1,46 @@
-//! `repro` — regenerate every table and figure of the paper.
+//! `repro` — regenerate every table and figure of the paper, and the
+//! `BENCH_*.json` serving artifacts.
 //!
 //! ```text
-//! repro <experiment> [--scale quick|full] [--seed N] [--dim D]
+//! repro <experiment|all> [--scale quick|full] [--seed N] [--dim D]
 //!       [--beta B] [--out DIR] [--verbose]
-//!
-//! experiments:
-//!   table1       dataset statistics (Table I)
-//!   table2       main quality comparison (Table II)
-//!   table3       real-time latency, UserKNN vs SCCF (Table III)
-//!   table4       neighborhood-size sweep (Table IV)
-//!   table5       simulated online A/B test (Table V)
-//!   fig1         category-revisit distribution (Figure 1)
-//!   fig4         similarity-score distributions (Figure 4)
-//!   fig5         embedding-dimension sweep (Figure 5)
-//!   ablate-norm  integrator normalization ablation (DESIGN.md §5)
-//!   ablate-window neighbor-visible history window sweep (DESIGN.md §5)
-//!   extended     SCCF over GRU4Rec/Caser backends + SLIM/LRec baselines
-//!   ranking      SCCF applied to the ranking stage (§V future work)
-//!   bench-serving  serving latency vs catalog size; writes BENCH_serving.json
-//!   bench-sharded  sharded ingest throughput at 1/2/4/8 shards; writes BENCH_sharded.json
-//!   bench-reshard  live resharding N→M under load; writes BENCH_reshard.json
-//!   bench-quality  N=1 vs N=8 shard-local vs N=8 two-tier HR/NDCG; writes BENCH_quality.json
-//!   bench-recovery crash-recovery time vs WAL depth + checkpoint sizing; writes BENCH_recovery.json
-//!   bench-fleet    loopback multi-process fleet vs in-process engine; writes BENCH_fleet.json
-//!   all          everything above, in order
 //! ```
 //!
-//! Results print to stdout as markdown and are archived under `--out`
-//! (default `results/`).
+//! The experiment list lives in one place,
+//! [`sccf_bench::experiments::EXPERIMENTS`]; run `repro` with no
+//! arguments to print it. Results print to stdout as markdown and are
+//! archived under `--out` (default `results/`); a `bench-*` experiment
+//! also writes its `BENCH_*.json` to the current directory. Exit
+//! status: 0 on success, 1 when a bench artifact failed one of its
+//! checks (every requested experiment still runs and every artifact is
+//! still written), 2 on a usage error. See README "Quickstart" and
+//! "Benchmark artifacts".
 
-use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use sccf_bench::experiments;
+use sccf_bench::experiments::{self, Experiment};
 use sccf_bench::harness::HarnessConfig;
 use sccf_data::catalog::Scale;
-use sccf_util::Table;
-
-struct Args {
-    experiment: String,
-    harness: HarnessConfig,
-    out_dir: PathBuf,
-}
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: repro <table1|table2|table3|table4|table5|fig1|fig4|fig5|ablate-norm|ablate-window|extended|ranking|bench-serving|bench-sharded|bench-reshard|bench-quality|bench-recovery|bench-fleet|bench-control|all> \
-         [--scale quick|full] [--seed N] [--dim D] [--beta B] [--out DIR] [--verbose]"
-    );
+    eprint!("{}", experiments::usage());
     std::process::exit(2)
 }
 
-fn parse_args() -> Args {
+/// The next argument, parsed; a missing or malformed one is a usage error.
+fn value<T: std::str::FromStr>(argv: &mut impl Iterator<Item = String>) -> T {
+    argv.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage())
+}
+
+/// `(experiments to run, harness knobs, --out directory)`.
+fn parse_args() -> (Vec<&'static Experiment>, HarnessConfig, PathBuf) {
     let mut argv = std::env::args().skip(1);
-    let Some(experiment) = argv.next() else {
-        usage()
-    };
+    let experiments = argv
+        .next()
+        .and_then(|name| experiments::select(&name))
+        .unwrap_or_else(|| usage());
     let mut harness = HarnessConfig::default();
     let mut out_dir = PathBuf::from("results");
     while let Some(flag) = argv.next() {
@@ -64,61 +49,15 @@ fn parse_args() -> Args {
                 let v = argv.next().unwrap_or_else(|| usage());
                 harness.scale = Scale::parse(&v).unwrap_or_else(|| usage());
             }
-            "--seed" => {
-                harness.seed = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--dim" => {
-                harness.dim = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--beta" => {
-                harness.beta = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--out" => {
-                out_dir = PathBuf::from(argv.next().unwrap_or_else(|| usage()));
-            }
+            "--seed" => harness.seed = value(&mut argv),
+            "--dim" => harness.dim = value(&mut argv),
+            "--beta" => harness.beta = value(&mut argv),
+            "--out" => out_dir = value(&mut argv),
             "--verbose" => harness.verbose = true,
             _ => usage(),
         }
     }
-    Args {
-        experiment,
-        harness,
-        out_dir,
-    }
-}
-
-fn run_one(name: &str, h: &HarnessConfig, out_dir: &std::path::Path) -> Vec<Table> {
-    match name {
-        "table1" => experiments::table1(h),
-        "table2" => experiments::table2(h),
-        "table3" => experiments::table3(h),
-        "table4" => experiments::table4(h),
-        "table5" => experiments::table5(h),
-        "fig1" => experiments::fig1(h),
-        "fig4" => experiments::fig4(h),
-        "fig5" => experiments::fig5(h),
-        "ablate-norm" => experiments::ablate_norm(h),
-        "ablate-window" => experiments::ablate_window(h),
-        "extended" => experiments::extended(h),
-        "ranking" => experiments::ranking(h),
-        "bench-serving" => experiments::bench_serving_to(h, out_dir),
-        "bench-sharded" => experiments::bench_sharded_to(h, out_dir),
-        "bench-reshard" => experiments::bench_reshard_to(h, out_dir),
-        "bench-quality" => experiments::bench_quality_to(h, out_dir),
-        "bench-recovery" => experiments::bench_recovery_to(h, out_dir),
-        "bench-fleet" => experiments::bench_fleet_to(h, out_dir),
-        "bench-control" => experiments::bench_control_to(h, out_dir),
-        _ => usage(),
-    }
+    (experiments, harness, out_dir)
 }
 
 fn main() {
@@ -135,55 +74,11 @@ fn main() {
             return;
         }
     }
-    let args = parse_args();
-    let experiments_to_run: Vec<&str> = if args.experiment == "all" {
-        vec![
-            "table1",
-            "fig1",
-            "table2",
-            "fig4",
-            "table3",
-            "table4",
-            "fig5",
-            "table5",
-            "ablate-norm",
-            "ablate-window",
-            "extended",
-            "ranking",
-            "bench-serving",
-            "bench-sharded",
-            "bench-reshard",
-            "bench-quality",
-            "bench-recovery",
-            "bench-fleet",
-            "bench-control",
-        ]
-    } else {
-        vec![args.experiment.as_str()]
-    };
-
-    std::fs::create_dir_all(&args.out_dir).expect("create output directory");
-    let stdout = std::io::stdout();
-    for name in experiments_to_run {
-        eprintln!("=== running {name} (scale {:?}) ===", args.harness.scale);
-        let started = std::time::Instant::now();
-        let tables = run_one(name, &args.harness, &args.out_dir);
-        let mut file_buf = String::new();
-        {
-            let mut lock = stdout.lock();
-            for t in &tables {
-                let md = t.to_markdown();
-                let _ = writeln!(lock, "{md}");
-                file_buf.push_str(&md);
-                file_buf.push('\n');
-            }
-        }
-        let path = args.out_dir.join(format!("{name}.md"));
-        std::fs::write(&path, file_buf).expect("write result file");
-        eprintln!(
-            "=== {name} done in {:.1}s -> {} ===",
-            started.elapsed().as_secs_f64(),
-            path.display()
-        );
-    }
+    let (selected, harness, out_dir) = parse_args();
+    std::process::exit(experiments::run(
+        &selected,
+        &harness,
+        Path::new("."),
+        &out_dir,
+    ))
 }

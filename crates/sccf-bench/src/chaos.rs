@@ -33,16 +33,16 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 
-use sccf_core::{FrozenTierMode, IntegratorConfig, Sccf, SccfConfig, UserBasedConfig};
-use sccf_data::catalog::{ml1m_sim, Scale};
-use sccf_data::synthetic::generate;
+use sccf_core::{Sccf, SccfConfig, UserBasedConfig};
 use sccf_data::LeaveOneOut;
-use sccf_models::{Fism, FismConfig, TrainConfig};
+use sccf_models::{Fism, FismConfig};
 use sccf_serving::control::{Decision, Observation, PolicyConfig, PolicyState};
 use sccf_serving::wal;
 use sccf_serving::{
     DurabilityConfig, RecQuery, RouterKind, ServingApi, ServingError, ShardedConfig, ShardedEngine,
 };
+
+use crate::harness::{serving_sccf_config, serving_world, ServingWorld, WorldShape};
 
 /// Deterministic scheduler randomness: a 64-bit LCG (Knuth's MMIX
 /// constants) with an output xorshift so low bits are usable for
@@ -97,35 +97,27 @@ impl ChaosWorld {
     /// Build once, run many seeds against it — training is the
     /// expensive part and is independent of the chaos schedule.
     pub fn build(world_seed: u64) -> Self {
-        let mut cfg = ml1m_sim(Scale::Quick);
-        cfg.name = "chaos".to_string();
-        cfg.n_users = 48;
-        cfg.n_items = 36;
-        cfg.n_categories = 6;
-        cfg.mean_len = 10.0;
-        cfg.min_len = 4;
-        let data = generate(&cfg, world_seed).dataset;
-        let split = LeaveOneOut::split(&data);
-        let fism_cfg = FismConfig {
-            train: TrainConfig {
-                dim: 8,
-                epochs: 2,
-                seed: world_seed,
-                ..Default::default()
-            },
-            ..Default::default()
+        let shape = WorldShape {
+            n_users: 48,
+            n_items: 36,
+            n_categories: 6,
+            mean_len: 10.0,
+            min_len: 4,
+            dim: 8,
+            epochs: 2,
         };
-        let fism = Fism::train(&split, &fism_cfg);
-        let model_bytes = fism.save_bytes();
-        let histories: Vec<Vec<u32>> = (0..split.n_users() as u32)
-            .map(|u| split.train_plus_val(u))
-            .collect();
+        let ServingWorld {
+            split,
+            histories,
+            fism_cfg,
+            fism,
+        } = serving_world(&shape, world_seed);
         Self {
             n_users: split.n_users(),
             n_items: split.n_items(),
             histories,
             split,
-            model_bytes,
+            model_bytes: fism.save_bytes(),
             fism_cfg,
         }
     }
@@ -137,26 +129,15 @@ impl ChaosWorld {
     pub fn fresh_sccf(&self) -> Sccf<Fism> {
         let fism = Fism::load_bytes(self.n_items, &self.fism_cfg, &self.model_bytes)
             .expect("own model bytes always rehydrate");
-        let mut sccf = Sccf::build(
-            fism,
-            &self.split,
-            SccfConfig {
-                user_based: UserBasedConfig {
-                    beta: 8,
-                    recent_window: 5,
-                },
-                candidate_n: 12,
-                integrator: IntegratorConfig {
-                    epochs: 2,
-                    seed: 7,
-                    ..Default::default()
-                },
-                threads: 1,
-                profiles: None,
-                ui_ann: None,
-                frozen_tier: FrozenTierMode::Flat,
+        let cfg = SccfConfig {
+            user_based: UserBasedConfig {
+                beta: 8,
+                recent_window: 5,
             },
-        );
+            candidate_n: 12,
+            ..serving_sccf_config(1, 7)
+        };
+        let mut sccf = Sccf::build(fism, &self.split, cfg);
         sccf.refresh_for_test(&self.split);
         sccf
     }

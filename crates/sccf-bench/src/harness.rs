@@ -91,6 +91,34 @@ pub fn max_len_for(data: &Dataset) -> usize {
     }
 }
 
+/// Trainer settings every UI model of one run shares.
+pub fn train_config(h: &HarnessConfig) -> TrainConfig {
+    TrainConfig {
+        dim: h.dim,
+        epochs: epochs_for(h.scale),
+        seed: h.seed,
+        verbose: h.verbose,
+        ..Default::default()
+    }
+}
+
+pub fn train_fism(split: &LeaveOneOut, train: TrainConfig) -> Fism {
+    let cfg = FismConfig {
+        train,
+        ..Default::default()
+    };
+    Fism::train(split, &cfg)
+}
+
+pub fn train_sasrec(prep: &PreparedData, train: TrainConfig) -> SasRec {
+    let cfg = SasRecConfig {
+        train,
+        max_len: max_len_for(&prep.data),
+        ..Default::default()
+    };
+    SasRec::train(&prep.split, &cfg)
+}
+
 /// Train every baseline + UI model on one split.
 pub fn train_suite(prep: &PreparedData, h: &HarnessConfig) -> ModelSuite {
     let split = &prep.split;
@@ -98,50 +126,45 @@ pub fn train_suite(prep: &PreparedData, h: &HarnessConfig) -> ModelSuite {
     let train_seqs: Vec<Vec<u32>> = (0..split.n_users() as u32)
         .map(|u| split.train_seq(u).to_vec())
         .collect();
-
-    let tc = TrainConfig {
-        dim: h.dim,
-        epochs: epochs_for(h.scale),
-        seed: h.seed,
-        verbose: h.verbose,
-        ..Default::default()
-    };
-
     ModelSuite {
         pop: Pop::fit_sequences(n_items, train_seqs.iter().cloned()),
         itemknn: ItemKnn::fit(n_items, &train_seqs, 200),
         userknn: UserKnn::fit(n_items, &train_seqs, h.beta, UserSim::Cosine),
-        fism: Fism::train(
-            split,
-            &FismConfig {
-                train: tc.clone(),
-                ..Default::default()
-            },
-        ),
-        sasrec: SasRec::train(
-            split,
-            &SasRecConfig {
-                train: tc,
-                max_len: max_len_for(&prep.data),
-                ..Default::default()
-            },
-        ),
+        fism: train_fism(split, train_config(h)),
+        sasrec: train_sasrec(prep, train_config(h)),
     }
 }
 
 /// BPR-MF is trained separately (it is by far the cheapest and some
 /// experiments skip it).
 pub fn train_bprmf(prep: &PreparedData, h: &HarnessConfig) -> sccf_models::BprMf {
-    sccf_models::BprMf::train(
-        &prep.split,
-        &TrainConfig {
-            dim: h.dim,
-            epochs: epochs_for(h.scale) * 2,
-            seed: h.seed,
-            verbose: h.verbose,
+    let train = TrainConfig {
+        epochs: epochs_for(h.scale) * 2,
+        ..train_config(h)
+    };
+    sccf_models::BprMf::train(&prep.split, &train)
+}
+
+/// The framework configuration every experiment starts from: the
+/// paper's 15-item neighbor-visible window (§IV-A.4), the default
+/// integrator seeded from the run, exact UI retrieval, flat frozen tier.
+/// Callers then override single fields.
+pub fn sccf_config(beta: usize, candidate_n: usize, seed: u64, threads: usize) -> SccfConfig {
+    SccfConfig {
+        user_based: UserBasedConfig {
+            beta,
+            recent_window: 15,
+        },
+        candidate_n,
+        integrator: IntegratorConfig {
+            seed,
             ..Default::default()
         },
-    )
+        threads,
+        profiles: None,
+        ui_ann: None,
+        frozen_tier: FrozenTierMode::Flat,
+    }
 }
 
 /// Standard SCCF assembly for a trained inductive model.
@@ -150,28 +173,90 @@ pub fn build_sccf<M: InductiveUiModel>(
     split: &LeaveOneOut,
     h: &HarnessConfig,
 ) -> Sccf<M> {
-    let mut sccf = Sccf::build(
-        model,
-        split,
-        SccfConfig {
-            user_based: UserBasedConfig {
-                beta: h.beta,
-                recent_window: 15,
-            },
-            candidate_n: *h.ks.iter().max().unwrap_or(&100),
-            integrator: IntegratorConfig {
-                seed: h.seed,
-                verbose: h.verbose,
-                ..Default::default()
-            },
-            threads: h.threads,
-            profiles: None,
-            ui_ann: None,
-            frozen_tier: FrozenTierMode::Flat,
-        },
-    );
+    let candidate_n = *h.ks.iter().max().unwrap_or(&100);
+    let mut cfg = sccf_config(h.beta, candidate_n, h.seed, h.threads);
+    cfg.integrator.verbose = h.verbose;
+    let mut sccf = Sccf::build(model, split, cfg);
     sccf.refresh_for_test(split);
     sccf
+}
+
+/// Sizes of one synthetic serving world: the population the generator
+/// draws (an `ml1m-sim` variant) and the FISM backend trained on it.
+pub struct WorldShape {
+    pub n_users: usize,
+    pub n_items: usize,
+    pub n_categories: usize,
+    pub mean_len: f64,
+    pub min_len: usize,
+    /// FISM embedding dimension.
+    pub dim: usize,
+    /// FISM training epochs.
+    pub epochs: usize,
+}
+
+/// What the serving benches, the Criterion loops and the chaos harness
+/// all start from.
+pub struct ServingWorld {
+    pub split: LeaveOneOut,
+    /// Train + validation history per user: the engines' initial state.
+    pub histories: Vec<Vec<u32>>,
+    /// Needed to rehydrate `fism.save_bytes()` into a second model.
+    pub fism_cfg: FismConfig,
+    pub fism: Fism,
+}
+
+/// Generate → split → histories → train FISM, once. No 5-core filter:
+/// it would collapse the long tail and shrink the population the
+/// caller is explicitly sizing.
+pub fn serving_world(shape: &WorldShape, seed: u64) -> ServingWorld {
+    let cfg = SyntheticConfig {
+        n_users: shape.n_users,
+        n_items: shape.n_items,
+        n_categories: shape.n_categories,
+        mean_len: shape.mean_len,
+        min_len: shape.min_len,
+        ..sccf_data::catalog::ml1m_sim(Scale::Quick)
+    };
+    let split = LeaveOneOut::split(&generate(&cfg, seed).dataset);
+    let histories = (0..split.n_users() as u32)
+        .map(|u| split.train_plus_val(u))
+        .collect();
+    let fism_cfg = FismConfig {
+        train: TrainConfig {
+            dim: shape.dim,
+            epochs: shape.epochs,
+            seed,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let fism = Fism::train(&split, &fism_cfg);
+    ServingWorld {
+        split,
+        histories,
+        fism_cfg,
+        fism,
+    }
+}
+
+/// The serving benches' framework configuration: β = 100, 100
+/// candidates, a 2-epoch integrator.
+pub fn serving_sccf_config(threads: usize, seed: u64) -> SccfConfig {
+    let mut cfg = sccf_config(100, 100, seed, threads);
+    cfg.integrator.epochs = 2;
+    cfg
+}
+
+/// Event `k` of the deterministic stream the serving benches ingest:
+/// strides coprime to typical sizes, so it touches every user and
+/// needs no rng.
+pub fn event_at(k: usize, n_users: usize, n_items: usize) -> (u32, u32) {
+    let k = k as u32;
+    (
+        k.wrapping_mul(131) % n_users as u32,
+        k.wrapping_mul(7919).wrapping_add(13) % n_items as u32,
+    )
 }
 
 /// Evaluate one scorer on the test target.

@@ -1,9 +1,12 @@
 //! # sccf-bench
 //!
 //! The reproduction harness: shared experiment plumbing for the `repro`
-//! binary (every table and figure of the paper) and the Criterion
-//! micro-benchmarks. See DESIGN.md §4 for the experiment index and
-//! EXPERIMENTS.md for recorded paper-vs-measured results.
+//! binary (every table and figure of the paper, plus the `BENCH_*.json`
+//! serving artifacts) and the Criterion micro-benchmarks. The
+//! experiment index is [`experiments::EXPERIMENTS`]; README
+//! "Quickstart" shows how to run it, README "Benchmark artifacts" what
+//! each artifact records, and `docs/ARCHITECTURE.md` the system under
+//! measurement.
 
 pub mod chaos;
 pub mod experiments;

@@ -17,6 +17,8 @@
 //! * [`sparse`] — epoch-stamped sparse accumulator / set slabs that make
 //!   the per-event serving path allocation-free and O(touched), never
 //!   O(catalog).
+//! * [`json`] — a write-only JSON value tree, the one renderer behind
+//!   every `BENCH_*.json` artifact.
 //! * [`table`] — minimal markdown/TSV table rendering for the `repro`
 //!   harness output.
 //! * [`timer`] — wall-clock timing helpers for the latency experiments
@@ -24,6 +26,7 @@
 
 pub mod checksum;
 pub mod hash;
+pub mod json;
 pub mod rng;
 pub mod sparse;
 pub mod stats;
@@ -33,6 +36,7 @@ pub mod topk;
 
 pub use checksum::{crc32, Crc32};
 pub use hash::{FxHashMap, FxHashSet};
+pub use json::Json;
 pub use sparse::{SparseScores, StampSet};
 pub use stats::{zscore_normalize, Histogram, OnlineStats};
 pub use table::Table;

@@ -1,8 +1,8 @@
 //! Minimal text table rendering (markdown and TSV).
 //!
 //! The `repro` harness emits every paper table through this type, so all
-//! experiment output is greppable, diffable and pasteable into
-//! EXPERIMENTS.md without a serialization dependency.
+//! experiment output is greppable, diffable and pasteable into a
+//! report without a serialization dependency.
 
 use std::fmt::Write as _;
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Code-size report and deprecated-surface gate (run from the repo root).
+# Code-size report, deprecated-surface gate and one-artifact-path gate
+# (run from the repo root).
 #
 # Per crate: non-comment, non-blank lines over src/**/*.rs, and the
 # number of `pub` items (fn/struct/enum/trait/const/type). ROADMAP
@@ -8,6 +9,11 @@
 # Exits 1 if `#[deprecated` or `allow(deprecated)` appears anywhere
 # under crates/, src/, tests/ or examples/: the compat wrappers are
 # gone, and nothing may grow a new deprecated surface silently.
+#
+# Exits 1 if the CI workflow mentions `python3` (bench checks live in
+# each experiment's `failures`, not in inline scripts) or a source line
+# under crates/sccf-bench/src/experiments/ contains a hand-escaped `\"`
+# (every BENCH_*.json goes through `sccf_util::Json`).
 set -euo pipefail
 
 code_lines() { xargs -r cat | grep -cvE '^\s*(//|$)' || true; }
@@ -31,5 +37,14 @@ printf 'sccf-serving + sccf-net: %d\n' \
 
 if grep -rnE '#\[deprecated|allow\(deprecated\)' crates src tests examples; then
   echo 'error: deprecated surface found (see the lines above)' >&2
+  exit 1
+fi
+
+if grep -n 'python3' .github/workflows/ci.yml; then
+  echo 'error: ci.yml runs python3 again; bench checks belong in the experiment (see the lines above)' >&2
+  exit 1
+fi
+if grep -rn '\\"' crates/sccf-bench/src/experiments/; then
+  echo 'error: hand-escaped JSON in a bench experiment; build a sccf_util::Json instead' >&2
   exit 1
 fi

@@ -3,10 +3,7 @@
 use std::time::Instant;
 
 use sccf_data::catalog::Scale;
-use sccf_net::{
-    Connection, FleetRouter, Request, ServeShardArgs, ShardSpec, Supervisor, WorldSpec,
-};
-use sccf_serving::fleet::{FleetMember, FleetTopology};
+use sccf_net::{Connection, FleetRouter, Request, Supervisor, WorldSpec};
 use sccf_serving::{RecQuery, RouterKind, ServingApi, ShardedConfig, ShardedEngine};
 use sccf_util::table::f2;
 use sccf_util::{Json, LatencyHistogram, Table};
@@ -51,32 +48,14 @@ pub fn bench_fleet(h: &HarnessConfig) -> BenchArtifact {
     let model_bytes = std::fs::read(&model_path).expect("read model");
 
     let exe = std::env::current_exe().expect("own path");
-    // `procs` members of `per` shards each, re-executing this binary.
+    // `procs` in-memory members of `per` shards each, re-executing this
+    // binary.
     let launch = |procs: usize, per: usize| {
-        let specs = (0..procs).map(|p| {
-            let args = ServeShardArgs {
-                base: p * per,
-                count: per,
-                total: procs * per,
-                world: spec.clone(),
-                model_file: Some(model_path.clone()),
-                ..ServeShardArgs::default()
-            };
-            let mut argv = vec!["serve-shard".to_string()];
-            argv.extend(args.to_args());
-            ShardSpec::new(exe.clone(), argv)
-        });
-        Supervisor::launch(specs.collect()).expect("fleet launches")
+        Supervisor::launch_uniform(&exe, procs, per, 0, &spec, &model_path, None)
+            .expect("fleet launches")
     };
     let sup = launch(PROCS, PER);
-    let members = (0..PROCS)
-        .map(|p| FleetMember {
-            base: p * PER,
-            count: PER,
-            addr: sup.addr(p),
-        })
-        .collect();
-    let topology = FleetTopology::try_new(total, 0, members).expect("valid tiling");
+    let topology = sup.topology().expect("valid tiling");
     let mut router = FleetRouter::connect(topology).expect("fleet handshake");
 
     let world = spec.build(Some(&model_bytes)).expect("world builds");

@@ -41,14 +41,10 @@ fn wire<E: std::fmt::Display>(context: &str) -> impl Fn(E) -> ServingError + '_ 
 pub struct Connection {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// Framed requests not yet handed to the kernel; `written` bytes of
-    /// it already were (nonblocking flushes stop mid-frame at
-    /// `WouldBlock` and resume from that offset).
+    /// Framed requests not yet handed to the kernel.
     outbox: Vec<u8>,
-    written: usize,
     /// Requests sent (or queued) whose responses have not been received.
     in_flight: usize,
-    nonblocking: bool,
     buf: Vec<u8>,
     poisoned: Option<String>,
 }
@@ -58,11 +54,6 @@ impl Connection {
     /// surface as [`ServingError::Wire`].
     pub fn connect(addr: impl ToSocketAddrs + std::fmt::Debug) -> Result<Self, ServingError> {
         let stream = TcpStream::connect(&addr).map_err(wire(&format!("connecting to {addr:?}")))?;
-        Self::from_stream(stream)
-    }
-
-    /// Wrap an already-established stream.
-    pub fn from_stream(stream: TcpStream) -> Result<Self, ServingError> {
         // Pipelining queues several small frames on one connection; with
         // Nagle on, every frame after the first unacked one waits for the
         // peer's (possibly delayed) ACK, which throttles depth > 1 back to
@@ -76,17 +67,14 @@ impl Connection {
             reader: BufReader::new(stream),
             writer: write_half,
             outbox: Vec::new(),
-            written: 0,
             in_flight: 0,
-            nonblocking: false,
             buf: Vec::new(),
             poisoned: None,
         })
     }
 
     /// Bound how long one blocking socket operation may take. `None`
-    /// removes the bound. (Nonblocking overlapped flushes driven by the
-    /// router's readiness loop are not covered by this bound.)
+    /// removes the bound.
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ServingError> {
         let stream = self.reader.get_ref();
         stream
@@ -99,11 +87,6 @@ impl Connection {
     /// (including any still sitting unflushed in the outbox).
     pub fn in_flight(&self) -> usize {
         self.in_flight
-    }
-
-    /// Bytes framed but not yet handed to the kernel.
-    pub fn pending_bytes(&self) -> usize {
-        self.outbox.len() - self.written
     }
 
     /// Why this connection is dead, if it is.
@@ -125,32 +108,15 @@ impl Connection {
         }
     }
 
-    /// The socket handle (for readiness registration).
-    pub(crate) fn socket(&self) -> &TcpStream {
-        &self.writer
-    }
-
-    /// Switch the socket between blocking and nonblocking modes.
-    pub(crate) fn set_nonblocking(&mut self, on: bool) -> Result<(), ServingError> {
-        if self.nonblocking == on {
-            return Ok(());
-        }
-        self.writer
-            .set_nonblocking(on)
-            .map_err(wire("switching blocking mode"))?;
-        self.nonblocking = on;
-        Ok(())
-    }
-
     /// Frame `req` into the outbox *without* touching the socket, and
     /// count it in flight. Pair every enqueue with exactly one
     /// [`Connection::recv`]; flush happens on [`Connection::recv`] at
-    /// the latest, or explicitly via [`Connection::flush_outbox`] /
-    /// [`Connection::try_flush_outbox`].
+    /// the latest, or explicitly via [`Connection::flush_outbox`]. A
+    /// request too large for one frame is a typed error that leaves the
+    /// connection as it was: nothing queued, nothing owed, not poisoned.
     pub fn enqueue(&mut self, req: &Request) -> Result<(), ServingError> {
         self.check_poisoned()?;
-        let payload = req.encode();
-        write_message(&mut self.outbox, &payload).expect("Vec<u8> writes are infallible");
+        write_message(&mut self.outbox, &req.encode()).map_err(wire("framing request"))?;
         self.in_flight += 1;
         Ok(())
     }
@@ -162,56 +128,12 @@ impl Connection {
         self.flush_outbox()
     }
 
-    /// Blocking flush of everything in the outbox.
+    /// Blocking flush of everything in the outbox (one `write_all`).
     pub fn flush_outbox(&mut self) -> Result<(), ServingError> {
         self.check_poisoned()?;
-        if self.pending_bytes() == 0 {
-            self.outbox.clear();
-            self.written = 0;
-            return Ok(());
-        }
-        self.set_nonblocking(false)?;
-        let written = self.written;
-        match self.writer.write_all(&self.outbox[written..]) {
-            Ok(()) => {
-                self.outbox.clear();
-                self.written = 0;
-                Ok(())
-            }
-            Err(e) => Err(self.poison(format!("sending request: {e}"))),
-        }
-    }
-
-    /// Nonblocking flush: push outbox bytes until the kernel pushes
-    /// back. `Ok(true)` = outbox drained; `Ok(false)` = `WouldBlock`,
-    /// try again when the socket reports writable.
-    pub fn try_flush_outbox(&mut self) -> Result<bool, ServingError> {
-        self.check_poisoned()?;
-        if self.pending_bytes() == 0 {
-            self.outbox.clear();
-            self.written = 0;
-            return Ok(true);
-        }
-        self.set_nonblocking(true)?;
-        loop {
-            let written = self.written;
-            match self.writer.write(&self.outbox[written..]) {
-                Ok(0) => {
-                    return Err(self.poison("sending request: socket wrote zero bytes".to_string()))
-                }
-                Ok(n) => {
-                    self.written += n;
-                    if self.pending_bytes() == 0 {
-                        self.outbox.clear();
-                        self.written = 0;
-                        return Ok(true);
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(self.poison(format!("sending request: {e}"))),
-            }
-        }
+        let sent = self.writer.write_all(&self.outbox);
+        self.outbox.clear();
+        sent.map_err(|e| self.poison(format!("sending request: {e}")))
     }
 
     /// Await the response for the *oldest* in-flight request. Never
@@ -230,7 +152,6 @@ impl Connection {
         // A reply can only arrive for a request the kernel has seen:
         // finish our half first so we cannot deadlock on a full socket.
         self.flush_outbox()?;
-        self.set_nonblocking(false)?;
         match read_message(&mut self.reader, &mut self.buf) {
             Ok(Some(())) => {
                 self.in_flight -= 1;
@@ -296,25 +217,54 @@ impl Connection {
                     total as usize,
                 ))
             }
-            other => Err(unexpected("HelloOk", &other)),
+            other => Err(other.unexpected("HelloOk")),
         }
     }
 }
 
-/// The standard "server answered the wrong variant" error.
-pub(crate) fn unexpected(wanted: &str, got: &Response) -> ServingError {
-    let label = match got {
-        Response::HelloOk { .. } => "HelloOk",
-        Response::Pong => "Pong",
-        Response::Ingested(_) => "Ingested",
-        Response::Slate(_) => "Slate",
-        Response::Slates(_) => "Slates",
-        Response::Done => "Done",
-        Response::Stats(_) => "Stats",
-        Response::Bytes(_) => "Bytes",
-        Response::Watermark(_) => "Watermark",
-        Response::Blobs(_) => "Blobs",
-        Response::Err(_) => "Err",
-    };
-    ServingError::Wire(format!("expected a {wanted} response, got {label}"))
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::framing::MAX_FRAME_LEN;
+    use std::io::BufWriter;
+    use std::net::TcpListener;
+
+    /// Regression: a request above the frame limit used to panic the
+    /// router inside the frame encoder. It is a typed error that leaves
+    /// the connection exactly as it was — still usable.
+    #[test]
+    fn oversized_request_fails_typed_and_leaves_the_connection_usable() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        // A one-connection server that answers every frame with Pong.
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut writer = BufWriter::new(stream);
+            let mut buf = Vec::new();
+            while let Ok(Some(())) = read_message(&mut reader, &mut buf) {
+                write_message(&mut writer, &Response::Pong.encode()).expect("reply");
+                writer.flush().expect("flush");
+            }
+        });
+
+        let mut conn = Connection::connect(addr).expect("dial");
+        match conn.enqueue(&Request::InstallTier(vec![0; MAX_FRAME_LEN + 1])) {
+            Err(ServingError::Wire(msg)) => {
+                let limit = MAX_FRAME_LEN.to_string();
+                assert!(msg.contains(&limit), "names the limit: {msg}");
+                assert!(msg.contains("bytes exceeds"), "names the size: {msg}");
+            }
+            other => panic!("expected a typed Wire error, got {other:?}"),
+        }
+        assert_eq!(conn.in_flight(), 0, "nothing is owed for a refused request");
+        assert!(
+            conn.poison_reason().is_none(),
+            "the stream is still aligned"
+        );
+        assert!(matches!(conn.call(&Request::Ping), Ok(Response::Pong)));
+
+        drop(conn);
+        server.join().expect("server thread");
+    }
 }

@@ -51,7 +51,9 @@ pub const PROTOCOL_VERSION: u32 = 2;
 
 // ----------------------------------------------------------- transport
 
-/// Write `payload` as one CRC-framed message.
+/// Write `payload` as one CRC-framed message. A payload above
+/// `bytes::framing::MAX_FRAME_LEN` is `InvalidInput`, reported before
+/// any byte is written.
 pub fn write_message(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     write_frame(w, crc32(payload), payload)
 }
@@ -859,7 +861,39 @@ impl Response {
             other => Ok(other),
         }
     }
+
+    /// The standard "server answered the wrong variant" error.
+    pub(crate) fn unexpected(&self, wanted: &str) -> ServingError {
+        let got = match self {
+            Response::HelloOk { .. } => "HelloOk",
+            Response::Pong => "Pong",
+            Response::Ingested(_) => "Ingested",
+            Response::Slate(_) => "Slate",
+            Response::Slates(_) => "Slates",
+            Response::Done => "Done",
+            Response::Stats(_) => "Stats",
+            Response::Bytes(_) => "Bytes",
+            Response::Watermark(_) => "Watermark",
+            Response::Blobs(_) => "Blobs",
+            Response::Err(_) => "Err",
+        };
+        ServingError::Wire(format!("expected a {wanted} response, got {got}"))
+    }
 }
+
+/// The typed take on a [`Response`]: `take!(resp, Ingested(n) => n)` is
+/// `Ok(n)` when `resp` is that variant and the standard wrong-variant
+/// error otherwise (`take!(resp, Done => ())` for the payload-free
+/// ones).
+macro_rules! take {
+    ($resp:expr, $variant:ident $(($v:ident))? => $out:expr) => {
+        match $resp {
+            $crate::proto::Response::$variant $(($v))? => Ok($out),
+            other => Err(other.unexpected(stringify!($variant))),
+        }
+    };
+}
+pub(crate) use take;
 
 #[cfg(test)]
 mod tests {
@@ -1093,6 +1127,18 @@ mod tests {
             Response::decode(&payload),
             Err(WireError::Truncated)
         ));
+    }
+
+    /// Regression: an over-limit payload used to `assert!` in the
+    /// frame encoder; it is a typed `InvalidInput` that writes nothing.
+    #[test]
+    fn oversized_message_is_invalid_input_not_a_panic() {
+        let mut buf = Vec::new();
+        let big = vec![0u8; bytes::framing::MAX_FRAME_LEN + 1];
+        let err = write_message(&mut buf, &big).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains(&big.len().to_string()), "{err}");
+        assert!(buf.is_empty(), "a refused message leaves no partial bytes");
     }
 
     #[test]

@@ -9,22 +9,30 @@
 //! per event), and per-user read-your-writes holds because one user
 //! maps to one member and each connection is FIFO.
 //!
-//! **Fan-outs are two-phase and overlapped.** Every multi-member
-//! operation first *sends to all* members (nonblocking, readiness-driven
-//! via the vendored `mio` shim, so one slow member cannot
-//! head-of-line-block writes to the others), then *collects in member
-//! order*. All members work concurrently; wall-clock cost is ≈ the
-//! slowest member's round trip instead of the sum of all of them.
+//! **One fan-out, two phases.** Every multi-member operation goes
+//! through `FleetRouter::scatter`: *enqueue and write to every* target
+//! (one blocking `write_all` per member, in member order), then
+//! *collect in member order*. All members work concurrently; wall-clock
+//! cost is ≈ the slowest member's round trip instead of the sum of all
+//! of them. The blocking writes cannot deadlock: a connection is owed
+//! at most `depth` small acknowledgements when a request is written, a
+//! `scatter` writes one request per member, and each server's reader
+//! thread drains its socket independently of its engine — so a member
+//! never stops reading because the router has not started reading yet.
 //! Setting the pipeline depth to 1 ([`FleetRouter::set_pipeline_depth`],
 //! or `SCCF_NET_DEPTH=1` at connect time) restores the legacy strictly
 //! sequential member-by-member transport — the slow reference the
 //! pipelined path is pinned bit-identical against.
 //!
-//! Control-plane fan-outs (flush, WAL sync, checkpoint, tier installs,
-//! shutdown) are **best-effort across all members**: every member is
-//! contacted even after an earlier member fails, and the failures come
-//! back as one combined [`ServingError`] — a shutdown can no longer
-//! leak live processes because member 0's socket died first.
+//! Data-plane fan-outs (ingest, recommend, user-state export) are
+//! **strict**: a member whose connection is already poisoned fails the
+//! call before any request is queued, and the first error wins.
+//! Control-plane fan-outs (flush, WAL sync, checkpoint, stats,
+//! snapshot, tier installs, shutdown) are **best-effort across all
+//! members**: every member is contacted even after an earlier member
+//! fails, and the failures come back as one combined [`ServingError`] —
+//! a shutdown can no longer leak live processes because member 0's
+//! socket died first.
 //!
 //! On top of the `ServingApi` surface the router exposes the
 //! fleet-orchestration verbs the in-process engine does on its own:
@@ -38,10 +46,10 @@
 use sccf_core::EventTiming;
 use sccf_serving::api::{RecQuery, RecResponse, ServingApi, ServingError, ServingStats};
 use sccf_serving::fleet::{merge_fleet_snapshots, merge_fleet_stats, FleetTopology};
-use sccf_serving::ring::{group_by_owner, HashRing};
+use sccf_serving::ring::{group_by_owner, reassemble, HashRing};
 
-use crate::client::{unexpected, Connection};
-use crate::proto::{Request, Response};
+use crate::client::Connection;
+use crate::proto::{take, Request, Response};
 
 /// Default number of requests the router keeps in flight per
 /// connection when pipelining multi-batch streams.
@@ -67,6 +75,39 @@ pub struct FleetRouter {
 }
 
 impl FleetRouter {
+    /// Dial member `m` of `topology` at `addr`, handshake, and check
+    /// that the process there announces exactly `m`'s window of the
+    /// global ring and — once another member has set it — the fleet's
+    /// world. Returns the connection and the `(n_users, n_items)` it
+    /// serves.
+    fn dial(
+        topology: &FleetTopology,
+        m: usize,
+        addr: &str,
+        world: Option<(usize, usize)>,
+    ) -> Result<(Connection, (usize, usize)), ServingError> {
+        let member = topology
+            .members()
+            .get(m)
+            .ok_or_else(|| ServingError::Wire(format!("the fleet has no member {m}")))?;
+        let mut conn = Connection::connect(addr)?;
+        let (n_users, n_items, base, count, total) = conn.hello()?;
+        let expect = (member.base, member.count, topology.total_shards());
+        if (base, count, total) != expect {
+            return Err(ServingError::Wire(format!(
+                "member {m} at {addr} announced window [{base}, {base}+{count}) of {total} \
+                 shards; the topology expects [{}, {}+{}) of {}",
+                expect.0, expect.0, expect.1, expect.2
+            )));
+        }
+        if let Some((u, i)) = world.filter(|&w| w != (n_users, n_items)) {
+            return Err(ServingError::Wire(format!(
+                "member {m} at {addr} serves a {n_users}×{n_items} world; the fleet serves {u}×{i}"
+            )));
+        }
+        Ok((conn, (n_users, n_items)))
+    }
+
     /// Connect to every member of `topology` and handshake. Rejects a
     /// member whose announced window or population disagrees with the
     /// topology — a mis-launched fleet fails here, not with silently
@@ -74,34 +115,13 @@ impl FleetRouter {
     /// set (min 1), else [`DEFAULT_PIPELINE_DEPTH`].
     pub fn connect(topology: FleetTopology) -> Result<Self, ServingError> {
         let mut conns = Vec::with_capacity(topology.members().len());
-        let mut fleet_users: Option<(usize, usize)> = None;
+        let mut world = None;
         for (m, member) in topology.members().iter().enumerate() {
-            let mut conn = Connection::connect(member.addr.as_str())?;
-            let (n_users, n_items, base, count, total) = conn.hello()?;
-            if (base, count, total) != (member.base, member.count, topology.total_shards()) {
-                return Err(ServingError::Wire(format!(
-                    "member {m} at {} announced window [{base}, {base}+{count}) of {total} \
-                     shards; the topology expects [{}, {}+{}) of {}",
-                    member.addr,
-                    member.base,
-                    member.base,
-                    member.count,
-                    topology.total_shards()
-                )));
-            }
-            match fleet_users {
-                None => fleet_users = Some((n_users, n_items)),
-                Some(expect) if expect != (n_users, n_items) => {
-                    return Err(ServingError::Wire(format!(
-                        "member {m} serves a {n_users}×{n_items} world; member 0 serves {}×{}",
-                        expect.0, expect.1
-                    )));
-                }
-                Some(_) => {}
-            }
+            let (conn, served) = Self::dial(&topology, m, &member.addr, world)?;
+            world = Some(served);
             conns.push(conn);
         }
-        let (n_users, n_items) = fleet_users.expect("topology has ≥ 1 member");
+        let (n_users, n_items) = world.expect("topology has ≥ 1 member");
         let depth = std::env::var("SCCF_NET_DEPTH")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
@@ -153,30 +173,9 @@ impl FleetRouter {
     /// with a typed [`ServingError::Wire`] instead of hanging on a
     /// socket that no longer exists.
     pub fn reconnect(&mut self, m: usize, addr: &str) -> Result<(), ServingError> {
-        let member = self
-            .topology
-            .members()
-            .get(m)
-            .ok_or_else(|| ServingError::Wire(format!("no fleet member {m} to reconnect")))?;
-        let mut conn = Connection::connect(addr)?;
-        let (n_users, n_items, base, count, total) = conn.hello()?;
-        if (base, count, total) != (member.base, member.count, self.topology.total_shards()) {
-            return Err(ServingError::Wire(format!(
-                "reconnected member {m} announced window [{base}, {base}+{count}) of {total}; \
-                 expected [{}, {}+{})",
-                member.base, member.base, member.count
-            )));
-        }
-        if (n_users, n_items) != (self.n_users, self.n_items) {
-            return Err(ServingError::Wire(format!(
-                "reconnected member {m} serves a {n_users}×{n_items} world; the fleet serves {}×{}",
-                self.n_users, self.n_items
-            )));
-        }
-        let abandoned = self.conns[m].in_flight();
-        if abandoned > 0 {
-            self.lost_in_flight[m] += abandoned as u64;
-        }
+        let world = Some((self.n_users, self.n_items));
+        let (conn, _) = Self::dial(&self.topology, m, addr, world)?;
+        self.lost_in_flight[m] += self.conns[m].in_flight() as u64;
         self.conns[m] = conn;
         Ok(())
     }
@@ -246,161 +245,68 @@ impl FleetRouter {
         Ok(())
     }
 
-    /// Push every member's pending outbox bytes to the kernel,
-    /// overlapped: nonblocking writes driven by a readiness loop, so a
-    /// member with a full socket buffer never delays the others' sends.
-    /// Write failures poison the individual connection and surface at
-    /// its `recv`; this function itself only fails on setup errors
-    /// that affect no connection state.
-    fn flush_overlapped(&mut self, members: &[usize]) {
-        let mut pending: Vec<usize> = Vec::with_capacity(members.len());
-        for &m in members {
-            let conn = &mut self.conns[m];
-            if conn.poison_reason().is_some() || conn.pending_bytes() == 0 {
-                continue;
-            }
-            // Optimistic first pass: loopback-sized sends usually fit
-            // the socket buffer outright.
-            match conn.try_flush_outbox() {
-                Ok(true) | Err(_) => {}
-                Ok(false) => pending.push(m),
-            }
-        }
-        if !pending.is_empty() {
-            match mio::Poll::new() {
-                Err(_) => {
-                    // No poller: fall back to blocking flushes. Writes
-                    // serialize but correctness holds.
-                    for &m in &pending {
-                        let _ = self.conns[m].flush_outbox();
-                    }
-                    pending.clear();
-                }
-                Ok(mut poll) => {
-                    let mut registered: Vec<usize> = Vec::with_capacity(pending.len());
-                    for &m in &pending {
-                        if poll
-                            .register(
-                                self.conns[m].socket(),
-                                mio::Token(m),
-                                mio::Interest::WRITABLE,
-                            )
-                            .is_ok()
-                        {
-                            registered.push(m);
-                        }
-                    }
-                    let mut events = mio::Events::with_capacity(pending.len().max(4));
-                    while !pending.is_empty() {
-                        if poll
-                            .poll(&mut events, Some(std::time::Duration::from_millis(100)))
-                            .is_err()
-                        {
-                            // Poller died mid-loop: finish blocking.
-                            for &m in &pending {
-                                let _ = self.conns[m].flush_outbox();
-                            }
-                            break;
-                        }
-                        // Retry every still-pending member (level-triggered
-                        // readiness; non-writable sockets cost one EAGAIN).
-                        pending.retain(|&m| match self.conns[m].try_flush_outbox() {
-                            Ok(false) => true,
-                            Ok(true) | Err(_) => {
-                                if registered.contains(&m) {
-                                    let _ = poll.deregister(self.conns[m].socket());
-                                    registered.retain(|&r| r != m);
-                                }
-                                false
-                            }
-                        });
-                    }
-                    for &m in &registered {
-                        let _ = poll.deregister(self.conns[m].socket());
-                    }
-                }
-            }
-        }
-        // Leave every touched connection in blocking mode for the
-        // collect phase.
-        for &m in members {
-            let _ = self.conns[m].set_nonblocking(false);
+    /// Hand the listed members' outboxes to the kernel: one blocking
+    /// `write_all` each, in list order. A write failure poisons that
+    /// connection and surfaces at its `recv`.
+    fn flush_members(&mut self, members: impl IntoIterator<Item = usize>) {
+        for m in members {
+            let _ = self.conns[m].flush_outbox();
         }
     }
 
-    /// Two-phase fan-out: send one request to each listed member (all
-    /// sends overlapped), then collect one response per member in
-    /// list order, unwrapping remote errors. On failure every owed
-    /// response is still consumed (or its connection poisoned), so no
-    /// stale response can bleed into a later operation; the first
-    /// error wins. Depth 1 runs the legacy strictly sequential
-    /// round-trip-per-member transport instead.
-    fn scatter_gather(&mut self, reqs: &[(usize, Request)]) -> Result<Vec<Response>, ServingError> {
+    /// The one fan-out: send one request to each target (every request
+    /// is on the wire before any reply is awaited, so the members work
+    /// concurrently), then gather one outcome per target, in target
+    /// order, remote errors unwrapped. Every target is contacted and
+    /// every owed response is consumed (or its connection poisoned)
+    /// whatever the others did, so nothing bleeds into a later call.
+    /// Depth 1 runs one strict round trip per target instead — the
+    /// sequential reference.
+    fn scatter<'a>(
+        &mut self,
+        targets: impl IntoIterator<Item = (usize, &'a Request)>,
+    ) -> Vec<(usize, Result<Response, ServingError>)> {
         if self.depth <= 1 {
-            let mut out = Vec::with_capacity(reqs.len());
-            for (m, req) in reqs {
-                out.push(self.conns[*m].call(req)?);
-            }
-            return Ok(out);
+            return targets
+                .into_iter()
+                .map(|(m, req)| (m, self.conns[m].call(req)))
+                .collect();
         }
-        // Refuse before the first enqueue so a failed fan-out never
-        // leaves half-framed requests behind in some outboxes.
-        for &(m, _) in reqs {
+        let queued: Vec<(usize, Result<(), ServingError>)> = targets
+            .into_iter()
+            .map(|(m, req)| (m, self.conns[m].enqueue(req)))
+            .collect();
+        self.flush_members(queued.iter().map(|&(m, _)| m));
+        queued
+            .into_iter()
+            .map(|(m, queued)| {
+                let reply = queued
+                    .and_then(|()| self.conns[m].recv())
+                    .and_then(Response::into_result);
+                (m, reply)
+            })
+            .collect()
+    }
+
+    /// The data-plane contract over [`FleetRouter::scatter`]: refuse
+    /// before anything is queued if a target's connection is already
+    /// poisoned (a batch known to be undeliverable in part is not
+    /// applied in part), then the first error wins.
+    fn scatter_strict(
+        &mut self,
+        targets: &[(usize, Request)],
+    ) -> Result<Vec<Response>, ServingError> {
+        for &(m, _) in targets {
             if let Some(reason) = self.conns[m].poison_reason() {
                 return Err(ServingError::Wire(format!(
                     "member {m} connection poisoned ({reason}); reconnect required"
                 )));
             }
         }
-        let mut members = Vec::with_capacity(reqs.len());
-        for (m, req) in reqs {
-            self.conns[*m].enqueue(req)?;
-            members.push(*m);
-        }
-        self.flush_overlapped(&members);
-        let mut first_err: Option<ServingError> = None;
-        let mut out = Vec::with_capacity(reqs.len());
-        for &(m, _) in reqs {
-            match self.conns[m].recv().and_then(Response::into_result) {
-                Ok(resp) => out.push(resp),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
-    /// Best-effort fan-out of `req` to *every* member: all members are
-    /// contacted even when earlier ones fail; each member's outcome is
-    /// returned. Used by the control plane so that e.g. a shutdown
-    /// cannot leak live processes behind one dead socket.
-    fn fan_out_collect(&mut self, req: &Request) -> Vec<(usize, Result<Response, ServingError>)> {
-        if self.depth <= 1 {
-            return (0..self.conns.len())
-                .map(|m| (m, self.conns[m].call(req)))
-                .collect();
-        }
-        let mut sent = Vec::with_capacity(self.conns.len());
-        let mut out: Vec<(usize, Result<Response, ServingError>)> =
-            Vec::with_capacity(self.conns.len());
-        for m in 0..self.conns.len() {
-            match self.conns[m].enqueue(req) {
-                Ok(()) => sent.push(m),
-                Err(e) => out.push((m, Err(e))),
-            }
-        }
-        self.flush_overlapped(&sent);
-        for m in sent {
-            out.push((m, self.conns[m].recv().and_then(Response::into_result)));
-        }
-        out.sort_by_key(|&(m, _)| m);
-        out
+        self.scatter(targets.iter().map(|(m, req)| (*m, req)))
+            .into_iter()
+            .map(|(_, reply)| reply)
+            .collect()
     }
 
     /// Fold per-member failures into one result: zero failures is `Ok`,
@@ -427,20 +333,34 @@ impl FleetRouter {
         }
     }
 
-    /// Send `req` to every member, expecting [`Response::Done`] from
-    /// each. Best-effort: all members are contacted; failures combine.
-    fn fan_out_done(&mut self, op: &str, req: &Request) -> Result<(), ServingError> {
+    /// The control-plane contract over [`FleetRouter::scatter`]: send
+    /// `req` to *every* member and take each reply's payload with
+    /// `pick`, in member order. Best-effort: all members are contacted;
+    /// failures combine.
+    fn ask_all<T>(
+        &mut self,
+        op: &str,
+        req: &Request,
+        pick: impl Fn(Response) -> Result<T, ServingError>,
+    ) -> Result<Vec<T>, ServingError> {
         self.ensure_idle(op)?;
         let n_members = self.conns.len();
+        let mut parts = Vec::with_capacity(n_members);
         let mut errs = Vec::new();
-        for (m, res) in self.fan_out_collect(req) {
-            match res {
-                Ok(Response::Done) => {}
-                Ok(other) => errs.push((m, unexpected("Done", &other))),
+        for (m, reply) in self.scatter((0..n_members).map(|m| (m, req))) {
+            match reply.and_then(&pick) {
+                Ok(part) => parts.push(part),
                 Err(e) => errs.push((m, e)),
             }
         }
-        Self::combine_errors(op, n_members, errs)
+        Self::combine_errors(op, n_members, errs)?;
+        Ok(parts)
+    }
+
+    /// [`FleetRouter::ask_all`] expecting [`Response::Done`] from each.
+    fn fan_out_done(&mut self, op: &str, req: &Request) -> Result<(), ServingError> {
+        self.ask_all(op, req, |resp| take!(resp, Done => ()))
+            .map(|_| ())
     }
 
     /// Write an incremental checkpoint on every member; returns each
@@ -448,19 +368,11 @@ impl FleetRouter {
     /// numbers only its own checkpoints). Best-effort: every member is
     /// asked even if an earlier one fails.
     pub fn checkpoint_all(&mut self) -> Result<Vec<u64>, ServingError> {
-        self.ensure_idle("checkpoint")?;
-        let n_members = self.conns.len();
-        let mut marks = Vec::with_capacity(n_members);
-        let mut errs = Vec::new();
-        for (m, res) in self.fan_out_collect(&Request::Checkpoint) {
-            match res {
-                Ok(Response::Watermark(w)) => marks.push(w),
-                Ok(other) => errs.push((m, unexpected("Watermark", &other))),
-                Err(e) => errs.push((m, e)),
-            }
-        }
-        Self::combine_errors("checkpoint", n_members, errs)?;
-        Ok(marks)
+        self.ask_all(
+            "checkpoint",
+            &Request::Checkpoint,
+            |resp| take!(resp, Watermark(w) => w),
+        )
     }
 
     /// Force-fsync every member's WALs.
@@ -478,40 +390,43 @@ impl FleetRouter {
         self.fan_out_done("shutdown", &Request::Shutdown)
     }
 
+    /// One request per owning member for `users` (`make` builds it from
+    /// the member's share), each reply's per-user list taken with
+    /// `pick` and reassembled in the order of `users`. Strict.
+    fn ask_owners<R>(
+        &mut self,
+        op: &str,
+        users: &[u32],
+        make: impl Fn(Vec<u32>) -> Request,
+        pick: impl Fn(Response) -> Result<Vec<R>, ServingError>,
+    ) -> Result<Vec<R>, ServingError> {
+        self.ensure_idle(op)?;
+        for &u in users {
+            self.check_user(u)?;
+        }
+        let (targets, layout): (Vec<_>, Vec<_>) =
+            group_by_owner(users.iter().copied(), |&u| self.owner_of(u))
+                .into_iter()
+                .map(|g| ((g.owner, make(g.items)), (g.owner, g.positions)))
+                .unzip();
+        let replies = self
+            .scatter_strict(&targets)?
+            .into_iter()
+            .map(pick)
+            .collect::<Result<Vec<_>, _>>()?;
+        reassemble(layout, replies)
+    }
+
     /// Collect migration blobs ([`sccf_core::encode_user_state`]) for
     /// `users`, each from its owning member, in input order — the
     /// cross-process building block for fleet-level tier refreshes.
     pub fn export_user_states(&mut self, users: &[u32]) -> Result<Vec<Vec<u8>>, ServingError> {
-        self.ensure_idle("export-users")?;
-        for &u in users {
-            self.check_user(u)?;
-        }
-        let groups = group_by_owner(users.iter().copied(), |&u| self.owner_of(u));
-        let reqs: Vec<(usize, Request)> = groups
-            .iter()
-            .map(|g| (g.owner, Request::ExportUsers(g.items.clone())))
-            .collect();
-        let responses = self.scatter_gather(&reqs)?;
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); users.len()];
-        for (g, resp) in groups.into_iter().zip(responses) {
-            match resp {
-                Response::Blobs(blobs) => {
-                    if blobs.len() != g.positions.len() {
-                        return Err(ServingError::Wire(format!(
-                            "member {} returned {} blobs for {} users",
-                            g.owner,
-                            blobs.len(),
-                            g.positions.len()
-                        )));
-                    }
-                    for (pos, blob) in g.positions.into_iter().zip(blobs) {
-                        out[pos] = blob;
-                    }
-                }
-                other => return Err(unexpected("Blobs", &other)),
-            }
-        }
-        Ok(out)
+        self.ask_owners(
+            "export-users",
+            users,
+            Request::ExportUsers,
+            |resp| take!(resp, Blobs(blobs) => blobs),
+        )
     }
 
     /// Install an encoded [`sccf_core::GlobalNeighborSnapshot`] as the
@@ -526,21 +441,34 @@ impl FleetRouter {
         self.fan_out_done("clear-tier", &Request::ClearTier)
     }
 
+    /// Validate every event, then split the batch into one
+    /// [`Request::IngestBatch`] per owning member. Validation comes
+    /// first so a batch is atomic for validation failures even though
+    /// it spans members: an error means nothing was sent.
+    fn group_events(&self, events: &[(u32, u32)]) -> Result<Vec<(usize, Request)>, ServingError> {
+        for &(user, item) in events {
+            self.check_user(user)?;
+            self.check_item(item)?;
+        }
+        Ok(
+            group_by_owner(events.iter().copied(), |&(user, _)| self.owner_of(user))
+                .into_iter()
+                .map(|g| (g.owner, Request::IngestBatch(g.items)))
+                .collect(),
+        )
+    }
+
     /// Consume one ingest acknowledgement from member `m`, folding the
     /// acked event count into the running total.
     fn recv_ingest_ack(&mut self, m: usize) -> Result<(), ServingError> {
-        match self.conns[m].recv().and_then(Response::into_result)? {
-            Response::Ingested(n) => {
-                self.acked_events += n;
-                Ok(())
-            }
-            other => Err(unexpected("Ingested", &other)),
-        }
+        let resp = self.conns[m].recv().and_then(Response::into_result)?;
+        self.acked_events += take!(resp, Ingested(n) => n)?;
+        Ok(())
     }
 
     /// Queue one ingest batch on the wire **without waiting for the
     /// acknowledgements** — the pipelined half of a multi-batch ingest
-    /// stream. Per-member sends are overlapped; if a member already has
+    /// stream. If a member already has
     /// [`FleetRouter::pipeline_depth`] responses in flight, its oldest
     /// ack is drained first (bounded depth). Validation is atomic per
     /// batch, exactly like [`ServingApi::ingest_batch`]. Pair with
@@ -550,27 +478,14 @@ impl FleetRouter {
         if let Some(err) = self.take_lost() {
             return Err(err);
         }
-        for &(user, item) in events {
-            self.check_user(user)?;
-            self.check_item(item)?;
-        }
-        let mut groups: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.conns.len()];
-        for &(user, item) in events {
-            groups[self.owner_of(user)].push((user, item));
-        }
-        let depth = self.depth.max(1);
-        let mut members = Vec::new();
-        for (m, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
+        let targets = self.group_events(events)?;
+        for (m, req) in &targets {
+            while self.conns[*m].in_flight() >= self.depth {
+                self.recv_ingest_ack(*m)?;
             }
-            while self.conns[m].in_flight() >= depth {
-                self.recv_ingest_ack(m)?;
-            }
-            self.conns[m].enqueue(&Request::IngestBatch(group))?;
-            members.push(m);
+            self.conns[*m].enqueue(req)?;
         }
-        self.flush_overlapped(&members);
+        self.flush_members(targets.iter().map(|&(m, _)| m));
         Ok(())
     }
 
@@ -582,32 +497,21 @@ impl FleetRouter {
         let mut first_err: Option<ServingError> = None;
         for m in 0..self.conns.len() {
             while self.conns[m].in_flight() > 0 {
-                match self.recv_ingest_ack(m) {
-                    Ok(()) => {}
-                    Err(e) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                        if self.conns[m].poison_reason().is_some() {
-                            // A poisoned connection can never produce the
-                            // remaining responses; stop draining it.
-                            break;
-                        }
+                if let Err(e) = self.recv_ingest_ack(m) {
+                    first_err.get_or_insert(e);
+                    if self.conns[m].poison_reason().is_some() {
+                        // A poisoned connection can never produce the
+                        // remaining responses; stop draining it.
+                        break;
                     }
                 }
             }
         }
         if let Some(err) = self.take_lost() {
-            if first_err.is_none() {
-                first_err = Some(err);
-            }
+            first_err.get_or_insert(err);
         }
-        let total = self.acked_events;
-        self.acked_events = 0;
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(total),
-        }
+        let total = std::mem::take(&mut self.acked_events);
+        first_err.map_or(Ok(total), Err)
     }
 
     /// Pipelined multi-batch ingest: stream `batches` with up to
@@ -639,40 +543,15 @@ impl FleetRouter {
 
 impl ServingApi for FleetRouter {
     fn try_ingest(&mut self, user: u32, item: u32) -> Result<Option<EventTiming>, ServingError> {
-        self.ensure_idle("ingest")?;
-        self.check_user(user)?;
-        self.check_item(item)?;
-        let m = self.owner_of(user);
-        match self.conns[m].call(&Request::IngestBatch(vec![(user, item)]))? {
-            Response::Ingested(_) => Ok(None),
-            other => Err(unexpected("Ingested", &other)),
-        }
+        self.ingest_batch(&[(user, item)]).map(|_| None)
     }
 
     fn ingest_batch(&mut self, events: &[(u32, u32)]) -> Result<u64, ServingError> {
         self.ensure_idle("ingest")?;
-        // Validate everything before sending anything: the batch is
-        // atomic for validation failures even though it spans members.
-        for &(user, item) in events {
-            self.check_user(user)?;
-            self.check_item(item)?;
-        }
-        let mut groups: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.conns.len()];
-        for &(user, item) in events {
-            groups[self.owner_of(user)].push((user, item));
-        }
-        let reqs: Vec<(usize, Request)> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, g)| !g.is_empty())
-            .map(|(m, g)| (m, Request::IngestBatch(g)))
-            .collect();
+        let targets = self.group_events(events)?;
         let mut total = 0u64;
-        for resp in self.scatter_gather(&reqs)? {
-            match resp {
-                Response::Ingested(n) => total += n,
-                other => return Err(unexpected("Ingested", &other)),
-            }
+        for resp in self.scatter_strict(&targets)? {
+            total += take!(resp, Ingested(n) => n)?;
         }
         Ok(total)
     }
@@ -681,13 +560,11 @@ impl ServingApi for FleetRouter {
         self.ensure_idle("recommend")?;
         self.check_user(user)?;
         let m = self.owner_of(user);
-        match self.conns[m].call(&Request::Recommend {
+        let resp = self.conns[m].call(&Request::Recommend {
             user,
             query: query.clone(),
-        })? {
-            Response::Slate(slate) => Ok(slate),
-            other => Err(unexpected("Slate", &other)),
-        }
+        })?;
+        take!(resp, Slate(slate) => slate)
     }
 
     fn recommend_many(
@@ -695,47 +572,16 @@ impl ServingApi for FleetRouter {
         users: &[u32],
         query: &RecQuery,
     ) -> Result<Vec<RecResponse>, ServingError> {
-        self.ensure_idle("recommend")?;
-        for &u in users {
-            self.check_user(u)?;
-        }
-        let groups = group_by_owner(users.iter().copied(), |&u| self.owner_of(u));
-        let reqs: Vec<(usize, Request)> = groups
-            .iter()
-            .map(|g| {
-                (
-                    g.owner,
-                    Request::RecommendMany {
-                        users: g.items.clone(),
-                        query: query.clone(),
-                    },
-                )
-            })
-            .collect();
-        let responses = self.scatter_gather(&reqs)?;
-        let mut out: Vec<Option<RecResponse>> = vec![None; users.len()];
-        for (g, resp) in groups.into_iter().zip(responses) {
-            let n_asked = g.positions.len();
-            match resp {
-                Response::Slates(slates) => {
-                    if slates.len() != n_asked {
-                        return Err(ServingError::Wire(format!(
-                            "member {} returned {} slates for {n_asked} users",
-                            g.owner,
-                            slates.len()
-                        )));
-                    }
-                    for (pos, slate) in g.positions.into_iter().zip(slates) {
-                        out[pos] = Some(slate);
-                    }
-                }
-                other => return Err(unexpected("Slates", &other)),
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|s| s.expect("every position grouped exactly once"))
-            .collect())
+        let make = |users| Request::RecommendMany {
+            users,
+            query: query.clone(),
+        };
+        self.ask_owners(
+            "recommend",
+            users,
+            make,
+            |resp| take!(resp, Slates(slates) => slates),
+        )
     }
 
     fn flush(&mut self) -> Result<(), ServingError> {
@@ -743,33 +589,20 @@ impl ServingApi for FleetRouter {
     }
 
     fn serving_stats(&mut self) -> Result<ServingStats, ServingError> {
-        self.ensure_idle("stats")?;
-        let reqs: Vec<(usize, Request)> =
-            (0..self.conns.len()).map(|m| (m, Request::Stats)).collect();
-        let responses = self.scatter_gather(&reqs)?;
-        let mut parts = Vec::with_capacity(responses.len());
-        for (m, resp) in responses.into_iter().enumerate() {
-            match resp {
-                Response::Stats(stats) => parts.push((m, *stats)),
-                other => return Err(unexpected("Stats", &other)),
-            }
-        }
-        Ok(merge_fleet_stats(&self.topology, parts))
+        let parts = self.ask_all("stats", &Request::Stats, |resp| take!(resp, Stats(s) => *s))?;
+        Ok(merge_fleet_stats(
+            &self.topology,
+            parts.into_iter().enumerate().collect(),
+        ))
     }
 
     fn snapshot_state(&mut self) -> Result<Vec<u8>, ServingError> {
-        self.ensure_idle("snapshot")?;
-        let reqs: Vec<(usize, Request)> = (0..self.conns.len())
-            .map(|m| (m, Request::Snapshot))
-            .collect();
-        let responses = self.scatter_gather(&reqs)?;
-        let mut parts = Vec::with_capacity(responses.len());
-        for (m, resp) in responses.into_iter().enumerate() {
-            match resp {
-                Response::Bytes(bytes) => parts.push((m, bytes)),
-                other => return Err(unexpected("Bytes", &other)),
-            }
-        }
+        let parts = self.ask_all(
+            "snapshot",
+            &Request::Snapshot,
+            |resp| take!(resp, Bytes(bytes) => bytes),
+        )?;
+        let parts: Vec<(usize, Vec<u8>)> = parts.into_iter().enumerate().collect();
         merge_fleet_snapshots(&self.topology, &parts)
     }
 }

@@ -41,6 +41,7 @@ use sccf_core::GlobalNeighborSnapshot;
 use sccf_models::Fism;
 use sccf_serving::api::{ServingApi, ServingError, TransportStats};
 use sccf_serving::sharded::{DurabilityConfig, RouterKind, ShardedConfig, ShardedEngine};
+use sccf_util::Flags;
 
 use crate::proto::{read_message, write_message, Request, Response, PROTOCOL_VERSION};
 use crate::world::WorldSpec;
@@ -132,42 +133,20 @@ impl Default for ServeShardArgs {
 impl ServeShardArgs {
     /// Parse `--flag value` pairs (every flag takes a value).
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        let mut pairs = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let key = args[i]
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected a flag, got `{}`", args[i]))?;
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| format!("flag --{key} needs a value"))?;
-            pairs.push((key.to_string(), value.clone()));
-            i += 2;
-        }
-        let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
-        fn parsed<T: std::str::FromStr>(
-            get: &impl Fn(&str) -> Option<String>,
-            key: &str,
-            default: T,
-        ) -> Result<T, String> {
-            match get(key) {
-                None => Ok(default),
-                Some(v) => v.parse().map_err(|_| format!("bad value for --{key}: {v}")),
-            }
-        }
+        let f = Flags::parse(args)?;
         let d = ServeShardArgs::default();
         let out = Self {
-            port: parsed(&get, "port", d.port)?,
-            base: parsed(&get, "base", d.base)?,
-            count: parsed(&get, "count", d.count)?,
-            total: parsed(&get, "total", d.total)?,
-            vnodes: parsed(&get, "vnodes", d.vnodes)?,
-            dir: get("dir").map(PathBuf::from),
-            fsync_every: parsed(&get, "fsync-every", d.fsync_every)?,
-            checkpoint_every: parsed(&get, "checkpoint-every", d.checkpoint_every)?,
-            world: WorldSpec::from_flag(get)?,
-            model_file: get("model-file").map(PathBuf::from),
-            read_ahead: parsed(&get, "read-ahead", d.read_ahead)?,
+            port: f.parsed("port", d.port)?,
+            base: f.parsed("base", d.base)?,
+            count: f.parsed("count", d.count)?,
+            total: f.parsed("total", d.total)?,
+            vnodes: f.parsed("vnodes", d.vnodes)?,
+            dir: f.get("dir").map(PathBuf::from),
+            fsync_every: f.parsed("fsync-every", d.fsync_every)?,
+            checkpoint_every: f.parsed("checkpoint-every", d.checkpoint_every)?,
+            world: WorldSpec::from_flag(|key| f.get(key).map(str::to_string))?,
+            model_file: f.get("model-file").map(PathBuf::from),
+            read_ahead: f.parsed("read-ahead", d.read_ahead)?,
         };
         if out.read_ahead == 0 {
             return Err("--read-ahead must be ≥ 1 (frames buffered ahead of the engine)".into());
@@ -312,6 +291,22 @@ pub fn run_shard_server(args: ServeShardArgs) -> Result<(), String> {
     Ok(())
 }
 
+/// Frame and flush one response. A reply too large for one frame
+/// (a snapshot or blob export above `MAX_FRAME_LEN`) is answered with
+/// a typed [`Response::Err`] in its place — the request/response
+/// pairing survives and the router sees why — instead of taking the
+/// connection thread down.
+fn write_response(writer: &mut impl Write, response: &Response) -> std::io::Result<()> {
+    match write_message(writer, &response.encode()) {
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+            let refusal = Response::Err(ServingError::Wire(format!("framing response: {e}")));
+            write_message(writer, &refusal.encode())
+        }
+        framed => framed,
+    }?;
+    writer.flush()
+}
+
 /// Process one decoded-frame payload: dispatch to the engine, write
 /// the framed response. Returns `false` when the connection is done
 /// (write failure). `Request::Shutdown` exits the process after
@@ -343,8 +338,7 @@ fn process_payload(
                 Ok(()) => Response::Done,
                 Err(e) => Response::Err(e),
             };
-            let _ = write_message(writer, &response.encode());
-            let _ = writer.flush();
+            let _ = write_response(writer, &response);
             std::process::exit(0);
         }
         Ok(req) => {
@@ -352,9 +346,7 @@ fn process_payload(
             handle_request(&mut engine, req, meta, counters)
         }
     };
-    write_message(writer, &response.encode())
-        .and_then(|()| writer.flush())
-        .is_ok()
+    write_response(writer, &response).is_ok()
 }
 
 fn serve_connection(
@@ -477,6 +469,25 @@ fn handle_request(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Regression: a reply above the frame limit used to panic the
+    /// connection thread inside the frame encoder.
+    #[test]
+    fn unframeable_reply_is_answered_with_a_typed_error() {
+        let mut wire = Vec::new();
+        let big = Response::Bytes(vec![0; bytes::framing::MAX_FRAME_LEN + 1]);
+        write_response(&mut wire, &big).expect("the refusal itself is written");
+        let mut payload = Vec::new();
+        let mut cursor = &wire[..];
+        assert!(read_message(&mut cursor, &mut payload).unwrap().is_some());
+        match Response::decode(&payload).expect("decodes") {
+            Response::Err(ServingError::Wire(msg)) => {
+                assert!(msg.contains("frame limit"), "names the limit: {msg}")
+            }
+            other => panic!("expected a typed Wire error, got {other:?}"),
+        }
+        assert!(cursor.is_empty(), "exactly one frame answers one request");
+    }
 
     #[test]
     fn args_roundtrip_through_the_command_line() {

@@ -21,12 +21,13 @@
 //! everything down.
 
 use std::io::{BufRead, BufReader, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use sccf_serving::api::{RecQuery, ServingApi};
 use sccf_serving::fleet::{FleetMember, FleetTopology};
+use sccf_util::Flags;
 
 use crate::client::Connection;
 use crate::proto::{Request, Response};
@@ -113,6 +114,58 @@ impl Supervisor {
         Ok(sup)
     }
 
+    /// Launch the uniform fleet every demo, example and bench runs:
+    /// `procs` members re-executing `exe` as `serve-shard`, member `p`
+    /// hosting shards `[p·per, (p+1)·per)` of a `procs·per`-shard ring
+    /// with `vnodes` virtual nodes (0 = modulo), all rebuilding `world`
+    /// around the trained `model` file. With a `root`, member `p` is
+    /// durable in `root/member-{p}`; without, the fleet is in-memory.
+    pub fn launch_uniform(
+        exe: &Path,
+        procs: usize,
+        per: usize,
+        vnodes: usize,
+        world: &WorldSpec,
+        model: &Path,
+        root: Option<&Path>,
+    ) -> Result<Self, String> {
+        let specs = (0..procs).map(|p| {
+            let args = ServeShardArgs {
+                base: p * per,
+                count: per,
+                total: procs * per,
+                vnodes,
+                dir: root.map(|r| r.join(format!("member-{p}"))),
+                world: world.clone(),
+                model_file: Some(model.to_path_buf()),
+                ..ServeShardArgs::default()
+            };
+            let mut argv = vec!["serve-shard".to_string()];
+            argv.extend(args.to_args());
+            ShardSpec::new(exe.to_path_buf(), argv)
+        });
+        Self::launch(specs.collect())
+    }
+
+    /// The topology a router dials to reach this fleet as it runs now:
+    /// each member's window and the ring shape, read back from the
+    /// `serve-shard` arguments it was launched with, at its current
+    /// port.
+    pub fn topology(&self) -> Result<FleetTopology, String> {
+        let mut ring = (0, 0);
+        let mut members = Vec::with_capacity(self.shards.len());
+        for (i, s) in self.shards.iter().enumerate() {
+            let args = ServeShardArgs::parse(s.spec.args.get(1..).unwrap_or_default())?;
+            ring = (args.total, args.vnodes);
+            members.push(FleetMember {
+                base: args.base,
+                count: args.count,
+                addr: self.addr(i),
+            });
+        }
+        FleetTopology::try_new(ring.0, ring.1, members).map_err(|e| e.to_string())
+    }
+
     pub fn len(&self) -> usize {
         self.shards.len()
     }
@@ -184,19 +237,8 @@ impl Supervisor {
 
     /// Reap every child. Call after the members were asked to exit
     /// (e.g. [`FleetRouter::shutdown_all`]); any child still running is
-    /// killed.
-    pub fn shutdown(mut self) {
-        for s in &mut self.shards {
-            match s.child.try_wait() {
-                Ok(Some(_)) => {}
-                _ => {
-                    let _ = s.child.kill();
-                    let _ = s.child.wait();
-                }
-            }
-        }
-        self.shards.clear();
-    }
+    /// killed — which is exactly what dropping the supervisor does.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for Supervisor {
@@ -210,36 +252,23 @@ impl Drop for Supervisor {
     }
 }
 
-fn flag(args: &[String], key: &str) -> Option<String> {
-    args.windows(2)
-        .find(|w| w[0] == format!("--{key}"))
-        .map(|w| w[1].clone())
-}
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> Result<T, String> {
-    match flag(args, key) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| format!("bad value for --{key}: {v}")),
-    }
-}
-
 /// Entry point for `sccf route` — launch a fleet, drive it, tear it
 /// down. Flags: `--procs` (default 2), `--shards-per-proc` (default 2),
 /// `--vnodes` (default 0 = modulo ring), `--events` (default 400),
 /// `--dir` (durability root; default: temp, removed afterwards), plus
 /// the `--world-*` flags of [`WorldSpec`].
 pub fn route_main(args: &[String]) -> Result<(), String> {
-    let procs: usize = parse_flag(args, "procs", 2)?;
-    let per: usize = parse_flag(args, "shards-per-proc", 2)?;
-    let vnodes: usize = parse_flag(args, "vnodes", 0)?;
-    let events: u64 = parse_flag(args, "events", 400)?;
+    let flags = Flags::parse(args)?;
+    let procs: usize = flags.parsed("procs", 2)?;
+    let per: usize = flags.parsed("shards-per-proc", 2)?;
+    let vnodes: usize = flags.parsed("vnodes", 0)?;
+    let events: u64 = flags.parsed("events", 400)?;
     if procs == 0 || per == 0 {
         return Err("--procs and --shards-per-proc must be ≥ 1".to_string());
     }
-    let world = WorldSpec::from_flag(|key| flag(args, key))?;
-    let total = procs * per;
+    let world = WorldSpec::from_flag(|key| flags.get(key).map(str::to_string))?;
 
-    let root = match flag(args, "dir") {
+    let root = match flags.get("dir") {
         Some(d) => PathBuf::from(d),
         None => std::env::temp_dir().join(format!("sccf-route-{}", std::process::id())),
     };
@@ -252,35 +281,10 @@ pub fn route_main(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("writing {}: {e}", model_path.display()))?;
 
     let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-    let specs: Vec<ShardSpec> = (0..procs)
-        .map(|p| {
-            let shard_args = ServeShardArgs {
-                base: p * per,
-                count: per,
-                total,
-                vnodes,
-                dir: Some(root.join(format!("member-{p}"))),
-                world: world.clone(),
-                model_file: Some(model_path.clone()),
-                ..ServeShardArgs::default()
-            };
-            let mut argv = vec!["serve-shard".to_string()];
-            argv.extend(shard_args.to_args());
-            ShardSpec::new(exe.clone(), argv)
-        })
-        .collect();
-
     eprintln!("[route] launching {procs} shard servers × {per} shards…");
-    let mut sup = Supervisor::launch(specs)?;
-    let members: Vec<FleetMember> = (0..procs)
-        .map(|p| FleetMember {
-            base: p * per,
-            count: per,
-            addr: sup.addr(p),
-        })
-        .collect();
-    let topology = FleetTopology::try_new(total, vnodes, members).map_err(|e| e.to_string())?;
-    let mut router = FleetRouter::connect(topology).map_err(|e| e.to_string())?;
+    let mut sup =
+        Supervisor::launch_uniform(&exe, procs, per, vnodes, &world, &model_path, Some(&root))?;
+    let mut router = FleetRouter::connect(sup.topology()?).map_err(|e| e.to_string())?;
 
     let n_users = world.n_users as u32;
     let n_items = world.n_items as u32;
@@ -323,7 +327,7 @@ pub fn route_main(args: &[String]) -> Result<(), String> {
 
     router.shutdown_all().map_err(|e| e.to_string())?;
     sup.shutdown();
-    if flag(args, "dir").is_none() {
+    if flags.get("dir").is_none() {
         let _ = std::fs::remove_dir_all(&root);
     }
     Ok(())

@@ -22,6 +22,7 @@ use sccf_data::catalog::{ml1m_sim, Scale};
 use sccf_data::synthetic::generate;
 use sccf_data::LeaveOneOut;
 use sccf_models::{Fism, FismConfig, TrainConfig};
+use sccf_util::flags::parse_or;
 
 /// Everything needed to rebuild the fleet's world from scratch. All
 /// fields feed seeded, single-threaded constructions, so two processes
@@ -178,10 +179,7 @@ impl WorldSpec {
             key: &str,
             default: T,
         ) -> Result<T, String> {
-            match get(key) {
-                None => Ok(default),
-                Some(v) => v.parse().map_err(|_| format!("bad value for --{key}: {v}")),
-            }
+            parse_or(get(key).as_deref(), key, default)
         }
         let d = WorldSpec::default();
         Ok(Self {

@@ -93,7 +93,7 @@ pub use control::{
     ActuatorStep, ControlDriver, Decision, Observation, PolicyConfig, PolicyState, TickReport,
 };
 pub use fleet::{merge_fleet_snapshots, merge_fleet_stats, FleetMember, FleetTopology};
-pub use ring::{HashRing, RingDecodeError};
+pub use ring::HashRing;
 pub use sharded::{
     DurabilityConfig, RecoveryReport, RefreshReport, ReshardReport, RouterKind, ShardReport,
     ShardedConfig, ShardedEngine,

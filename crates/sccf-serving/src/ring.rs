@@ -19,11 +19,11 @@
 //!   resharding** (`ShardedEngine::reshard`) cheap: the handoff
 //!   migrates only the moved arcs, not the whole population.
 //!
-//! Rings are plain values: cheap to build (points are derived, not
-//! stored state), `Clone`, comparable, and snapshot-encodable
-//! ([`HashRing::encode`]/[`HashRing::decode`]) so operators can persist
-//! the routing epoch alongside a state snapshot and reconstruct the
-//! exact same placement later (see `docs/OPERATIONS.md`).
+//! Rings are plain values: cheap to build (points are derived from the
+//! mode, the shard count and the vnode count, not stored state),
+//! `Clone` and comparable — recording those three numbers next to a
+//! state snapshot is enough to reconstruct the exact same placement
+//! later (see `docs/OPERATIONS.md`).
 //!
 //! ```
 //! use sccf_serving::ring::HashRing;
@@ -41,15 +41,13 @@
 //! let grown = HashRing::consistent(5, 64);
 //! let moved = (0..10_000u32).filter(|&u| ring.route(u) != grown.route(u)).count();
 //! assert!(moved < 5_000, "consistent 4→5 moved {moved}/10000 users");
-//!
-//! // Rings round-trip through their snapshot encoding.
-//! let bytes = ring.encode();
-//! assert_eq!(HashRing::decode(&bytes).unwrap(), ring);
 //! ```
 
 use std::hash::Hasher;
 
 use sccf_util::hash::FxHasher;
+
+use crate::api::ServingError;
 
 /// FxHash of a user id — the hash the original modulo router used; the
 /// modulo mode must keep it bit-for-bit (placement of every deployed
@@ -244,69 +242,6 @@ impl HashRing {
             RingKind::Slice { global, .. } => global.vnodes(),
         }
     }
-
-    /// Serialize the ring (magic, mode, shard count, vnode count; a
-    /// slice appends its global ring's encoding). The circle points are
-    /// *derived* from these, so the encoding is tiny and decode
-    /// rebuilds the identical ring — persist it alongside a state
-    /// snapshot to pin the routing epoch.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(25);
-        out.extend_from_slice(RING_MAGIC);
-        match &self.kind {
-            RingKind::Modulo => {
-                out.push(0);
-                out.extend_from_slice(&(self.n_shards as u64).to_le_bytes());
-                out.extend_from_slice(&0u64.to_le_bytes());
-            }
-            RingKind::Consistent { vnodes, .. } => {
-                out.push(1);
-                out.extend_from_slice(&(self.n_shards as u64).to_le_bytes());
-                out.extend_from_slice(&(*vnodes as u64).to_le_bytes());
-            }
-            RingKind::Slice { global, base } => {
-                out.push(2);
-                out.extend_from_slice(&(self.n_shards as u64).to_le_bytes());
-                out.extend_from_slice(&(*base as u64).to_le_bytes());
-                out.extend_from_slice(&global.encode());
-            }
-        }
-        out
-    }
-
-    /// Decode a ring produced by [`HashRing::encode`].
-    pub fn decode(bytes: &[u8]) -> Result<Self, RingDecodeError> {
-        if bytes.len() < 25 {
-            return Err(RingDecodeError::Truncated);
-        }
-        if &bytes[..8] != RING_MAGIC {
-            return Err(RingDecodeError::BadMagic);
-        }
-        let n_shards = u64::from_le_bytes(bytes[9..17].try_into().unwrap()) as usize;
-        let word2 = u64::from_le_bytes(bytes[17..25].try_into().unwrap()) as usize;
-        if n_shards == 0 {
-            return Err(RingDecodeError::ZeroShards);
-        }
-        match bytes[8] {
-            0 | 1 if bytes.len() != 25 => Err(RingDecodeError::Truncated),
-            0 => Ok(Self::modulo(n_shards)),
-            1 if word2 > 0 => Ok(Self::consistent(n_shards, word2)),
-            1 => Err(RingDecodeError::ZeroShards),
-            2 => {
-                let global = Self::decode(&bytes[25..])?;
-                let base = word2;
-                if base
-                    .checked_add(n_shards)
-                    .is_none_or(|end| end > global.n_shards())
-                    || global.is_slice()
-                {
-                    return Err(RingDecodeError::BadSlice);
-                }
-                Ok(Self::slice(global, base, n_shards))
-            }
-            k => Err(RingDecodeError::UnknownKind(k)),
-        }
-    }
 }
 
 /// One owner's share of a grouped batch: the items it owns, in input
@@ -348,37 +283,38 @@ pub fn group_by_owner<T>(
     groups
 }
 
-const RING_MAGIC: &[u8; 8] = b"SCCFRG01";
-
-/// Why a ring encoding could not be decoded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RingDecodeError {
-    /// Missing or wrong magic header.
-    BadMagic,
-    /// Wrong payload size.
-    Truncated,
-    /// Unknown routing-mode tag.
-    UnknownKind(u8),
-    /// A zero shard (or vnode) count — no valid ring has one.
-    ZeroShards,
-    /// A slice window that does not fit its global ring, or a slice of
-    /// a slice.
-    BadSlice,
-}
-
-impl std::fmt::Display for RingDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::BadMagic => write!(f, "not a hash-ring encoding"),
-            Self::Truncated => write!(f, "hash-ring encoding has the wrong size"),
-            Self::UnknownKind(k) => write!(f, "unknown hash-ring mode tag {k}"),
-            Self::ZeroShards => write!(f, "hash-ring encoding declares zero shards or vnodes"),
-            Self::BadSlice => write!(f, "hash-ring slice window does not fit its global ring"),
+/// Undo [`group_by_owner`]: given each group's `(owner, positions)` and
+/// that owner's replies (one per item, in the group's order), return
+/// the replies in input order. An owner that answered with the wrong
+/// number of replies is a typed [`ServingError::Wire`] naming it —
+/// owners may sit across a process boundary.
+///
+/// # Panics
+/// If `replies` does not hold exactly one list per group.
+pub fn reassemble<R>(
+    layout: Vec<(usize, Vec<usize>)>,
+    replies: Vec<Vec<R>>,
+) -> Result<Vec<R>, ServingError> {
+    assert_eq!(layout.len(), replies.len(), "one reply list per group");
+    let n = layout.iter().map(|(_, positions)| positions.len()).sum();
+    let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
+    for ((owner, positions), replies) in layout.into_iter().zip(replies) {
+        if replies.len() != positions.len() {
+            return Err(ServingError::Wire(format!(
+                "owner {owner} returned {} replies for {} items",
+                replies.len(),
+                positions.len()
+            )));
+        }
+        for (pos, reply) in positions.into_iter().zip(replies) {
+            out[pos] = Some(reply);
         }
     }
+    Ok(out
+        .into_iter()
+        .map(|r| r.expect("every position grouped exactly once"))
+        .collect())
 }
-
-impl std::error::Error for RingDecodeError {}
 
 #[cfg(test)]
 mod tests {
@@ -461,6 +397,37 @@ mod tests {
     }
 
     #[test]
+    fn reassemble_restores_input_order_and_rejects_short_replies() {
+        let groups = group_by_owner([7u32, 2, 9, 4, 3], |&u| (u % 2) as usize);
+        let layout = || -> Vec<(usize, Vec<usize>)> {
+            groups
+                .iter()
+                .map(|g| (g.owner, g.positions.clone()))
+                .collect()
+        };
+        // Each owner answers its items times ten, in its own order.
+        let replies = groups
+            .iter()
+            .map(|g| g.items.iter().map(|u| u * 10).collect())
+            .collect();
+        assert_eq!(
+            reassemble(layout(), replies).unwrap(),
+            vec![70, 20, 90, 40, 30]
+        );
+        assert_eq!(reassemble(vec![], Vec::<Vec<u32>>::new()).unwrap(), vec![]);
+        // Owner 0 holds two items but answers one.
+        match reassemble(layout(), vec![vec![70, 90, 30], vec![20]]) {
+            Err(ServingError::Wire(msg)) => {
+                assert!(
+                    msg.contains("owner 0") && msg.contains("1 replies") && msg.contains("2 items"),
+                    "error must name owner, got and wanted: {msg}"
+                );
+            }
+            other => panic!("expected a typed Wire error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn consistent_ring_balances_with_enough_vnodes() {
         let n = 8usize;
         let ring = HashRing::consistent(n, 128);
@@ -510,31 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_roundtrip_and_rejects_garbage() {
-        for ring in [
-            HashRing::modulo(3),
-            HashRing::consistent(5, 64),
-            HashRing::consistent(1, 1),
-        ] {
-            let bytes = ring.encode();
-            assert_eq!(HashRing::decode(&bytes).unwrap(), ring);
-        }
-        assert_eq!(HashRing::decode(b"junk"), Err(RingDecodeError::Truncated));
-        let mut bad = HashRing::modulo(3).encode();
-        bad[0] ^= 0xFF;
-        assert_eq!(HashRing::decode(&bad), Err(RingDecodeError::BadMagic));
-        let mut unknown = HashRing::modulo(3).encode();
-        unknown[8] = 9;
-        assert_eq!(
-            HashRing::decode(&unknown),
-            Err(RingDecodeError::UnknownKind(9))
-        );
-        let mut zero = HashRing::modulo(3).encode();
-        zero[9..17].copy_from_slice(&0u64.to_le_bytes());
-        assert_eq!(HashRing::decode(&zero), Err(RingDecodeError::ZeroShards));
-    }
-
-    #[test]
     fn slice_windows_partition_the_global_ring() {
         for global in [HashRing::modulo(4), HashRing::consistent(4, 64)] {
             let lo = HashRing::slice(global.clone(), 0, 2);
@@ -551,22 +493,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn slice_encoding_roundtrips() {
-        for global in [HashRing::modulo(6), HashRing::consistent(6, 32)] {
-            let slice = HashRing::slice(global, 2, 3);
-            let bytes = slice.encode();
-            assert_eq!(HashRing::decode(&bytes).unwrap(), slice);
-        }
-        // A slice window that does not fit its nested global ring.
-        let mut bad = HashRing::slice(HashRing::modulo(4), 1, 3).encode();
-        bad[17..25].copy_from_slice(&2u64.to_le_bytes()); // base 1 → 2: [2,5) ⊄ [0,4)
-        assert_eq!(HashRing::decode(&bad), Err(RingDecodeError::BadSlice));
-        // Whole-ring encodings must still be exactly 25 bytes.
-        let mut padded = HashRing::modulo(3).encode();
-        padded.push(0);
-        assert_eq!(HashRing::decode(&padded), Err(RingDecodeError::Truncated));
     }
 }

@@ -114,7 +114,7 @@ use crate::api::{
     MigrationStats, NeighborhoodStats, PressureStats, RecQuery, RecResponse, ServingApi,
     ServingError, ServingStats,
 };
-use crate::ring::{group_by_owner, HashRing};
+use crate::ring::{group_by_owner, reassemble, HashRing};
 
 /// Which routing function maps users to shards (see
 /// [`crate::ring::HashRing`] for the trade-off).
@@ -686,25 +686,17 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
         for &u in users {
             self.check_user(u)?;
         }
-        let (targets, positions): (Vec<_>, Vec<_>) =
+        let (targets, layout): (Vec<_>, Vec<_>) =
             group_by_owner(users.iter().copied(), |&u| self.route(u))
                 .into_iter()
-                .map(|g| ((g.owner, g.items), g.positions))
+                .map(|g| ((g.owner, g.items), (g.owner, g.positions)))
                 .unzip();
         let exported = self.scatter(targets, |users, reply| ShardMsg::ExportUsers {
             users,
             then: AfterExport::Keep,
             reply,
         });
-        // Reassemble in input order.
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); users.len()];
-        for (positions, blobs) in positions.into_iter().zip(exported) {
-            debug_assert_eq!(blobs.len(), positions.len());
-            for (pos, blob) in positions.into_iter().zip(blobs) {
-                out[pos] = blob;
-            }
-        }
-        Ok(out)
+        reassemble(layout, exported)
     }
 
     /// Drain every shard and serialize the merged per-user histories
@@ -802,20 +794,14 @@ impl<M: InductiveUiModel + 'static> ServingApi for ShardedEngine<M> {
     fn try_recommend(&mut self, user: u32, query: &RecQuery) -> Result<RecResponse, ServingError> {
         let s = self.check_user(user)?;
         self.check_query(query)?;
-        let (reply, rx) = bounded(1);
-        self.send(
-            s,
-            ShardMsg::Recommend {
-                user,
-                query: Arc::new(query.clone()),
-                reply,
-            },
-        );
-        match rx.recv() {
-            Ok(res) => res,
-            // The worker died between accepting the request and replying.
-            Err(_) => self.propagate_worker_death(s),
-        }
+        let query = Arc::new(query.clone());
+        self.scatter([(s, user)], |user, reply| ShardMsg::Recommend {
+            user,
+            query: Arc::clone(&query),
+            reply,
+        })
+        .pop()
+        .expect("one target, one reply")
     }
 
     /// All requests fan out before any reply is collected, so shards
@@ -831,27 +817,14 @@ impl<M: InductiveUiModel + 'static> ServingApi for ShardedEngine<M> {
         }
         self.check_query(query)?;
         let query = Arc::new(query.clone());
-        let mut pending = Vec::with_capacity(users.len());
-        for &user in users {
-            let s = self.route(user);
-            let (reply, rx) = bounded(1);
-            self.send(
-                s,
-                ShardMsg::Recommend {
-                    user,
-                    query: Arc::clone(&query),
-                    reply,
-                },
-            );
-            pending.push((s, rx));
-        }
-        pending
-            .into_iter()
-            .map(|(s, rx)| match rx.recv() {
-                Ok(res) => res,
-                Err(_) => self.propagate_worker_death(s),
-            })
-            .collect()
+        let targets: Vec<(usize, u32)> = users.iter().map(|&u| (self.route(u), u)).collect();
+        self.scatter(targets, |user, reply| ShardMsg::Recommend {
+            user,
+            query: Arc::clone(&query),
+            reply,
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Barrier: block until every shard has processed everything queued

@@ -43,7 +43,7 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use bytes::framing::{decode_frame, encode_frame_into, Frame, FRAME_HEADER_LEN};
+use bytes::framing::{decode_frame, write_frame, Frame, FRAME_HEADER_LEN};
 use sccf_util::checksum::crc32;
 
 /// File magic for per-shard WAL files.
@@ -288,7 +288,7 @@ impl WalWriter {
     pub fn append(&mut self, rec: WalRecord) -> Result<(), WalError> {
         encode_record_into(&mut self.buf, rec);
         self.frame.clear();
-        encode_frame_into(&mut self.frame, crc32(&self.buf), &self.buf);
+        write_frame(&mut self.frame, crc32(&self.buf), &self.buf)?;
         self.file.write_all(&self.frame)?;
         self.len += self.frame.len() as u64;
         self.appended += 1;
@@ -459,6 +459,10 @@ pub struct Checkpoint {
 }
 
 /// Serialize a checkpoint: magic, CRC-framed header, CRC-framed blobs.
+///
+/// # Panics
+/// If one blob exceeds `bytes::framing::MAX_FRAME_LEN` (a single
+/// user's state above 16 MiB — four million history items).
 pub fn encode_checkpoint(epoch: u64, watermark: u64, blobs: &[Vec<u8>]) -> Vec<u8> {
     let mut out = Vec::with_capacity(
         WAL_MAGIC.len()
@@ -474,9 +478,9 @@ pub fn encode_checkpoint(epoch: u64, watermark: u64, blobs: &[Vec<u8>]) -> Vec<u
     header.extend_from_slice(&epoch.to_le_bytes());
     header.extend_from_slice(&watermark.to_le_bytes());
     header.extend_from_slice(&(blobs.len() as u64).to_le_bytes());
-    encode_frame_into(&mut out, crc32(&header), &header);
+    write_frame(&mut out, crc32(&header), &header).expect("a 24-byte header fits a frame");
     for blob in blobs {
-        encode_frame_into(&mut out, crc32(blob), blob);
+        write_frame(&mut out, crc32(blob), blob).expect("a user-state blob fits a frame");
     }
     out
 }

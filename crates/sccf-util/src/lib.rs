@@ -17,6 +17,8 @@
 //! * [`sparse`] — epoch-stamped sparse accumulator / set slabs that make
 //!   the per-event serving path allocation-free and O(touched), never
 //!   O(catalog).
+//! * [`flags`] — the one `--key value` command-line grammar behind every
+//!   entry point (`sccf`, `serve-shard`, `route`, the `--world-*` flags).
 //! * [`json`] — a write-only JSON value tree, the one renderer behind
 //!   every `BENCH_*.json` artifact.
 //! * [`table`] — minimal markdown/TSV table rendering for the `repro`
@@ -25,6 +27,7 @@
 //!   (Table III).
 
 pub mod checksum;
+pub mod flags;
 pub mod hash;
 pub mod json;
 pub mod rng;
@@ -35,6 +38,7 @@ pub mod timer;
 pub mod topk;
 
 pub use checksum::{crc32, Crc32};
+pub use flags::Flags;
 pub use hash::{FxHashMap, FxHashSet};
 pub use json::Json;
 pub use sparse::{SparseScores, StampSet};

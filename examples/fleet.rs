@@ -14,8 +14,7 @@
 //! cargo run --release --example fleet
 //! ```
 
-use sccf::net::{FleetRouter, ServeShardArgs, ShardSpec, Supervisor, WorldSpec};
-use sccf::serving::fleet::{FleetMember, FleetTopology};
+use sccf::net::{FleetRouter, Supervisor, WorldSpec};
 use sccf::serving::{RecQuery, ServingApi};
 
 const PROCS: usize = 2;
@@ -55,38 +54,15 @@ fn orchestrate() -> Result<(), String> {
 
     // --- launch 2 real shard-server processes -------------------------
     let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-    let specs: Vec<ShardSpec> = (0..PROCS)
-        .map(|p| {
-            let shard_args = ServeShardArgs {
-                base: p * PER_PROC,
-                count: PER_PROC,
-                total,
-                dir: Some(root.join(format!("member-{p}"))),
-                world: spec.clone(),
-                model_file: Some(model_path.clone()),
-                ..ServeShardArgs::default()
-            };
-            let mut argv = vec!["serve-shard".to_string()];
-            argv.extend(shard_args.to_args());
-            ShardSpec::new(exe.clone(), argv)
-        })
-        .collect();
-    let mut sup = Supervisor::launch(specs)?;
+    let mut sup =
+        Supervisor::launch_uniform(&exe, PROCS, PER_PROC, 0, &spec, &model_path, Some(&root))?;
     println!(
         "fleet up: {PROCS} processes × {PER_PROC} shards on ports {:?}",
         (0..PROCS).map(|p| sup.port(p)).collect::<Vec<_>>()
     );
 
     // --- connect the router and stream events -------------------------
-    let members = (0..PROCS)
-        .map(|p| FleetMember {
-            base: p * PER_PROC,
-            count: PER_PROC,
-            addr: sup.addr(p),
-        })
-        .collect();
-    let topology = FleetTopology::try_new(total, 0, members).map_err(|e| e.to_string())?;
-    let mut router = FleetRouter::connect(topology).map_err(|e| e.to_string())?;
+    let mut router = FleetRouter::connect(sup.topology()?).map_err(|e| e.to_string())?;
 
     let n_users = spec.n_users as u32;
     let n_items = spec.n_items as u32;

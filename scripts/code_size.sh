@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Code-size report, deprecated-surface gate and one-artifact-path gate
-# (run from the repo root).
+# Code-size report, deprecated-surface gate, one-artifact-path gate and
+# `unsafe` gate (run from the repo root).
 #
 # Per crate: non-comment, non-blank lines over src/**/*.rs, and the
 # number of `pub` items (fn/struct/enum/trait/const/type). ROADMAP
@@ -14,6 +14,12 @@
 # each experiment's `failures`, not in inline scripts) or a source line
 # under crates/sccf-bench/src/experiments/ contains a hand-escaped `\"`
 # (every BENCH_*.json goes through `sccf_util::Json`).
+#
+# Also prints the raw line count of the vendored shims (vendor/*/src)
+# and the number of `unsafe` sites in the workspace, and exits 1 if
+# `unsafe` appears in a code line under crates/, src/ or vendor/ outside
+# crates/sccf-tensor/src/simd.rs — the one audited home of the AVX2
+# kernels (ROADMAP item 3).
 set -euo pipefail
 
 code_lines() { xargs -r cat | grep -cvE '^\s*(//|$)' || true; }
@@ -34,6 +40,14 @@ printf '%-16s %8d %6d\n' total "$total_lines" "$total_pub"
 # The two routers' crates together: the sum ROADMAP item 2 tracks.
 printf 'sccf-serving + sccf-net: %d\n' \
   "$(find crates/sccf-serving/src crates/sccf-net/src -name '*.rs' | code_lines)"
+
+printf 'vendor/*/src raw lines: %d\n' "$(find vendor/*/src -name '*.rs' | xargs -r cat | wc -l)"
+unsafe_sites() { grep -rnw --include='*.rs' unsafe crates src vendor | grep -vE '^[^:]+:[0-9]+:\s*//' || true; }
+printf 'unsafe sites: %d\n' "$(unsafe_sites | wc -l)"
+if unsafe_sites | grep -v '^crates/sccf-tensor/src/simd.rs:'; then
+  echo 'error: unsafe outside crates/sccf-tensor/src/simd.rs (see the lines above)' >&2
+  exit 1
+fi
 
 if grep -rnE '#\[deprecated|allow\(deprecated\)' crates src tests examples; then
   echo 'error: deprecated surface found (see the lines above)' >&2

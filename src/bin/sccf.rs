@@ -34,6 +34,7 @@ use sccf::models::{
     AvgPoolConfig, AvgPoolDnn, Caser, CaserConfig, Fism, FismConfig, Gru4Rec, Gru4RecConfig,
     InductiveUiModel, Recommender, SasRec, SasRecConfig, TrainConfig,
 };
+use sccf::util::Flags;
 
 const ENVELOPE_MAGIC: &[u8; 8] = b"SCCFMDL1";
 
@@ -243,47 +244,6 @@ impl InductiveUiModel for Box<dyn DynInductive> {
 }
 
 // ------------------------------------------------------------- arg plumbing
-
-struct Flags {
-    map: Vec<(String, String)>,
-}
-
-impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut map = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let key = args[i]
-                .strip_prefix("--")
-                .or_else(|| args[i].strip_prefix('-'))
-                .ok_or_else(|| format!("expected a flag, got `{}`", args[i]))?;
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| format!("flag --{key} needs a value"))?;
-            map.push((key.to_string(), value.clone()));
-            i += 2;
-        }
-        Ok(Self { map })
-    }
-
-    fn get(&self, key: &str) -> Option<&str> {
-        self.map
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn required(&self, key: &str) -> Result<&str, String> {
-        self.get(key).ok_or_else(|| format!("missing --{key}"))
-    }
-
-    fn parsed<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("bad value for --{key}: {v}")),
-        }
-    }
-}
 
 fn usage() -> ! {
     eprintln!(

@@ -440,3 +440,148 @@ fn remote_errors_and_routing_guards_cross_the_wire() {
     sup.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// One member's own `ServingStats`, over a fresh direct connection.
+fn member_stats(sup: &Supervisor, member: usize) -> sccf::serving::ServingStats {
+    let mut direct = Connection::connect(sup.addr(member).as_str()).expect("dial member");
+    match direct.call(&Request::Stats).expect("member stats") {
+        Response::Stats(stats) => *stats,
+        other => panic!("expected Stats, got {other:?}"),
+    }
+}
+
+/// What replaced the readiness loop, part 1: a message far larger than
+/// a loopback socket buffer goes out as one blocking write per member
+/// and still completes — each member's reader thread drains its socket
+/// independently of its engine, so the router is never stuck writing to
+/// member 0 while member 1 waits to be written to. The tier lands on
+/// both members and serves bit-identically to the in-process engine
+/// given the same artifact.
+#[test]
+fn multi_mib_tier_install_completes_through_blocking_writes() {
+    use sccf::core::{decode_user_state, FrozenTierMode, GlobalNeighborSnapshot, TIER_BUILD_SEED};
+
+    let spec = spec();
+    let root = scratch_dir("bigtier");
+    let model_path = root.join("model.fism");
+    std::fs::write(&model_path, spec.train_model()).expect("write model");
+
+    let sup = launch_fleet(&spec, &root, &model_path);
+    let mut router = connect_router(&sup);
+    let world = spec
+        .build(Some(&std::fs::read(&model_path).unwrap()))
+        .unwrap();
+    let mut baseline = ShardedEngine::try_new(
+        world.sccf,
+        world.histories,
+        ShardedConfig {
+            n_shards: TOTAL_SHARDS,
+            queue_capacity: 64,
+            router: RouterKind::Modulo,
+        },
+    )
+    .expect("baseline fleet");
+
+    let events: Vec<(u32, u32)> = (0..200).map(|k| event_at(&spec, k)).collect();
+    router.ingest_batch(&events).expect("fleet ingest");
+    baseline.ingest_batch(&events).expect("baseline ingest");
+    router.flush().expect("fleet flush");
+    baseline.flush().expect("baseline flush");
+
+    // A real tier over the fleet's own user states, with every frozen
+    // window padded (the history, cycled) until the artifact is ~12 MiB:
+    // above what loopback send + receive buffers hold between them,
+    // below the 16 MiB frame limit.
+    const WINDOW: usize = 65_000;
+    let users: Vec<u32> = (0..spec.n_users as u32).collect();
+    let blobs = router.export_user_states(&users).expect("export");
+    let entries: Vec<(u32, Vec<f32>, Vec<u32>)> = blobs
+        .iter()
+        .map(|blob| {
+            let (user, rep, history) = decode_user_state(blob).expect("own blob decodes");
+            let window = history.iter().copied().cycle().take(WINDOW).collect();
+            (user, rep, window)
+        })
+        .collect();
+    let tier = GlobalNeighborSnapshot::build_with_mode(
+        1,
+        spec.n_users,
+        spec.dim,
+        FrozenTierMode::Flat,
+        TIER_BUILD_SEED,
+        entries,
+    )
+    .encode();
+    assert!(
+        tier.len() > 8 << 20,
+        "the artifact must dwarf a socket buffer (got {} bytes)",
+        tier.len()
+    );
+
+    router.install_tier_bytes(&tier).expect("large install");
+    for member in 0..PROCS {
+        let hood = member_stats(&sup, member).neighborhood;
+        assert!(
+            hood.two_tier && hood.epoch == 1,
+            "member {member} must serve the new tier (two_tier={}, epoch={})",
+            hood.two_tier,
+            hood.epoch
+        );
+    }
+    baseline
+        .install_global_tier(GlobalNeighborSnapshot::decode(&tier).expect("decodes"))
+        .expect("baseline install");
+    assert_fleet_matches_baseline(&spec, &mut router, &mut baseline, "after the large install");
+
+    router.shutdown_all().expect("graceful shutdown");
+    sup.shutdown();
+    baseline.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// What replaced the readiness loop, part 2: the data plane's strict
+/// pre-check survived the merge of the two fan-out primitives. With
+/// member 0 dead and its connection poisoned, a batch spanning both
+/// members is refused typed *before anything is sent* — member 1 must
+/// not apply its share of a batch the router already knows it cannot
+/// deliver whole.
+#[test]
+fn ingest_spanning_a_poisoned_member_sends_nothing() {
+    let spec = spec();
+    let root = scratch_dir("strict");
+    let model_path = root.join("model.fism");
+    std::fs::write(&model_path, spec.train_model()).expect("write model");
+
+    let mut sup = launch_fleet(&spec, &root, &model_path);
+    let mut router = connect_router(&sup);
+
+    sup.kill(0).expect("kill member 0");
+    // A control fan-out discovers the death and poisons connection 0.
+    assert!(router.flush().is_err(), "flush must report the dead member");
+
+    let batch: Vec<(u32, u32)> = (0..60).map(|k| event_at(&spec, k)).collect();
+    for member in 0..PROCS {
+        assert!(
+            batch.iter().any(|&(u, _)| router.owner_of(u) == member),
+            "the batch must span member {member}"
+        );
+    }
+    let before = member_stats(&sup, 1).events;
+    match router.ingest_batch(&batch) {
+        Err(ServingError::Wire(msg)) => {
+            assert!(
+                msg.contains("member 0") && msg.contains("poisoned"),
+                "error should name the dead member, got: {msg}"
+            );
+        }
+        other => panic!("expected a typed Wire error, got {other:?}"),
+    }
+    assert_eq!(
+        member_stats(&sup, 1).events,
+        before,
+        "member 1 must not have applied part of a refused batch"
+    );
+
+    sup.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -36,10 +36,10 @@
 
 use std::sync::Arc;
 
-use sccf_index::codec::Reader;
 use sccf_index::{
     CodecError, FrozenDecodeError, FrozenTierAccel, FrozenTierMode, FrozenUserIndex, TierScratch,
 };
+use sccf_util::codec::{put_blob, put_u32s, put_u64, Reader};
 use sccf_util::topk::Scored;
 
 /// A source of *global-tier* Eq. 11 candidates and frozen Eq. 12
@@ -139,6 +139,19 @@ impl std::fmt::Display for TierDecodeError {
 }
 
 impl std::error::Error for TierDecodeError {}
+
+impl From<CodecError> for TierDecodeError {
+    /// The outer envelope's own framing failures; bytes left over after
+    /// the last section are a length that lied, i.e. `Truncated`.
+    /// (Failures *inside* the embedded sections are wrapped explicitly
+    /// as [`TierDecodeError::Index`] / [`TierDecodeError::Accel`].)
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::BadMagic => Self::BadMagic,
+            CodecError::Truncated | CodecError::Invalid(_) => Self::Truncated,
+        }
+    }
+}
 
 /// An epoch-stamped, immutable, whole-population neighbor snapshot:
 /// frozen user vectors for Eq. 11 plus frozen recent windows for
@@ -303,21 +316,17 @@ impl GlobalNeighborSnapshot {
             48 + self.win_offsets.len() * 4 + self.win_items.len() * 4 + index_bytes.len(),
         );
         out.extend_from_slice(TIER_MAGIC);
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&((self.win_offsets.len() - 1) as u64).to_le_bytes());
-        for &o in &self.win_offsets {
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-        for &i in &self.win_items {
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        out.extend_from_slice(&(index_bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&index_bytes);
+        put_u64(&mut out, self.epoch);
+        put_u64(&mut out, (self.win_offsets.len() - 1) as u64);
+        put_u32s(&mut out, &self.win_offsets);
+        put_u32s(&mut out, &self.win_items);
+        put_blob(&mut out, &index_bytes);
         match &self.accel {
-            None => out.extend_from_slice(&0u64.to_le_bytes()),
+            None => put_u64(&mut out, 0),
             Some(a) => {
+                // Length-prefix in place: the section can be megabytes.
                 let len_at = out.len();
-                out.extend_from_slice(&0u64.to_le_bytes());
+                put_u64(&mut out, 0);
                 let n = a.encode_into(&mut out);
                 out[len_at..len_at + 8].copy_from_slice(&(n as u64).to_le_bytes());
             }
@@ -326,94 +335,37 @@ impl GlobalNeighborSnapshot {
     }
 
     /// Decode an encoding produced by [`GlobalNeighborSnapshot::encode`].
-    /// All length arithmetic is `checked_mul`-guarded (the same
-    /// discipline as `decode_histories`): corrupt prefixes surface a
-    /// typed error, never an overflow panic.
+    /// Every length is proven to fit the remaining bytes before it is
+    /// used (the shared `sccf_util::codec` discipline): corrupt prefixes
+    /// surface a typed error, never an overflow panic.
     pub fn decode(bytes: &[u8]) -> Result<Self, TierDecodeError> {
-        if bytes.len() < 24 {
-            return Err(TierDecodeError::Truncated);
-        }
-        if &bytes[..8] != TIER_MAGIC {
-            return Err(TierDecodeError::BadMagic);
-        }
-        let epoch = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        let n = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        let offsets_len = n.checked_add(1).ok_or(TierDecodeError::Truncated)?;
-        let offsets_bytes = offsets_len
-            .checked_mul(4)
-            .ok_or(TierDecodeError::Truncated)?;
-        let offsets_end = 24usize
-            .checked_add(offsets_bytes)
-            .ok_or(TierDecodeError::Truncated)?;
-        if bytes.len() < offsets_end {
-            return Err(TierDecodeError::Truncated);
-        }
-        let win_offsets: Vec<u32> = bytes[24..offsets_end]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
+        let mut r = Reader::new(bytes);
+        r.magic(TIER_MAGIC)?;
+        let epoch = r.u64()?;
+        let n = r.len_u64()?;
+        let win_offsets = r.u32s(n.checked_add(1).ok_or(TierDecodeError::Truncated)?)?;
         if win_offsets.first() != Some(&0) || win_offsets.windows(2).any(|w| w[0] > w[1]) {
             return Err(TierDecodeError::BadWindows);
         }
         let items_len = *win_offsets.last().expect("n + 1 ≥ 1 offsets") as usize;
-        let items_bytes = items_len.checked_mul(4).ok_or(TierDecodeError::Truncated)?;
-        let items_end = offsets_end
-            .checked_add(items_bytes)
-            .ok_or(TierDecodeError::Truncated)?;
-        if bytes.len() < items_end {
-            return Err(TierDecodeError::Truncated);
-        }
-        let win_items: Vec<u32> = bytes[offsets_end..items_end]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let read_len = |at: usize| -> Result<(usize, usize), TierDecodeError> {
-            let end = at.checked_add(8).ok_or(TierDecodeError::Truncated)?;
-            if bytes.len() < end {
-                return Err(TierDecodeError::Truncated);
-            }
-            let len = u64::from_le_bytes(bytes[at..end].try_into().unwrap());
-            let len = usize::try_from(len).map_err(|_| TierDecodeError::Truncated)?;
-            Ok((len, end))
-        };
-        let (index_len, index_start) = read_len(items_end)?;
-        let index_end = index_start
-            .checked_add(index_len)
-            .ok_or(TierDecodeError::Truncated)?;
-        if bytes.len() < index_end {
-            return Err(TierDecodeError::Truncated);
-        }
-        let index = FrozenUserIndex::decode(&bytes[index_start..index_end])
-            .map_err(TierDecodeError::Index)?;
+        let win_items = r.u32s(items_len)?;
+        let index = FrozenUserIndex::decode(r.blob()?).map_err(TierDecodeError::Index)?;
         if index.len() != n {
             return Err(TierDecodeError::PopulationMismatch {
                 index: index.len(),
                 windows: n,
             });
         }
-        let (accel_len, accel_start) = read_len(index_end)?;
-        let accel = if accel_len == 0 {
+        let accel_bytes = r.blob()?;
+        let accel = if accel_bytes.is_empty() {
             None
         } else {
-            let accel_end = accel_start
-                .checked_add(accel_len)
-                .ok_or(TierDecodeError::Truncated)?;
-            if bytes.len() < accel_end {
-                return Err(TierDecodeError::Truncated);
-            }
-            let mut r = Reader::new(&bytes[accel_start..accel_end]);
-            let a = FrozenTierAccel::decode_from(&mut r).map_err(TierDecodeError::Accel)?;
-            if r.remaining() != 0 {
-                return Err(TierDecodeError::Accel(CodecError::Invalid(
-                    "trailing accel bytes",
-                )));
-            }
+            let mut section = Reader::new(accel_bytes);
+            let a = FrozenTierAccel::decode_from(&mut section).map_err(TierDecodeError::Accel)?;
+            section.finish().map_err(TierDecodeError::Accel)?;
             Some(Arc::new(a))
         };
-        let end = accel_start + accel_len;
-        if bytes.len() != end {
-            return Err(TierDecodeError::Truncated);
-        }
+        r.finish()?;
         Ok(Self {
             epoch,
             index,
@@ -626,6 +578,28 @@ mod tests {
             GlobalNeighborSnapshot::decode(&unsorted),
             Err(TierDecodeError::BadWindows)
         ));
+    }
+
+    /// Regression, reachable from `InstallTier` bytes: an `SCCFAC01`
+    /// section wrapping an empty HNSW graph that declares `u32::MAX`
+    /// layers used to size a 103 GB allocation.
+    #[test]
+    fn accel_section_with_a_huge_layer_count_is_typed() {
+        use sccf_index::{HnswConfig, HnswIndex, Metric};
+        let mut bytes = snapshot().encode();
+        bytes.truncate(bytes.len() - 8); // drop the flat "no accel" length word
+        let mut section = b"SCCFAC01".to_vec();
+        section.push(1); // hnsw mode
+        put_u64(&mut section, 16); // ef
+        put_u64(&mut section, 0); // no ids
+        HnswIndex::new(2, Metric::Cosine, HnswConfig::default()).encode_into(&mut section);
+        let layers_at = section.len() - 4;
+        section[layers_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        put_blob(&mut bytes, &section);
+        assert_eq!(
+            GlobalNeighborSnapshot::decode(&bytes).err(),
+            Some(TierDecodeError::Accel(CodecError::Truncated))
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use std::sync::Arc;
 
 use sccf_models::InductiveUiModel;
+use sccf_util::codec::{put_f32s, put_u32, put_u32s, put_u64, DecodeError, Reader};
 use sccf_util::hash::FxHashSet;
 use sccf_util::timer::{Stopwatch, TimingStats};
 use sccf_util::topk::Scored;
@@ -574,15 +575,11 @@ const USER_STATE_MAGIC: &[u8; 8] = b"SCCFUM01";
 pub fn encode_user_state(user: u32, rep: &[f32], history: &[u32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(20 + rep.len() * 4 + history.len() * 4);
     out.extend_from_slice(USER_STATE_MAGIC);
-    out.extend_from_slice(&user.to_le_bytes());
-    out.extend_from_slice(&(rep.len() as u32).to_le_bytes());
-    for &v in rep {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    out.extend_from_slice(&(history.len() as u32).to_le_bytes());
-    for &item in history {
-        out.extend_from_slice(&item.to_le_bytes());
-    }
+    put_u32(&mut out, user);
+    put_u32(&mut out, rep.len() as u32);
+    put_f32s(&mut out, rep);
+    put_u32(&mut out, history.len() as u32);
+    put_u32s(&mut out, history);
     out
 }
 
@@ -591,45 +588,14 @@ pub fn encode_user_state(user: u32, rep: &[f32], history: &[u32]) -> Vec<u8> {
 /// ranges and the representation dimension are checked at import, where
 /// the target engine is known.
 pub fn decode_user_state(bytes: &[u8]) -> Result<(u32, Vec<f32>, Vec<u32>), SnapshotDecodeError> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8], SnapshotDecodeError> {
-        let end = pos.checked_add(n).ok_or(SnapshotDecodeError::Truncated)?;
-        if end > bytes.len() {
-            return Err(SnapshotDecodeError::Truncated);
-        }
-        let s = &bytes[*pos..end];
-        *pos = end;
-        Ok(s)
-    };
-    if take(&mut pos, 8)? != USER_STATE_MAGIC {
-        return Err(SnapshotDecodeError::BadMagic);
-    }
-    let user = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-    let rep_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-    let rep_bytes = take(
-        &mut pos,
-        rep_len
-            .checked_mul(4)
-            .ok_or(SnapshotDecodeError::Truncated)?,
-    )?;
-    let rep: Vec<f32> = rep_bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap())))
-        .collect();
-    let hist_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-    let hist_bytes = take(
-        &mut pos,
-        hist_len
-            .checked_mul(4)
-            .ok_or(SnapshotDecodeError::Truncated)?,
-    )?;
-    let history: Vec<u32> = hist_bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    if pos != bytes.len() {
-        return Err(SnapshotDecodeError::Truncated);
-    }
+    let mut r = Reader::new(bytes);
+    r.magic(USER_STATE_MAGIC)?;
+    let user = r.u32()?;
+    let rep_len = r.u32()? as usize;
+    let rep = r.f32s(rep_len)?;
+    let hist_len = r.u32()? as usize;
+    let history = r.u32s(hist_len)?;
+    r.finish()?;
     Ok((user, rep, history))
 }
 
@@ -643,12 +609,10 @@ pub fn decode_user_state(bytes: &[u8]) -> Result<(u32, Vec<f32>, Vec<u32>), Snap
 pub fn encode_histories(histories: &[Vec<u32>]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + histories.len() * 8);
     out.extend_from_slice(SNAPSHOT_MAGIC);
-    out.extend_from_slice(&(histories.len() as u64).to_le_bytes());
+    put_u64(&mut out, histories.len() as u64);
     for h in histories {
-        out.extend_from_slice(&(h.len() as u32).to_le_bytes());
-        for &item in h {
-            out.extend_from_slice(&item.to_le_bytes());
-        }
+        put_u32(&mut out, h.len() as u32);
+        put_u32s(&mut out, h);
     }
     out
 }
@@ -716,42 +680,32 @@ impl std::fmt::Display for SnapshotDecodeError {
 
 impl std::error::Error for SnapshotDecodeError {}
 
+impl From<DecodeError> for SnapshotDecodeError {
+    /// Bytes left over after the last record are a length that lied,
+    /// i.e. `Truncated`.
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::BadMagic => Self::BadMagic,
+            DecodeError::Truncated | DecodeError::Invalid(_) => Self::Truncated,
+        }
+    }
+}
+
 /// Decode a snapshot produced by [`encode_histories`] back into the
 /// whole-population history table. Validates framing only (magic,
 /// lengths); catalog-range validation happens at restore, where the
 /// target engine's item count is known.
 pub fn decode_histories(bytes: &[u8]) -> Result<Vec<Vec<u32>>, SnapshotDecodeError> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8], SnapshotDecodeError> {
-        let end = pos.checked_add(n).ok_or(SnapshotDecodeError::Truncated)?;
-        if end > bytes.len() {
-            return Err(SnapshotDecodeError::Truncated);
-        }
-        let s = &bytes[*pos..end];
-        *pos = end;
-        Ok(s)
-    };
-    if take(&mut pos, 8)? != SNAPSHOT_MAGIC {
-        return Err(SnapshotDecodeError::BadMagic);
-    }
-    let n_users = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-    let mut histories = Vec::with_capacity(n_users.min(1 << 20));
+    let mut r = Reader::new(bytes);
+    r.magic(SNAPSHOT_MAGIC)?;
+    // Every user costs at least its u32 length prefix.
+    let n_users = r.count(4)?;
+    let mut histories = Vec::with_capacity(n_users);
     for _ in 0..n_users {
-        let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        // A corrupt length near usize::MAX would overflow `len * 4` and
-        // panic (or wrap, passing a bogus size to `take`); reject it as a
-        // truncated snapshot instead.
-        let byte_len = len.checked_mul(4).ok_or(SnapshotDecodeError::Truncated)?;
-        let raw = take(&mut pos, byte_len)?;
-        let mut h = Vec::with_capacity(len);
-        for c in raw.chunks_exact(4) {
-            h.push(u32::from_le_bytes(c.try_into().unwrap()));
-        }
-        histories.push(h);
+        let len = r.u32()? as usize;
+        histories.push(r.u32s(len)?);
     }
-    if pos != bytes.len() {
-        return Err(SnapshotDecodeError::Truncated);
-    }
+    r.finish()?;
     Ok(histories)
 }
 

@@ -55,6 +55,7 @@
 //! assert_eq!(restored.vector(2), idx.vector(2));
 //! ```
 
+use sccf_util::codec::{put_f32s, put_u32, put_u64, DecodeError, Reader};
 use sccf_util::topk::{Scored, TopK};
 
 /// Why a frozen-index encoding could not be decoded.
@@ -79,6 +80,17 @@ impl std::fmt::Display for FrozenDecodeError {
 }
 
 impl std::error::Error for FrozenDecodeError {}
+
+impl From<DecodeError> for FrozenDecodeError {
+    /// The slab must fill the stream exactly; leftover bytes read as a
+    /// length that does not match, i.e. `Truncated`.
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::BadMagic => Self::BadMagic,
+            DecodeError::Truncated | DecodeError::Invalid(_) => Self::Truncated,
+        }
+    }
+}
 
 const FROZEN_MAGIC: &[u8; 8] = b"SCCFFZ01";
 
@@ -303,11 +315,9 @@ impl FrozenUserIndex {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(20 + self.data.len() * 4);
         out.extend_from_slice(FROZEN_MAGIC);
-        out.extend_from_slice(&(self.dim as u32).to_le_bytes());
-        out.extend_from_slice(&(self.len() as u64).to_le_bytes());
-        for &v in &self.data {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        put_u32(&mut out, self.dim as u32);
+        put_u64(&mut out, self.len() as u64);
+        put_f32s(&mut out, &self.data);
         out
     }
 
@@ -316,29 +326,15 @@ impl FrozenUserIndex {
     /// surface [`FrozenDecodeError::Truncated`], never an overflow
     /// panic or a bogus huge allocation.
     pub fn decode(bytes: &[u8]) -> Result<Self, FrozenDecodeError> {
-        if bytes.len() < 20 {
-            return Err(FrozenDecodeError::Truncated);
-        }
-        if &bytes[..8] != FROZEN_MAGIC {
-            return Err(FrozenDecodeError::BadMagic);
-        }
-        let dim = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        let mut r = Reader::new(bytes);
+        r.magic(FROZEN_MAGIC)?;
+        let dim = r.u32()? as usize;
+        let n = r.len_u64()?;
         if dim == 0 {
             return Err(FrozenDecodeError::ZeroDim);
         }
-        let n = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-        let expected = n
-            .checked_mul(dim)
-            .and_then(|f| f.checked_mul(4))
-            .and_then(|p| p.checked_add(20))
-            .ok_or(FrozenDecodeError::Truncated)?;
-        if bytes.len() != expected {
-            return Err(FrozenDecodeError::Truncated);
-        }
-        let data: Vec<f32> = bytes[20..]
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap())))
-            .collect();
+        let data = r.f32s(n.checked_mul(dim).ok_or(FrozenDecodeError::Truncated)?)?;
+        r.finish()?;
         Ok(Self::from_slab(n, dim, data))
     }
 }

@@ -21,11 +21,12 @@ use std::collections::BinaryHeap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use sccf_util::codec::{put_bool, put_f32s, put_u32, put_u32s, put_u64, Reader};
 use sccf_util::sparse::StampSet;
 use sccf_util::topk::{Scored, TopK};
 
-use crate::codec::{put_f32s, put_u32, put_u32s, put_u64, CodecError, Reader};
 use crate::metric::Metric;
+use crate::CodecError;
 
 /// Reusable search state for [`HnswIndex`]: the visited set, the
 /// best-first frontier and the bounded beam. One of these lives in the
@@ -462,16 +463,8 @@ impl HnswIndex {
         put_u32(out, self.cfg.ef_search as u32);
         put_u64(out, self.cfg.seed);
         put_u64(out, self.len() as u64);
-        match self.entry {
-            Some(e) => {
-                out.push(1);
-                put_u32(out, e);
-            }
-            None => {
-                out.push(0);
-                put_u32(out, 0);
-            }
-        }
+        put_bool(out, self.entry.is_some());
+        put_u32(out, self.entry.unwrap_or(0));
         out.extend_from_slice(&self.levels);
         put_f32s(out, &self.data);
         put_u32(out, self.graph.len() as u32);
@@ -518,9 +511,11 @@ impl HnswIndex {
         let levels = r.bytes(n)?.to_vec();
         let count = n.checked_mul(dim).ok_or(CodecError::Truncated)?;
         let data = r.f32s(count)?;
-        let n_layers = r.u32()? as usize;
+        // Every layer costs at least its u64 edge total, and levels are
+        // u8 — an empty index must not size `graph` from a raw u32.
+        let n_layers = r.count_u32(8)?;
         let max_level = levels.iter().copied().max().unwrap_or(0) as usize;
-        if n > 0 && n_layers != max_level + 1 {
+        if n_layers > 256 || (n > 0 && n_layers != max_level + 1) {
             return Err(CodecError::Invalid("layer count vs levels"));
         }
         let mut graph = Vec::with_capacity(n_layers);
@@ -802,6 +797,29 @@ mod tests {
         );
         // truncation is a typed failure
         assert!(HnswIndex::decode_from(&mut Reader::new(&bytes[..bytes.len() - 3])).is_err());
+    }
+
+    /// Regression: with `n == 0` the layer count was not checked against
+    /// anything, so `u32::MAX` sized a 103 GB `Vec::with_capacity`.
+    #[test]
+    fn empty_index_with_a_huge_layer_count_is_typed() {
+        let mut bytes = Vec::new();
+        HnswIndex::new(4, Metric::Cosine, HnswConfig::default()).encode_into(&mut bytes);
+        let layers_at = bytes.len() - 4; // an empty index ends with n_layers = 0
+        HnswIndex::decode_from(&mut Reader::new(&bytes)).expect("empty index roundtrips");
+        bytes[layers_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(
+            HnswIndex::decode_from(&mut Reader::new(&bytes)).err(),
+            Some(CodecError::Truncated)
+        );
+        // Enough bytes behind it to pass the stream bound: the u8 level
+        // ceiling still rejects it.
+        bytes[layers_at..].copy_from_slice(&257u32.to_le_bytes());
+        bytes.resize(bytes.len() + 257 * 8, 0);
+        assert_eq!(
+            HnswIndex::decode_from(&mut Reader::new(&bytes)).err(),
+            Some(CodecError::Invalid("layer count vs levels"))
+        );
     }
 
     #[test]

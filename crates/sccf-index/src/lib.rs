@@ -34,7 +34,6 @@
 //! assert_eq!(hits[0].id, 0);
 //! ```
 
-pub mod codec;
 pub mod dynamic;
 pub mod flat;
 pub mod frozen;
@@ -46,7 +45,6 @@ pub mod pq;
 pub mod sq;
 pub mod tier;
 
-pub use codec::CodecError;
 pub use dynamic::DynamicIndex;
 pub use flat::FlatIndex;
 pub use frozen::{FrozenDecodeError, FrozenUserIndex};
@@ -54,5 +52,7 @@ pub use hnsw::{HnswConfig, HnswIndex, HnswScratch};
 pub use ivf::IvfIndex;
 pub use metric::Metric;
 pub use pq::{PqConfig, PqIndex};
+/// Decode failure of the accelerated-tier sections ([`hnsw`], [`tier`]).
+pub use sccf_util::codec::DecodeError as CodecError;
 pub use sq::{SqCodebook, SqIndex};
 pub use tier::{FrozenTierAccel, FrozenTierMode, TierScratch};

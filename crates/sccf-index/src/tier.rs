@@ -20,13 +20,14 @@
 //! run entirely out of a [`TierScratch`], preserving the serving
 //! zero-allocation invariant.
 
+use sccf_util::codec::{put_f32s, put_u32, put_u32s, put_u64, Reader};
 use sccf_util::topk::{Scored, TopK};
 
-use crate::codec::{put_f32s, put_u32, put_u32s, put_u64, CodecError, Reader};
 use crate::frozen::FrozenUserIndex;
 use crate::hnsw::{HnswConfig, HnswIndex, HnswScratch};
 use crate::kmeans::{kmeans_seeded, KMeans};
 use crate::metric::Metric;
+use crate::CodecError;
 
 /// How the frozen global tier is searched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -225,7 +225,7 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::framing::MAX_FRAME_LEN;
+    use sccf_util::framing::MAX_FRAME_LEN;
     use std::io::BufWriter;
     use std::net::TcpListener;
 

@@ -3,7 +3,7 @@
 //!
 //! ## Framing
 //!
-//! One message = one `bytes::framing` frame: `[len u32 le][crc32 u32
+//! One message = one `sccf_util::framing` frame: `[len u32 le][crc32 u32
 //! le][payload]`, the same layout (and the same corruption discipline)
 //! as the WAL and checkpoint files — a torn TCP stream or a flipped bit
 //! surfaces as a decode **error**, never a panic and never a silently
@@ -31,16 +31,15 @@
 //! Decoding consumes the whole payload: trailing bytes are an error,
 //! so a frame holds exactly one message and framing bugs cannot hide.
 
-use std::io::{self, Read, Write};
-
-use bytes::framing::{read_frame, write_frame};
 use sccf_core::{CandidateSource, EngineTimings, EventTiming, Exclusion, FrozenTierMode};
 use sccf_serving::api::{
     DurabilityStats, MigrationStats, NeighborhoodStats, PressureStats, RecQuery, RecResponse,
     ServingError, ServingStats, TransportStats,
 };
 use sccf_serving::sharded::ShardReport;
-use sccf_util::checksum::crc32;
+use sccf_util::codec::{
+    put_blob, put_bool, put_f32, put_f64, put_u32, put_u32s, put_u64, put_u8, DecodeError, Reader,
+};
 use sccf_util::timer::TimingStats;
 use sccf_util::topk::Scored;
 
@@ -51,32 +50,13 @@ pub const PROTOCOL_VERSION: u32 = 2;
 
 // ----------------------------------------------------------- transport
 
-/// Write `payload` as one CRC-framed message. A payload above
-/// `bytes::framing::MAX_FRAME_LEN` is `InvalidInput`, reported before
-/// any byte is written.
-pub fn write_message(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    write_frame(w, crc32(payload), payload)
-}
-
-/// Read one CRC-framed message into `buf`. `Ok(None)` = the peer
-/// closed cleanly at a frame boundary; a torn header/payload is
-/// `UnexpectedEof`, a checksum mismatch or impossible length is
-/// `InvalidData` — exactly the WAL scanner's taxonomy.
-pub fn read_message(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<Option<()>> {
-    match read_frame(r, buf)? {
-        None => Ok(None),
-        Some(check) => {
-            if crc32(buf) == check {
-                Ok(Some(()))
-            } else {
-                Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "frame checksum mismatch",
-                ))
-            }
-        }
-    }
-}
+/// Read / write one payload as one CRC-framed message — the same frame
+/// (and the same error taxonomy) as the WAL scanner: `Ok(None)` = the
+/// peer closed cleanly at a frame boundary; a torn header/payload is
+/// `UnexpectedEof`; a checksum mismatch or impossible length is
+/// `InvalidData`; a payload above `MAX_FRAME_LEN` is `InvalidInput`,
+/// reported before any byte is written.
+pub use sccf_util::framing::{read_frame as read_message, write_frame as write_message};
 
 // --------------------------------------------------------- wire errors
 
@@ -118,138 +98,40 @@ impl From<WireError> for ServingError {
     }
 }
 
+impl From<DecodeError> for WireError {
+    /// The cursor's only structural complaint on this path is a string
+    /// that is not UTF-8 (trailing bytes are counted by `finish` below).
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::Invalid(_) => WireError::BadUtf8,
+            DecodeError::Truncated | DecodeError::BadMagic => WireError::Truncated,
+        }
+    }
+}
+
 // ------------------------------------------------------ codec plumbing
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+/// A payload holds exactly one message.
+fn finish(r: Reader<'_>) -> Result<(), WireError> {
+    match r.remaining() {
+        0 => Ok(()),
+        left => Err(WireError::TrailingBytes { left }),
+    }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
-
-fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
-    put_u64(out, v.len() as u64);
-    out.extend_from_slice(v);
-}
-
-fn put_str(out: &mut Vec<u8>, v: &str) {
-    put_bytes(out, v.as_bytes());
-}
-
-/// Bounds-checked reader over one payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> Result<bool, WireError> {
-        Ok(self.u8()? != 0)
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A count of items each at least `min_size` bytes: validated
-    /// against the remaining payload *before* any allocation, so a
-    /// corrupt length can waste at most one frame's worth of memory.
-    fn count(&mut self, min_size: usize) -> Result<usize, WireError> {
-        let n = self.u64()?;
-        let need = (n as usize)
-            .checked_mul(min_size.max(1))
-            .ok_or(WireError::Truncated)?;
-        if need > self.remaining() {
-            return Err(WireError::Truncated);
-        }
-        Ok(n as usize)
-    }
-
-    fn bytes(&mut self) -> Result<&'a [u8], WireError> {
-        let n = self.count(1)?;
-        self.take(n)
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        std::str::from_utf8(self.bytes()?)
-            .map(str::to_string)
-            .map_err(|_| WireError::BadUtf8)
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::TrailingBytes {
-                left: self.remaining(),
-            });
-        }
-        Ok(())
-    }
+fn get_string(r: &mut Reader<'_>) -> Result<String, WireError> {
+    let n = r.count(1)?;
+    Ok(r.string(n)?)
 }
 
 fn put_u32_list(out: &mut Vec<u8>, v: &[u32]) {
     put_u64(out, v.len() as u64);
-    for &x in v {
-        put_u32(out, x);
-    }
+    put_u32s(out, v);
 }
 
 fn get_u32_list(r: &mut Reader<'_>) -> Result<Vec<u32>, WireError> {
     let n = r.count(4)?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(r.u32()?);
-    }
-    Ok(v)
+    Ok(r.u32s(n)?)
 }
 
 // ------------------------------------------------------- shared shapes
@@ -543,21 +425,21 @@ fn put_error(out: &mut Vec<u8>, e: &ServingError) {
         }
         ServingError::InvalidConfig(msg) => {
             put_u8(out, 4);
-            put_str(out, msg);
+            put_blob(out, msg.as_bytes());
         }
         ServingError::Durability(msg) => {
             put_u8(out, 5);
-            put_str(out, msg);
+            put_blob(out, msg.as_bytes());
         }
         ServingError::Wire(msg) => {
             put_u8(out, 6);
-            put_str(out, msg);
+            put_blob(out, msg.as_bytes());
         }
         // Structurally unrepresentable variants degrade to display
         // text; they arrive as `ServingError::Wire`.
         other @ (ServingError::Snapshot(_) | ServingError::EpochInFlight { .. }) => {
             put_u8(out, 6);
-            put_str(out, &other.to_string());
+            put_blob(out, other.to_string().as_bytes());
         }
     }
 }
@@ -574,9 +456,9 @@ fn get_error(r: &mut Reader<'_>) -> Result<ServingError, WireError> {
         },
         2 => ServingError::AnnUnavailable,
         3 => ServingError::NotOwned { user: r.u32()? },
-        4 => ServingError::InvalidConfig(r.string()?),
-        5 => ServingError::Durability(r.string()?),
-        6 => ServingError::Wire(r.string()?),
+        4 => ServingError::InvalidConfig(get_string(r)?),
+        5 => ServingError::Durability(get_string(r)?),
+        6 => ServingError::Wire(get_string(r)?),
         tag => return Err(WireError::BadTag { what: "error", tag }),
     })
 }
@@ -659,7 +541,7 @@ impl Request {
             }
             Request::InstallTier(bytes) => {
                 put_u8(&mut out, 11);
-                put_bytes(&mut out, bytes);
+                put_blob(&mut out, bytes);
             }
             Request::ClearTier => put_u8(&mut out, 12),
             Request::Shutdown => put_u8(&mut out, 13),
@@ -694,7 +576,7 @@ impl Request {
             8 => Request::Checkpoint,
             9 => Request::WalSync,
             10 => Request::ExportUsers(get_u32_list(&mut r)?),
-            11 => Request::InstallTier(r.bytes()?.to_vec()),
+            11 => Request::InstallTier(r.blob()?.to_vec()),
             12 => Request::ClearTier,
             13 => Request::Shutdown,
             tag => {
@@ -704,7 +586,7 @@ impl Request {
                 })
             }
         };
-        r.finish()?;
+        finish(r)?;
         Ok(req)
     }
 }
@@ -786,7 +668,7 @@ impl Response {
             }
             Response::Bytes(b) => {
                 put_u8(&mut out, 7);
-                put_bytes(&mut out, b);
+                put_blob(&mut out, b);
             }
             Response::Watermark(w) => {
                 put_u8(&mut out, 8);
@@ -796,7 +678,7 @@ impl Response {
                 put_u8(&mut out, 9);
                 put_u64(&mut out, blobs.len() as u64);
                 for b in blobs {
-                    put_bytes(&mut out, b);
+                    put_blob(&mut out, b);
                 }
             }
             Response::Err(e) => {
@@ -832,13 +714,13 @@ impl Response {
             }
             5 => Response::Done,
             6 => Response::Stats(Box::new(get_stats(&mut r)?)),
-            7 => Response::Bytes(r.bytes()?.to_vec()),
+            7 => Response::Bytes(r.blob()?.to_vec()),
             8 => Response::Watermark(r.u64()?),
             9 => {
                 let n = r.count(8)?;
                 let mut blobs = Vec::with_capacity(n);
                 for _ in 0..n {
-                    blobs.push(r.bytes()?.to_vec());
+                    blobs.push(r.blob()?.to_vec());
                 }
                 Response::Blobs(blobs)
             }
@@ -850,7 +732,7 @@ impl Response {
                 })
             }
         };
-        r.finish()?;
+        finish(r)?;
         Ok(resp)
     }
 
@@ -1115,53 +997,5 @@ mod tests {
             ServingError::Wire(msg) => assert!(msg.contains("reshard")),
             other => panic!("expected Wire, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn oversized_counts_fail_before_allocating() {
-        // A Blobs response claiming u64::MAX entries in a 9-byte body.
-        let mut payload = vec![9u8];
-        payload.extend_from_slice(&u64::MAX.to_le_bytes());
-        // count * min_size overflows → Truncated, no allocation
-        assert!(matches!(
-            Response::decode(&payload),
-            Err(WireError::Truncated)
-        ));
-    }
-
-    /// Regression: an over-limit payload used to `assert!` in the
-    /// frame encoder; it is a typed `InvalidInput` that writes nothing.
-    #[test]
-    fn oversized_message_is_invalid_input_not_a_panic() {
-        let mut buf = Vec::new();
-        let big = vec![0u8; bytes::framing::MAX_FRAME_LEN + 1];
-        let err = write_message(&mut buf, &big).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        assert!(err.to_string().contains(&big.len().to_string()), "{err}");
-        assert!(buf.is_empty(), "a refused message leaves no partial bytes");
-    }
-
-    #[test]
-    fn message_framing_detects_corruption() {
-        let payload = Request::Ping.encode();
-        let mut buf = Vec::new();
-        write_message(&mut buf, &payload).unwrap();
-        // Clean roundtrip.
-        let mut cursor = std::io::Cursor::new(buf.clone());
-        let mut out = Vec::new();
-        assert!(read_message(&mut cursor, &mut out).unwrap().is_some());
-        assert_eq!(out, payload);
-        assert!(read_message(&mut cursor, &mut out).unwrap().is_none());
-        // A flipped payload bit fails the checksum.
-        let mut bad = buf.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x40;
-        let mut cursor = std::io::Cursor::new(bad);
-        let err = read_message(&mut cursor, &mut out).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // Truncation mid-frame is UnexpectedEof.
-        let mut cursor = std::io::Cursor::new(buf[..buf.len() - 1].to_vec());
-        let err = read_message(&mut cursor, &mut out).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 }

@@ -475,7 +475,7 @@ mod tests {
     #[test]
     fn unframeable_reply_is_answered_with_a_typed_error() {
         let mut wire = Vec::new();
-        let big = Response::Bytes(vec![0; bytes::framing::MAX_FRAME_LEN + 1]);
+        let big = Response::Bytes(vec![0; sccf_util::framing::MAX_FRAME_LEN + 1]);
         write_response(&mut wire, &big).expect("the refusal itself is written");
         let mut payload = Vec::new();
         let mut cursor = &wire[..];

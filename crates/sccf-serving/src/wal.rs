@@ -5,7 +5,7 @@
 //!
 //! **WAL** (`wal-{shard}.log`, magic `SCCFWL01`): the 8-byte magic
 //! followed by a sequence of CRC-32-protected frames
-//! (`bytes::framing`), one per ingested event. A frame payload is
+//! (`sccf_util::framing`), one per ingested event. A frame payload is
 //! `[tag: u8 = 1][seq: u64 le][user: u32 le][item: u32 le]`; `seq` is
 //! the router-assigned global event sequence number, which totally
 //! orders events across shard files at replay time. Shard workers
@@ -43,8 +43,8 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use bytes::framing::{decode_frame, write_frame, Frame, FRAME_HEADER_LEN};
-use sccf_util::checksum::crc32;
+use sccf_util::codec::{put_u32, put_u64, put_u8, DecodeError, Reader};
+use sccf_util::framing::{decode_frame, write_frame, Frame, FRAME_HEADER_LEN};
 
 /// File magic for per-shard WAL files.
 pub const WAL_MAGIC: &[u8; 8] = b"SCCFWL01";
@@ -98,13 +98,23 @@ impl From<std::io::Error> for WalError {
     }
 }
 
+impl From<DecodeError> for WalError {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::BadMagic => WalError::BadMagic,
+            DecodeError::Truncated => WalError::Truncated,
+            DecodeError::Invalid(what) => WalError::Corrupt(what),
+        }
+    }
+}
+
 /// Encode one record's frame payload into `buf` (cleared first).
 pub fn encode_record_into(buf: &mut Vec<u8>, rec: WalRecord) {
     buf.clear();
-    buf.push(RECORD_TAG_EVENT);
-    buf.extend_from_slice(&rec.seq.to_le_bytes());
-    buf.extend_from_slice(&rec.user.to_le_bytes());
-    buf.extend_from_slice(&rec.item.to_le_bytes());
+    put_u8(buf, RECORD_TAG_EVENT);
+    put_u64(buf, rec.seq);
+    put_u32(buf, rec.user);
+    put_u32(buf, rec.item);
 }
 
 /// Decode one frame payload back into a record.
@@ -112,13 +122,14 @@ pub fn decode_record(payload: &[u8]) -> Result<WalRecord, WalError> {
     if payload.len() != RECORD_PAYLOAD_LEN {
         return Err(WalError::Corrupt("record length"));
     }
-    if payload[0] != RECORD_TAG_EVENT {
+    let mut r = Reader::new(payload);
+    if r.u8()? != RECORD_TAG_EVENT {
         return Err(WalError::Corrupt("record tag"));
     }
     Ok(WalRecord {
-        seq: u64::from_le_bytes(payload[1..9].try_into().unwrap()),
-        user: u32::from_le_bytes(payload[9..13].try_into().unwrap()),
-        item: u32::from_le_bytes(payload[13..17].try_into().unwrap()),
+        seq: r.u64()?,
+        user: r.u32()?,
+        item: r.u32()?,
     })
 }
 
@@ -152,9 +163,7 @@ pub struct WalScan {
 /// the stream ends or a frame fails validation. Never panics on
 /// arbitrary input.
 pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
-    if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(WalError::BadMagic);
-    }
+    Reader::new(bytes).magic(WAL_MAGIC)?;
     let mut pos = WAL_MAGIC.len();
     let mut records = Vec::new();
     let tail = loop {
@@ -164,18 +173,13 @@ pub fn scan_wal(bytes: &[u8]) -> Result<WalScan, WalError> {
         match decode_frame(&bytes[pos..]) {
             Frame::Incomplete => break WalTail::Torn,
             Frame::Corrupt => break WalTail::CorruptFrame,
-            Frame::Complete { check, payload } => {
-                if crc32(payload) != check {
-                    break WalTail::CorruptFrame;
+            Frame::Complete { payload } => match decode_record(payload) {
+                Ok(rec) => {
+                    records.push((pos, rec));
+                    pos += FRAME_HEADER_LEN + payload.len();
                 }
-                match decode_record(payload) {
-                    Ok(rec) => {
-                        records.push((pos, rec));
-                        pos += FRAME_HEADER_LEN + payload.len();
-                    }
-                    Err(_) => break WalTail::CorruptFrame,
-                }
-            }
+                Err(_) => break WalTail::CorruptFrame,
+            },
         }
     };
     Ok(WalScan {
@@ -257,9 +261,6 @@ impl WalWriter {
     /// positions at the end.
     pub fn reopen(path: &Path, fsync_every: u32) -> Result<Self, WalError> {
         let bytes = fs::read(path)?;
-        if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-            return Err(WalError::BadMagic);
-        }
         let max_seq = scan_wal(&bytes)?
             .records
             .iter()
@@ -288,7 +289,7 @@ impl WalWriter {
     pub fn append(&mut self, rec: WalRecord) -> Result<(), WalError> {
         encode_record_into(&mut self.buf, rec);
         self.frame.clear();
-        write_frame(&mut self.frame, crc32(&self.buf), &self.buf)?;
+        write_frame(&mut self.frame, &self.buf)?;
         self.file.write_all(&self.frame)?;
         self.len += self.frame.len() as u64;
         self.appended += 1;
@@ -461,7 +462,7 @@ pub struct Checkpoint {
 /// Serialize a checkpoint: magic, CRC-framed header, CRC-framed blobs.
 ///
 /// # Panics
-/// If one blob exceeds `bytes::framing::MAX_FRAME_LEN` (a single
+/// If one blob exceeds `sccf_util::framing::MAX_FRAME_LEN` (a single
 /// user's state above 16 MiB — four million history items).
 pub fn encode_checkpoint(epoch: u64, watermark: u64, blobs: &[Vec<u8>]) -> Vec<u8> {
     let mut out = Vec::with_capacity(
@@ -475,12 +476,12 @@ pub fn encode_checkpoint(epoch: u64, watermark: u64, blobs: &[Vec<u8>]) -> Vec<u
     );
     out.extend_from_slice(CHECKPOINT_MAGIC);
     let mut header = Vec::with_capacity(24);
-    header.extend_from_slice(&epoch.to_le_bytes());
-    header.extend_from_slice(&watermark.to_le_bytes());
-    header.extend_from_slice(&(blobs.len() as u64).to_le_bytes());
-    write_frame(&mut out, crc32(&header), &header).expect("a 24-byte header fits a frame");
+    put_u64(&mut header, epoch);
+    put_u64(&mut header, watermark);
+    put_u64(&mut header, blobs.len() as u64);
+    write_frame(&mut out, &header).expect("a 24-byte header fits a frame");
     for blob in blobs {
-        write_frame(&mut out, crc32(blob), blob).expect("a user-state blob fits a frame");
+        write_frame(&mut out, blob).expect("a user-state blob fits a frame");
     }
     out
 }
@@ -489,47 +490,37 @@ pub fn encode_checkpoint(epoch: u64, watermark: u64, blobs: &[Vec<u8>]) -> Vec<u
 /// (where a torn tail is expected), a checkpoint is written atomically
 /// — any defect rejects the whole file.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, WalError> {
-    if bytes.len() < CHECKPOINT_MAGIC.len() || &bytes[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC
-    {
-        return Err(WalError::BadMagic);
-    }
-    let mut pos = CHECKPOINT_MAGIC.len();
-    fn next<'a>(
-        bytes: &'a [u8],
-        pos: &mut usize,
-        what: &'static str,
-    ) -> Result<&'a [u8], WalError> {
-        match decode_frame(&bytes[*pos..]) {
+    let mut r = Reader::new(bytes);
+    r.magic(CHECKPOINT_MAGIC)?;
+    let mut rest = r.rest();
+    fn next<'a>(rest: &mut &'a [u8], what: &'static str) -> Result<&'a [u8], WalError> {
+        match decode_frame(rest) {
             Frame::Incomplete => Err(WalError::Truncated),
             Frame::Corrupt => Err(WalError::Corrupt(what)),
-            Frame::Complete { check, payload } => {
-                if crc32(payload) != check {
-                    return Err(WalError::Corrupt(what));
-                }
-                *pos += FRAME_HEADER_LEN + payload.len();
+            Frame::Complete { payload } => {
+                *rest = &rest[FRAME_HEADER_LEN + payload.len()..];
                 Ok(payload)
             }
         }
     }
-    let header = next(bytes, &mut pos, "checkpoint header")?;
+    let header = next(&mut rest, "checkpoint header")?;
     if header.len() != 24 {
         return Err(WalError::Corrupt("checkpoint header length"));
     }
-    let epoch = u64::from_le_bytes(header[0..8].try_into().unwrap());
-    let watermark = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    let n_entries = u64::from_le_bytes(header[16..24].try_into().unwrap());
+    let mut h = Reader::new(header);
+    let epoch = h.u64()?;
+    let watermark = h.u64()?;
     // A corrupt count cannot allocate more than the stream could hold:
     // every entry costs at least a frame header.
-    let max_possible = (bytes.len() - pos) / FRAME_HEADER_LEN + 1;
-    let n_entries = usize::try_from(n_entries).map_err(|_| WalError::Corrupt("entry count"))?;
-    if n_entries > max_possible {
-        return Err(WalError::Corrupt("entry count"));
-    }
+    let n_entries = usize::try_from(h.u64()?)
+        .ok()
+        .filter(|&n| n <= rest.len() / FRAME_HEADER_LEN)
+        .ok_or(WalError::Corrupt("entry count"))?;
     let mut blobs = Vec::with_capacity(n_entries);
     for _ in 0..n_entries {
-        blobs.push(next(bytes, &mut pos, "checkpoint entry")?.to_vec());
+        blobs.push(next(&mut rest, "checkpoint entry")?.to_vec());
     }
-    if pos != bytes.len() {
+    if !rest.is_empty() {
         return Err(WalError::Corrupt("trailing bytes"));
     }
     Ok(Checkpoint {

@@ -16,7 +16,7 @@
 //! match the receiving architecture (the safe way to rehydrate a model
 //! built from its config).
 
-use bytes::{Buf, BufMut};
+use sccf_util::codec::{put_f32s, put_u32, put_u8, DecodeError, Reader};
 
 use crate::mat::Mat;
 use crate::store::ParamStore;
@@ -47,63 +47,33 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+impl From<DecodeError> for SnapshotError {
+    /// A name that is not UTF-8 has always read as a damaged stream.
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::BadMagic => SnapshotError::BadMagic,
+            DecodeError::Truncated | DecodeError::Invalid(_) => SnapshotError::Truncated,
+        }
+    }
+}
+
 /// Serialize every parameter (values + Adam moments) into a byte buffer.
 pub fn save_store(store: &ParamStore) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + store.n_scalars() * 12);
-    out.put_slice(MAGIC);
-    out.put_u32_le(VERSION);
-    out.put_u32_le(store.len() as u32);
+    out.extend_from_slice(MAGIC);
+    put_u32(&mut out, VERSION);
+    put_u32(&mut out, store.len() as u32);
     for (_, p) in store.iter() {
-        out.put_u32_le(p.name.len() as u32);
-        out.put_slice(p.name.as_bytes());
-        out.put_u8(p.sparse as u8);
-        out.put_u32_le(p.value.rows() as u32);
-        out.put_u32_le(p.value.cols() as u32);
-        for &x in p.value.data() {
-            out.put_f32_le(x);
-        }
-        for &x in p.m.data() {
-            out.put_f32_le(x);
-        }
-        for &x in p.v.data() {
-            out.put_f32_le(x);
-        }
+        put_u32(&mut out, p.name.len() as u32);
+        out.extend_from_slice(p.name.as_bytes());
+        put_u8(&mut out, p.sparse as u8);
+        put_u32(&mut out, p.value.rows() as u32);
+        put_u32(&mut out, p.value.cols() as u32);
+        put_f32s(&mut out, p.value.data());
+        put_f32s(&mut out, p.m.data());
+        put_f32s(&mut out, p.v.data());
     }
     out
-}
-
-struct Reader<'a>(&'a [u8]);
-
-impl Reader<'_> {
-    fn need(&self, n: usize) -> Result<(), SnapshotError> {
-        if self.0.remaining() < n {
-            Err(SnapshotError::Truncated)
-        } else {
-            Ok(())
-        }
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        self.need(4)?;
-        Ok(self.0.get_u32_le())
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        self.need(1)?;
-        Ok(self.0.get_u8())
-    }
-
-    fn string(&mut self, len: usize) -> Result<String, SnapshotError> {
-        self.need(len)?;
-        let mut buf = vec![0u8; len];
-        self.0.copy_to_slice(&mut buf);
-        String::from_utf8(buf).map_err(|_| SnapshotError::Truncated)
-    }
-
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, SnapshotError> {
-        self.need(n * 4)?;
-        Ok((0..n).map(|_| self.0.get_f32_le()).collect())
-    }
 }
 
 struct RawParam {
@@ -114,29 +84,28 @@ struct RawParam {
     v: Mat,
 }
 
+/// Smallest encoded parameter: empty name, flag, two dimensions.
+const MIN_PARAM_LEN: usize = 4 + 1 + 4 + 4;
+
 fn parse(bytes: &[u8]) -> Result<Vec<RawParam>, SnapshotError> {
-    let mut r = Reader(bytes);
-    r.need(4)?;
-    let mut magic = [0u8; 4];
-    r.0.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
+    let mut r = Reader::new(bytes);
+    r.magic(MAGIC)?;
     let version = r.u32()?;
     if version != VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
-    let n = r.u32()? as usize;
+    let n = r.count_u32(MIN_PARAM_LEN)?;
     let mut params = Vec::with_capacity(n);
     for _ in 0..n {
         let name_len = r.u32()? as usize;
         let name = r.string(name_len)?;
-        let sparse = r.u8()? != 0;
+        let sparse = r.bool()?;
         let rows = r.u32()? as usize;
         let cols = r.u32()? as usize;
-        let value = Mat::from_vec(rows, cols, r.f32s(rows * cols)?);
-        let m = Mat::from_vec(rows, cols, r.f32s(rows * cols)?);
-        let v = Mat::from_vec(rows, cols, r.f32s(rows * cols)?);
+        let len = rows.checked_mul(cols).ok_or(SnapshotError::Truncated)?;
+        let value = Mat::from_vec(rows, cols, r.f32s(len)?);
+        let m = Mat::from_vec(rows, cols, r.f32s(len)?);
+        let v = Mat::from_vec(rows, cols, r.f32s(len)?);
         params.push(RawParam {
             name,
             sparse,
@@ -316,6 +285,32 @@ mod tests {
         assert_eq!(
             load_store(&bytes).unwrap_err(),
             SnapshotError::UnsupportedVersion(99)
+        );
+    }
+
+    /// Regression: both headers used to reach an allocation sized from
+    /// the raw field (a 652 GB `with_capacity`; `rows * cols * 4`
+    /// wrapping to 0 → `capacity overflow`) instead of failing typed.
+    #[test]
+    fn oversized_counts_are_truncated_not_allocated() {
+        let mut many_params = b"SCCF".to_vec();
+        put_u32(&mut many_params, VERSION);
+        put_u32(&mut many_params, u32::MAX);
+        assert_eq!(
+            load_store(&many_params).unwrap_err(),
+            SnapshotError::Truncated
+        );
+
+        let mut wrapped_shape = b"SCCF".to_vec();
+        put_u32(&mut wrapped_shape, VERSION);
+        put_u32(&mut wrapped_shape, 1);
+        put_u32(&mut wrapped_shape, 0); // empty name
+        put_u8(&mut wrapped_shape, 0);
+        put_u32(&mut wrapped_shape, 1 << 31);
+        put_u32(&mut wrapped_shape, 1 << 31);
+        assert_eq!(
+            load_store(&wrapped_shape).unwrap_err(),
+            SnapshotError::Truncated
         );
     }
 }

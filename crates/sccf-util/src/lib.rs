@@ -7,6 +7,11 @@
 //!   (integer-keyed maps are on every hot path of a recommender).
 //! * [`checksum`] — table-driven CRC-32 (IEEE) protecting the WAL and
 //!   checkpoint frames of the durability layer.
+//! * [`codec`] — the one bounds-checked little-endian cursor, `put_*`
+//!   appenders and `DecodeError` behind every `SCCF*` byte format and
+//!   the fleet wire protocol.
+//! * [`framing`] — length-prefixed CRC-32 frames: the record envelope of
+//!   the WAL, the checkpoint files and the wire.
 //! * [`topk`] — heap-based top-k selection over scored ids, the primitive
 //!   behind every "retrieve the N best items/users" step.
 //! * [`stats`] — online mean/variance (Welford), z-normalization as used by
@@ -27,7 +32,9 @@
 //!   (Table III).
 
 pub mod checksum;
+pub mod codec;
 pub mod flags;
+pub mod framing;
 pub mod hash;
 pub mod json;
 pub mod rng;

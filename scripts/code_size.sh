@@ -20,6 +20,11 @@
 # `unsafe` appears in a code line under crates/, src/ or vendor/ outside
 # crates/sccf-tensor/src/simd.rs — the one audited home of the AVX2
 # kernels (ROADMAP item 3).
+#
+# Prints the number of `from_le_bytes`/`to_le_bytes` sites under crates/
+# and src/ (hand byte-twiddling outside the shared codec shows up here)
+# and exits 1 if `struct Reader` or `fn put_u32` is defined anywhere but
+# crates/sccf-util/src/codec.rs — one cursor, one set of appenders.
 set -euo pipefail
 
 code_lines() { xargs -r cat | grep -cvE '^\s*(//|$)' || true; }
@@ -46,6 +51,15 @@ unsafe_sites() { grep -rnw --include='*.rs' unsafe crates src vendor | grep -vE 
 printf 'unsafe sites: %d\n' "$(unsafe_sites | wc -l)"
 if unsafe_sites | grep -v '^crates/sccf-tensor/src/simd.rs:'; then
   echo 'error: unsafe outside crates/sccf-tensor/src/simd.rs (see the lines above)' >&2
+  exit 1
+fi
+
+printf 'le_bytes sites: %d in %d files\n' \
+  "$(grep -rnE --include='*.rs' '(from|to)_le_bytes' crates src | wc -l)" \
+  "$(grep -rlE --include='*.rs' '(from|to)_le_bytes' crates src | wc -l)"
+if grep -rnE --include='*.rs' 'struct Reader\b|fn put_u32\b' crates src vendor |
+  grep -v '^crates/sccf-util/src/codec.rs:'; then
+  echo 'error: a second byte cursor or appender set; use sccf_util::codec (see the lines above)' >&2
   exit 1
 fi
 

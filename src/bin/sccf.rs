@@ -34,6 +34,7 @@ use sccf::models::{
     AvgPoolConfig, AvgPoolDnn, Caser, CaserConfig, Fism, FismConfig, Gru4Rec, Gru4RecConfig,
     InductiveUiModel, Recommender, SasRec, SasRecConfig, TrainConfig,
 };
+use sccf::util::codec::{put_u32, put_u64, put_u8, DecodeError, Reader};
 use sccf::util::Flags;
 
 const ENVELOPE_MAGIC: &[u8; 8] = b"SCCFMDL1";
@@ -96,31 +97,29 @@ impl Envelope {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32 + self.weights.len());
         out.extend_from_slice(ENVELOPE_MAGIC);
-        out.push(self.kind.tag());
-        out.extend_from_slice(&self.dim.to_le_bytes());
-        out.extend_from_slice(&self.max_len.to_le_bytes());
-        out.extend_from_slice(&self.n_items.to_le_bytes());
-        out.extend_from_slice(&self.seed.to_le_bytes());
+        put_u8(&mut out, self.kind.tag());
+        put_u32(&mut out, self.dim);
+        put_u32(&mut out, self.max_len);
+        put_u32(&mut out, self.n_items);
+        put_u64(&mut out, self.seed);
         out.extend_from_slice(&self.weights);
         out
     }
 
     fn decode(bytes: &[u8]) -> Result<Self, String> {
-        if bytes.len() < 29 || &bytes[..8] != ENVELOPE_MAGIC {
-            return Err("not an sccf model file".into());
-        }
-        let kind = ModelKind::from_tag(bytes[8]).ok_or("unknown model kind")?;
-        let dim = u32::from_le_bytes(bytes[9..13].try_into().unwrap());
-        let max_len = u32::from_le_bytes(bytes[13..17].try_into().unwrap());
-        let n_items = u32::from_le_bytes(bytes[17..21].try_into().unwrap());
-        let seed = u64::from_le_bytes(bytes[21..29].try_into().unwrap());
+        let mut r = Reader::new(bytes);
+        let mut header = || {
+            r.magic(ENVELOPE_MAGIC)?;
+            Ok::<_, DecodeError>((r.u8()?, r.u32()?, r.u32()?, r.u32()?, r.u64()?))
+        };
+        let (tag, dim, max_len, n_items, seed) = header().map_err(|_| "not an sccf model file")?;
         Ok(Self {
-            kind,
+            kind: ModelKind::from_tag(tag).ok_or("unknown model kind")?,
             dim,
             max_len,
             n_items,
             seed,
-            weights: bytes[29..].to_vec(),
+            weights: r.rest().to_vec(),
         })
     }
 }

@@ -222,6 +222,36 @@ fn histories_artifact(seed: u64) -> (Vec<Vec<u32>>, Vec<u8>) {
     (histories, bytes)
 }
 
+/// The shared decoder contract, exhaustively: *every* strict prefix is
+/// a typed error, and overwriting any position with `u32::MAX` /
+/// `u64::MAX` — every length or count field set to its type's maximum,
+/// wherever the layout puts it — returns cleanly: no panic, no
+/// allocation sized from the corrupt field (that would abort the test
+/// process, not fail it).
+fn assert_decoder_is_total<T, E>(bytes: &[u8], decode: impl Fn(&[u8]) -> Result<T, E>) {
+    for cut in 0..bytes.len() {
+        assert!(
+            decode(&bytes[..cut]).is_err(),
+            "the {cut}-byte strict prefix must not decode"
+        );
+    }
+    let mut corrupt = bytes.to_vec();
+    for width in [4usize, 8] {
+        for at in 0..bytes.len().saturating_sub(width - 1) {
+            corrupt[at..at + width].fill(0xFF);
+            let _ = decode(&corrupt);
+            corrupt[at..at + width].copy_from_slice(&bytes[at..at + width]);
+        }
+    }
+}
+
+/// Overwrite the `width`-byte field at `at` with all-ones.
+fn with_max_field(bytes: &[u8], at: usize, width: usize) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at..at + width].fill(0xFF);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -251,6 +281,14 @@ proptest! {
         // a length prefix must be caught by the checked-length guards.
         // Either way: a clean return, never a panic or over-allocation.
         let _ = sccf::core::decode_histories(&corrupt);
+        // The user count and every per-user length at its type's MAX.
+        prop_assert!(sccf::core::decode_histories(&with_max_field(&bytes, 8, 8)).is_err());
+        let mut at = 16;
+        for h in &histories {
+            prop_assert!(sccf::core::decode_histories(&with_max_field(&bytes, at, 4)).is_err());
+            at += 4 + 4 * h.len();
+        }
+        assert_decoder_is_total(&bytes, sccf::core::decode_histories);
     }
 
     /// `SCCFUM01` (per-user state blob, the checkpoint payload): same
@@ -278,6 +316,11 @@ proptest! {
         let pos = flip_pos % corrupt.len();
         corrupt[pos] ^= 1 << flip_bit;
         let _ = sccf::core::decode_user_state(&corrupt);
+        // Both length prefixes at u32::MAX.
+        for at in [12, 16 + 4 * rep.len()] {
+            prop_assert!(sccf::core::decode_user_state(&with_max_field(&bytes, at, 4)).is_err());
+        }
+        assert_decoder_is_total(&bytes, sccf::core::decode_user_state);
     }
 
     /// `SCCFWL01` (WAL): corruption anywhere makes the scan stop at a
@@ -391,6 +434,7 @@ proptest! {
                 (u, v, w)
             })
             .collect();
+        let accel_entries = entries.clone();
         let snap = GlobalNeighborSnapshot::build(1, n_users, dim, entries);
         let bytes = snap.encode();
         prop_assert!(GlobalNeighborSnapshot::decode(&bytes).is_ok());
@@ -404,6 +448,49 @@ proptest! {
         let pos = flip_pos % corrupt.len();
         corrupt[pos] ^= 1 << flip_bit;
         let _ = GlobalNeighborSnapshot::decode(&corrupt);
+        // The population count at u64::MAX, then the exhaustive sweep —
+        // over the flat artifact and over both accelerated ones, whose
+        // `SCCFAC01`/`SCCFHN01` sections carry a dozen more counts.
+        prop_assert!(GlobalNeighborSnapshot::decode(&with_max_field(&bytes, 16, 8)).is_err());
+        assert_decoder_is_total(&bytes, GlobalNeighborSnapshot::decode);
+        use sccf::index::FrozenTierMode;
+        for mode in [
+            FrozenTierMode::Hnsw { ef: 8 },
+            FrozenTierMode::IvfPq { nlist: 2, nprobe: 1, m: 2 },
+        ] {
+            let accel = GlobalNeighborSnapshot::build_with_mode(
+                1, n_users, dim, mode, seed, accel_entries.clone(),
+            )
+            .encode();
+            prop_assert!(GlobalNeighborSnapshot::decode(&accel).is_ok());
+            assert_decoder_is_total(&accel, GlobalNeighborSnapshot::decode);
+        }
+    }
+
+    /// The `SCCF` parameter store (model weights, read on every
+    /// `serve-shard` start): same contract. Its name length, shape and
+    /// parameter count used to size allocations unchecked.
+    #[test]
+    fn param_store_decoder_survives_truncation_and_corruption(seed in 0u64..10_000) {
+        use proptest::Gen;
+        use sccf::tensor::{load_store, save_store, Mat, ParamStore};
+        let mut g = Gen::new(seed);
+        let mut store = ParamStore::new();
+        for p in 0..1 + g.below(3) {
+            let (rows, cols) = (g.below(4) as usize, 1 + g.below(4) as usize);
+            let data = (0..rows * cols).map(|_| g.unit_f64() as f32).collect();
+            let value = Mat::from_vec(rows, cols, data);
+            if g.below(2) == 0 {
+                store.add(format!("p{p}"), value);
+            } else {
+                store.add_sparse(format!("p{p}"), value);
+            }
+        }
+        let bytes = save_store(&store);
+        prop_assert_eq!(save_store(&load_store(&bytes).expect("own artifact decodes")), bytes.clone());
+        // The parameter count at u32::MAX.
+        prop_assert!(load_store(&with_max_field(&bytes, 8, 4)).is_err());
+        assert_decoder_is_total(&bytes, load_store);
     }
 }
 
@@ -534,6 +621,7 @@ proptest! {
         // Tag or count flips must fail cleanly; value flips may decode
         // to different content. Either way: no panic, no OOM.
         let _ = Request::decode(&corrupt);
+        assert_decoder_is_total(&bytes, Request::decode);
     }
 }
 
@@ -671,5 +759,400 @@ proptest! {
             prop_assert_eq!(accepted, n);
             prop_assert!(clean, "an undamaged stream must scan to clean EOF");
         }
+    }
+}
+
+// ------------------------------------------------------ golden bytes
+//
+// Every other pin in this file compares two encoders that change
+// together (encode → decode → re-encode). The table below pins each
+// byte format *absolutely*: one fixed fixture per format, CRC-32 of its
+// encoding. A digest moves only when bytes on disk or on the wire move
+// — which needs a magic/version bump, not a refactor.
+
+/// Deterministic, rand-free fixture values in (-1, 1).
+fn golden_vec(seed: u32, dim: usize) -> Vec<f32> {
+    (0..dim as u32)
+        .map(|j| (((seed * 31 + j * 17 + 7) % 41) as f32 - 20.0) / 21.0)
+        .collect()
+}
+
+fn golden_entries(n_users: u32, dim: usize) -> Vec<(u32, Vec<f32>, Vec<u32>)> {
+    (0..n_users)
+        .filter(|u| u % 7 != 5) // a few uncovered users
+        .map(|u| (u, golden_vec(u, dim), (0..u % 4).map(|k| u + k).collect()))
+        .collect()
+}
+
+/// One fixed artifact per byte format, by name.
+fn golden_fixtures() -> Vec<(String, Vec<u8>)> {
+    use sccf::core::{EngineTimings, EventTiming, GlobalNeighborSnapshot, TIER_BUILD_SEED};
+    use sccf::index::{FrozenTierMode, FrozenUserIndex, HnswConfig, HnswIndex, Metric};
+    use sccf::net::{Request, Response, PROTOCOL_VERSION};
+    use sccf::serving::api::{
+        DurabilityStats, MigrationStats, NeighborhoodStats, PressureStats, RecQuery, RecResponse,
+        ServingError, ServingStats, TransportStats,
+    };
+    use sccf::serving::sharded::ShardReport;
+    use sccf::serving::wal;
+    use sccf::tensor::{Mat, ParamStore};
+    use sccf::util::topk::Scored;
+
+    let mut out: Vec<(String, Vec<u8>)> = Vec::new();
+
+    // SCCFRT01 / SCCFUM01
+    let histories: Vec<Vec<u32>> = (0..9u32)
+        .map(|u| (0..u % 5).map(|k| u * 3 + k).collect())
+        .collect();
+    out.push(("histories".into(), sccf::core::encode_histories(&histories)));
+    out.push((
+        "user_state".into(),
+        sccf::core::encode_user_state(42, &golden_vec(42, 6), &[5, 1, 4, 1]),
+    ));
+
+    // SCCFFZ01, SCCFGT02 (+ SCCFAC01 / SCCFHN01 inside the accelerated ones)
+    let (n_users, dim) = (48u32, 6usize);
+    let rows = golden_entries(n_users, dim)
+        .into_iter()
+        .map(|(u, v, _)| (u, v));
+    out.push((
+        "frozen_index".into(),
+        FrozenUserIndex::from_rows(n_users as usize, dim, rows).encode(),
+    ));
+    for (name, mode) in [
+        ("tier_flat", FrozenTierMode::Flat),
+        ("tier_hnsw", FrozenTierMode::Hnsw { ef: 16 }),
+        (
+            "tier_ivfpq",
+            FrozenTierMode::IvfPq {
+                nlist: 4,
+                nprobe: 2,
+                m: 3,
+            },
+        ),
+    ] {
+        let snap = GlobalNeighborSnapshot::build_with_mode(
+            5,
+            n_users as usize,
+            dim,
+            mode,
+            TIER_BUILD_SEED,
+            golden_entries(n_users, dim),
+        );
+        out.push((name.into(), snap.encode()));
+    }
+    let mut hnsw = HnswIndex::new(dim, Metric::Cosine, HnswConfig::default());
+    for u in 0..40 {
+        hnsw.add(&golden_vec(u, dim));
+    }
+    let mut section = Vec::new();
+    hnsw.encode_into(&mut section);
+    out.push(("hnsw_section".into(), section));
+
+    // SCCFCP01 / SCCFWL01
+    let blobs: Vec<Vec<u8>> = (0..3u32)
+        .map(|u| sccf::core::encode_user_state(u, &golden_vec(u, 4), &[u, u + 1]))
+        .collect();
+    out.push(("checkpoint".into(), wal::encode_checkpoint(3, 999, &blobs)));
+    let dir = std::env::temp_dir().join(format!("sccf_golden_wal_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = wal::wal_path(&dir, 0);
+    let mut w = wal::WalWriter::create(&path, 1).unwrap();
+    w.append(wal::WalRecord {
+        seq: 0x0102_0304_0506_0708,
+        user: 77,
+        item: 1234,
+    })
+    .unwrap();
+    w.sync().unwrap();
+    out.push((
+        "wal_magic_and_one_frame".into(),
+        std::fs::read(&path).unwrap(),
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // "SCCF" param store
+    let mut store = ParamStore::new();
+    let wid = store.add("w", Mat::from_vec(2, 3, golden_vec(1, 6)));
+    store.add_sparse("emb", Mat::from_vec(3, 2, golden_vec(2, 6)));
+    store.param_mut(wid).m = Mat::filled(2, 3, 0.5);
+    store.param_mut(wid).v = Mat::filled(2, 3, 0.25);
+    out.push(("param_store".into(), sccf::tensor::save_store(&store)));
+
+    // wire v2: one of every request and response variant
+    let query = RecQuery {
+        k: 5,
+        source: sccf::core::CandidateSource::Exact,
+        exclude: sccf::core::Exclusion::HistoryAnd(vec![1, 2, 3]),
+    };
+    for (name, req) in [
+        (
+            "Hello",
+            Request::Hello {
+                protocol: PROTOCOL_VERSION,
+            },
+        ),
+        ("Ping", Request::Ping),
+        (
+            "IngestBatch",
+            Request::IngestBatch(vec![(0, 1), (7, 42), (u32::MAX, 0)]),
+        ),
+        (
+            "Recommend",
+            Request::Recommend {
+                user: 3,
+                query: query.clone(),
+            },
+        ),
+        (
+            "RecommendMany",
+            Request::RecommendMany {
+                users: vec![1, 2, 3],
+                query: RecQuery::top(4).with_source(sccf::core::CandidateSource::Ann),
+            },
+        ),
+        ("Flush", Request::Flush),
+        ("Stats", Request::Stats),
+        ("Snapshot", Request::Snapshot),
+        ("Checkpoint", Request::Checkpoint),
+        ("WalSync", Request::WalSync),
+        ("ExportUsers", Request::ExportUsers(vec![9, 8, 7])),
+        ("InstallTier", Request::InstallTier(vec![1, 2, 3, 4, 5])),
+        ("ClearTier", Request::ClearTier),
+        ("Shutdown", Request::Shutdown),
+    ] {
+        out.push((format!("req_{name}"), req.encode()));
+    }
+
+    let mut timings = EngineTimings::default();
+    timings.record(EventTiming {
+        infer_ms: 0.25,
+        identify_ms: 0.5,
+    });
+    timings.record(EventTiming {
+        infer_ms: 1.0 / 3.0,
+        identify_ms: 2.0 / 7.0,
+    });
+    let stats = ServingStats {
+        events: 12,
+        recommends: 3,
+        timings: timings.clone(),
+        shards: vec![ShardReport {
+            shard: 2,
+            events: 12,
+            recommends: 3,
+            timings,
+            retired: false,
+            queue_capacity: 1024,
+            tier_dirty: 7,
+        }],
+        migration: MigrationStats {
+            in_progress: true,
+            migrated_users: 4,
+            pending_users: 5,
+            batches: 6,
+        },
+        neighborhood: NeighborhoodStats {
+            two_tier: true,
+            epoch: 3,
+            users_covered: 100,
+            events_since_refresh: 17,
+            last_refresh_ms: 1.5,
+            refresh_in_progress: false,
+            tier_mode: FrozenTierMode::IvfPq {
+                nlist: 4,
+                nprobe: 2,
+                m: 8,
+            },
+            tier_bytes: 4096,
+            tier_search_ns: 12345.6,
+            last_refresh_users: 33,
+            delta_ready: true,
+        },
+        durability: DurabilityStats {
+            enabled: true,
+            wal_records: 100,
+            wal_bytes: 2500,
+            wal_unsynced_bytes: 25,
+            wal_syncs: 12,
+            checkpoints: 2,
+            checkpoint_watermark: 96,
+            last_checkpoint_bytes: 999,
+            events_since_checkpoint: 4,
+        },
+        pressure: PressureStats {
+            sends: 900,
+            stalls: 13,
+            stall_ms: 2.75,
+            queue_capacity: 1024,
+            peak_queue: 768,
+        },
+        transport: TransportStats {
+            requests: 4321,
+            read_ahead_hits: 1234,
+            peak_read_ahead: 4,
+            read_ahead_capacity: 4,
+        },
+    };
+    let slate = RecResponse {
+        items: vec![
+            Scored {
+                id: 7,
+                score: 0.125,
+            },
+            Scored {
+                id: 8,
+                score: -1.0 / 3.0,
+            },
+        ],
+        timing: EventTiming {
+            infer_ms: 0.1,
+            identify_ms: 0.2,
+        },
+    };
+    for (name, resp) in [
+        (
+            "HelloOk",
+            Response::HelloOk {
+                protocol: PROTOCOL_VERSION,
+                n_users: 120,
+                n_items: 60,
+                base: 2,
+                count: 2,
+                total: 4,
+            },
+        ),
+        ("Pong", Response::Pong),
+        ("Ingested", Response::Ingested(42)),
+        ("Slate", Response::Slate(slate.clone())),
+        (
+            "Slates",
+            Response::Slates(vec![
+                slate,
+                RecResponse {
+                    items: vec![],
+                    timing: EventTiming {
+                        infer_ms: 0.0,
+                        identify_ms: 0.0,
+                    },
+                },
+            ]),
+        ),
+        ("Done", Response::Done),
+        ("Stats", Response::Stats(Box::new(stats))),
+        ("Bytes", Response::Bytes(vec![0xde, 0xad])),
+        ("Watermark", Response::Watermark(1234)),
+        ("Blobs", Response::Blobs(vec![vec![1], vec![], vec![2, 3]])),
+        (
+            "Err_UnknownUser",
+            Response::Err(ServingError::UnknownUser {
+                user: 9,
+                n_users: 4,
+            }),
+        ),
+        (
+            "Err_UnknownItem",
+            Response::Err(ServingError::UnknownItem {
+                item: 9,
+                n_items: 4,
+            }),
+        ),
+        (
+            "Err_AnnUnavailable",
+            Response::Err(ServingError::AnnUnavailable),
+        ),
+        (
+            "Err_NotOwned",
+            Response::Err(ServingError::NotOwned { user: 5 }),
+        ),
+        (
+            "Err_InvalidConfig",
+            Response::Err(ServingError::InvalidConfig("bad".into())),
+        ),
+        (
+            "Err_Durability",
+            Response::Err(ServingError::Durability("disk".into())),
+        ),
+        ("Err_Wire", Response::Err(ServingError::Wire("torn".into()))),
+    ] {
+        out.push((format!("resp_{name}"), resp.encode()));
+    }
+    // The framed form of one message (length + CRC header).
+    let mut framed = Vec::new();
+    sccf::net::proto::write_message(&mut framed, &Request::Ping.encode()).unwrap();
+    out.push(("framed_Ping".into(), framed));
+    out
+}
+
+/// CRC-32 of every fixture above, computed at the commit *before* the
+/// shared `sccf_util::codec` cursor replaced the per-format readers
+/// and writers (see CHANGES.md, PR 19) and not regenerated since.
+const GOLDEN_DIGESTS: &[(&str, u32)] = &[
+    ("histories", 0x776113a8),
+    ("user_state", 0xe13dc961),
+    ("frozen_index", 0x6952a226),
+    ("tier_flat", 0xce4f9132),
+    ("tier_hnsw", 0x506e8e9a),
+    ("tier_ivfpq", 0x59626aa1),
+    ("hnsw_section", 0x807bdc4c),
+    ("checkpoint", 0x290ac080),
+    ("wal_magic_and_one_frame", 0x5dea18af),
+    ("param_store", 0xaac45f28),
+    ("req_Hello", 0x6c2b3f96),
+    ("req_Ping", 0xa505df1b),
+    ("req_IngestBatch", 0x2ec3c3e8),
+    ("req_Recommend", 0xce20bb34),
+    ("req_RecommendMany", 0x4377c28c),
+    ("req_Flush", 0xa2681b02),
+    ("req_Stats", 0x3b614ab8),
+    ("req_Snapshot", 0x4c667a2e),
+    ("req_Checkpoint", 0xdcd967bf),
+    ("req_WalSync", 0xabde5729),
+    ("req_ExportUsers", 0xfc0099d7),
+    ("req_InstallTier", 0x02859fd0),
+    ("req_ClearTier", 0xdbb4a3a6),
+    ("req_Shutdown", 0xacb39330),
+    ("resp_HelloOk", 0x24211d75),
+    ("resp_Pong", 0xa505df1b),
+    ("resp_Ingested", 0xa04942b6),
+    ("resp_Slate", 0xea2d092a),
+    ("resp_Slates", 0xd94c15ba),
+    ("resp_Done", 0xa2681b02),
+    ("resp_Stats", 0xbe452ade),
+    ("resp_Bytes", 0xf1954396),
+    ("resp_Watermark", 0xeda6e3c4),
+    ("resp_Blobs", 0x1211916b),
+    ("resp_Err_UnknownUser", 0x1a6f9737),
+    ("resp_Err_UnknownItem", 0xc7f94eb2),
+    ("resp_Err_AnnUnavailable", 0x55389b59),
+    ("resp_Err_NotOwned", 0x60270827),
+    ("resp_Err_InvalidConfig", 0xd2a59d33),
+    ("resp_Err_Durability", 0x3095292e),
+    ("resp_Err_Wire", 0xb0baab03),
+    ("framed_Ping", 0x3ac9b560),
+];
+
+#[test]
+fn format_bytes_are_pinned() {
+    let got: Vec<(String, u32)> = golden_fixtures()
+        .into_iter()
+        .map(|(name, bytes)| (name, sccf::util::crc32(&bytes)))
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(n, d)| format!("    (\"{n}\", {d:#010x}),\n"))
+        .collect();
+    assert_eq!(
+        got.len(),
+        GOLDEN_DIGESTS.len(),
+        "fixture list changed; current digests:\n{table}"
+    );
+    for ((name, digest), (want_name, want)) in got.iter().zip(GOLDEN_DIGESTS) {
+        assert_eq!(name, want_name, "fixture order changed");
+        assert_eq!(
+            digest, want,
+            "{name}: encoded bytes moved; current digests:\n{table}"
+        );
     }
 }

@@ -195,8 +195,7 @@ pub struct WorldShape {
     pub epochs: usize,
 }
 
-/// What the serving benches, the Criterion loops and the chaos harness
-/// all start from.
+/// What the serving benches and the chaos harness all start from.
 pub struct ServingWorld {
     pub split: LeaveOneOut,
     /// Train + validation history per user: the engines' initial state.

@@ -2,11 +2,10 @@
 //!
 //! The reproduction harness: shared experiment plumbing for the `repro`
 //! binary (every table and figure of the paper, plus the `BENCH_*.json`
-//! serving artifacts) and the Criterion micro-benchmarks. The
-//! experiment index is [`experiments::EXPERIMENTS`]; README
-//! "Quickstart" shows how to run it, README "Benchmark artifacts" what
-//! each artifact records, and `docs/ARCHITECTURE.md` the system under
-//! measurement.
+//! serving artifacts) and the crash-chaos driver. The experiment index
+//! is [`experiments::EXPERIMENTS`]; README "Quickstart" shows how to
+//! run it, README "Benchmark artifacts" what each artifact records, and
+//! `docs/ARCHITECTURE.md` the system under measurement.
 
 pub mod chaos;
 pub mod experiments;

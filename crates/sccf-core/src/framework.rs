@@ -34,7 +34,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use sccf_data::LeaveOneOut;
-use sccf_index::{DynamicIndex, FrozenTierMode, HnswConfig, HnswIndex, Metric, TierScratch};
+use sccf_index::{FlatIndex, FrozenTierMode, HnswConfig, HnswIndex, Metric, TierScratch};
 use sccf_models::{InductiveUiModel, Recommender};
 use sccf_util::sparse::StampSet;
 use sccf_util::timer::Stopwatch;
@@ -404,7 +404,7 @@ pub struct Sccf<M: InductiveUiModel> {
     /// Cosine index over current user representations (Eq. 11). In a
     /// shard view this is *compact*: one slot per owned user, addressed
     /// through `owned`.
-    user_index: DynamicIndex,
+    user_index: FlatIndex,
     user_comp: UserBasedComponent,
     /// `None` — the unsharded instance: index slot = global user id.
     /// `Some` — a shard view from [`Sccf::into_shards`]: the index holds
@@ -483,7 +483,8 @@ impl<M: InductiveUiModel> Sccf<M> {
                 None => r.clone(),
             })
             .collect();
-        let user_index = DynamicIndex::from_vectors(&flat, index_dim, Metric::Cosine);
+        let mut user_index = FlatIndex::new(index_dim, Metric::Cosine);
+        user_index.add_batch(&flat);
         let item_index = cfg.ui_ann.as_ref().map(|hnsw_cfg| {
             let table = model.item_embeddings();
             let mut idx = HnswIndex::new(dim, Metric::InnerProduct, hnsw_cfg.clone());
@@ -1076,8 +1077,6 @@ impl<M: InductiveUiModel> Sccf<M> {
                 for (l, &g) in globals.iter().enumerate() {
                     local_of[g as usize] = l as u32;
                 }
-                let user_index =
-                    DynamicIndex::with_capacity(globals.len(), index_dim, Metric::Cosine);
                 // Compact rings: row l belongs to global user globals[l].
                 // Only the window tail is copied — the rings keep no more.
                 let user_comp = UserBasedComponent::new(
@@ -1088,17 +1087,17 @@ impl<M: InductiveUiModel> Sccf<M> {
                         h[h.len().saturating_sub(window)..].to_vec()
                     }),
                 );
-                let shard = Sccf {
+                let mut shard = Sccf {
                     shared: Arc::clone(&shared),
-                    user_index,
+                    user_index: FlatIndex::new(index_dim, Metric::Cosine),
                     user_comp,
                     owned: Some(ShardMap { globals, local_of }),
                     global_tier: None,
                 };
                 let map = shard.owned.as_ref().expect("just set");
-                for (l, &g) in map.globals.iter().enumerate() {
+                for &g in &map.globals {
                     let q = shard.index_vector(g, &reps[g as usize]);
-                    shard.user_index.update(l as u32, &q);
+                    shard.user_index.add(&q);
                 }
                 shard
             })
@@ -1127,7 +1126,7 @@ impl<M: InductiveUiModel> Sccf<M> {
         );
         Self {
             shared: Arc::clone(shared),
-            user_index: DynamicIndex::with_capacity(0, index_dim, Metric::Cosine),
+            user_index: FlatIndex::new(index_dim, Metric::Cosine),
             user_comp,
             owned: Some(ShardMap {
                 globals: Vec::new(),
@@ -1157,7 +1156,7 @@ impl<M: InductiveUiModel> Sccf<M> {
         let slot = map.globals.len() as u32;
         map.globals.push(user);
         map.local_of[user as usize] = slot;
-        let pushed = self.user_index.push(&q);
+        let pushed = self.user_index.add(&q);
         debug_assert_eq!(pushed, slot);
         self.user_comp.push_user(history);
     }
@@ -1209,10 +1208,9 @@ impl<M: InductiveUiModel> Sccf<M> {
         }
         let mut perm: Vec<u32> = (0..map.globals.len() as u32).collect();
         perm.sort_by_key(|&s| map.globals[s as usize]);
-        let dim = self.user_index.dim();
-        let index = DynamicIndex::with_capacity(perm.len(), dim, Metric::Cosine);
-        for (new_slot, &old_slot) in perm.iter().enumerate() {
-            index.update(new_slot as u32, &self.user_index.vector(old_slot));
+        let mut index = FlatIndex::new(self.user_index.dim(), Metric::Cosine);
+        for &old_slot in &perm {
+            index.add(self.user_index.vector(old_slot));
         }
         let comp = UserBasedComponent::new(
             self.shared.cfg.user_based.clone(),

@@ -2,8 +2,9 @@
 //!
 //! Contiguous `n × d` storage, linear scan with a bounded top-k heap —
 //! `O(n·d)` per query but with perfect recall and excellent cache
-//! behavior. This is the reference the IVF index is tested against, the
-//! retrieval engine for item scoring, and (paper §IV-D) already fast
+//! behavior. This is the reference the approximate structures are tested
+//! against, the updatable cosine user index the real-time engine mutates
+//! after every event (Eq. 11), and (paper §IV-D) already fast
 //! enough to beat UserKNN's sparse set intersections by an order of
 //! magnitude because user vectors are low-dimensional.
 

@@ -1,8 +1,7 @@
 //! HNSW (Hierarchical Navigable Small World) graph index — the
 //! logarithmic-time ANN structure used in production vector stores
-//! (Malkov & Yashunin 2018), completing the Faiss-role substrate next to
-//! the exact [`FlatIndex`](crate::flat::FlatIndex) and the
-//! [`IvfIndex`](crate::ivf::IvfIndex).
+//! (Malkov & Yashunin 2018), the approximate counterpart of the exact
+//! [`FlatIndex`](crate::flat::FlatIndex).
 //!
 //! Nodes are inserted with a geometrically distributed top level; search
 //! descends greedily through the upper layers and runs a best-first

@@ -1,5 +1,6 @@
 #![allow(clippy::needless_range_loop)] // index loops mirror the textbook algorithm
-//! Lloyd's k-means — the coarse quantizer behind the IVF index.
+//! Lloyd's k-means — the coarse quantizer and the PQ codebook trainer
+//! of the IVF-PQ tier mode ([`crate::tier`]).
 //!
 //! k-means++ seeding, fixed iteration budget, empty-cluster repair by
 //! stealing the farthest point from the biggest cluster. Operates on
@@ -31,18 +32,10 @@ impl KMeans {
         nearest(&self.centroids, self.k, self.dim, v).0
     }
 
-    /// The `nprobe` nearest centroids to `v`, closest first.
-    pub fn assign_multi(&self, v: &[f32], nprobe: usize) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        self.assign_multi_into(v, nprobe, &mut scratch, &mut out);
-        out
-    }
-
-    /// Buffer-reusing form of [`assign_multi`](Self::assign_multi) for
-    /// hot paths: `scratch` and `out` are cleared and refilled, keeping
-    /// their capacity across calls so the per-query cell ranking
-    /// allocates nothing at steady state.
+    /// The `nprobe` nearest centroids to `v`, closest first, into `out`.
+    /// `scratch` and `out` are cleared and refilled, keeping their
+    /// capacity across calls so the per-query cell ranking allocates
+    /// nothing at steady state.
     pub fn assign_multi_into(
         &self,
         v: &[f32],
@@ -94,7 +87,7 @@ pub fn kmeans_seeded(data: &[f32], dim: usize, k: usize, iters: usize, seed: u64
 }
 
 /// Run k-means over `n` points in a row-major `data` slab.
-pub fn kmeans(data: &[f32], dim: usize, k: usize, iters: usize, rng: &mut StdRng) -> KMeans {
+fn kmeans(data: &[f32], dim: usize, k: usize, iters: usize, rng: &mut StdRng) -> KMeans {
     assert!(dim > 0 && data.len().is_multiple_of(dim), "bad slab shape");
     let n = data.len() / dim;
     assert!(n > 0, "kmeans needs at least one point");
@@ -241,17 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn assign_multi_orders_by_distance() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let data = two_blobs(30, &mut rng);
-        let km = kmeans(&data, 2, 2, 20, &mut rng);
-        let probes = km.assign_multi(&[0.0, 0.0], 2);
-        assert_eq!(probes.len(), 2);
-        assert_eq!(probes[0], km.assign(&[0.0, 0.0]));
-        assert_ne!(probes[0], probes[1]);
-    }
-
-    #[test]
     fn identical_points_dont_crash() {
         let mut rng = StdRng::seed_from_u64(5);
         let data = vec![1.0f32; 20]; // 10 identical 2-d points
@@ -276,7 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn assign_multi_into_reuses_buffers() {
+    fn assign_multi_into_orders_by_distance_and_reuses_buffers() {
         let mut rng = StdRng::seed_from_u64(7);
         let data = two_blobs(30, &mut rng);
         let km = kmeans(&data, 2, 2, 20, &mut rng);
@@ -284,7 +266,9 @@ mod tests {
         let mut out = Vec::with_capacity(16);
         let (sc, oc) = (scratch.capacity(), out.capacity());
         km.assign_multi_into(&[0.0, 0.0], 2, &mut scratch, &mut out);
-        assert_eq!(out, km.assign_multi(&[0.0, 0.0], 2));
+        assert_eq!(out.len(), 2);
+        assert_eq!(out[0], km.assign(&[0.0, 0.0]));
+        assert_ne!(out[0], out[1]);
         assert_eq!(scratch.capacity(), sc);
         assert_eq!(out.capacity(), oc);
     }

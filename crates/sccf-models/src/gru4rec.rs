@@ -202,8 +202,7 @@ impl InductiveUiModel for Gru4Rec {
     /// Run the recurrence over the (truncated) history; the final hidden
     /// state is the user representation. Uses the tape-free fast path —
     /// the tape version copies every weight matrix per step, which is
-    /// ~20× slower (measured in `benches/infer_user.rs`) and matters on
-    /// the Table III serving path. Equality with the tape recurrence is
+    /// ~20× slower and matters on the Table III serving path. Equality with the tape recurrence is
     /// asserted in this module's tests.
     fn infer_user(&self, history: &[u32]) -> Vec<f32> {
         let mut h = vec![0.0f32; self.dim()];

@@ -131,7 +131,8 @@ impl Default for ServeShardArgs {
 }
 
 impl ServeShardArgs {
-    /// Parse `--flag value` pairs (every flag takes a value).
+    /// Parse `--flag value` pairs (every flag takes a value; an unknown
+    /// flag is an error).
     pub fn parse(args: &[String]) -> Result<Self, String> {
         let f = Flags::parse(args)?;
         let d = ServeShardArgs::default();
@@ -148,6 +149,7 @@ impl ServeShardArgs {
             model_file: f.get("model-file").map(PathBuf::from),
             read_ahead: f.parsed("read-ahead", d.read_ahead)?,
         };
+        f.finish()?;
         if out.read_ahead == 0 {
             return Err("--read-ahead must be ≥ 1 (frames buffered ahead of the engine)".into());
         }
@@ -515,6 +517,8 @@ mod tests {
         );
         assert!(ServeShardArgs::parse(&["--port".into()]).is_err());
         assert!(ServeShardArgs::parse(&["oops".into(), "1".into()]).is_err());
+        let typo = ServeShardArgs::parse(&["--world-usres".into(), "9".into()]);
+        assert!(typo.is_err_and(|msg| msg.contains("--world-usres")));
         let zero = ServeShardArgs::parse(&["--read-ahead".into(), "0".into()]);
         assert!(zero.is_err_and(|msg| msg.contains("--read-ahead")));
     }

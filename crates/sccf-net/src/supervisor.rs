@@ -272,6 +272,7 @@ pub fn route_main(args: &[String]) -> Result<(), String> {
         Some(d) => PathBuf::from(d),
         None => std::env::temp_dir().join(format!("sccf-route-{}", std::process::id())),
     };
+    flags.finish()?;
     std::fs::create_dir_all(&root).map_err(|e| format!("creating {}: {e}", root.display()))?;
 
     // Train once; every shard server rehydrates the same floats.

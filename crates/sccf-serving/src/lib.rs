@@ -60,7 +60,6 @@
 //!   to one that never crashed (newest checkpoint chain + WAL replay,
 //!   torn tails truncated at the first bad frame). See
 //!   `docs/OPERATIONS.md` for the runbook.
-//! * [`watermark`] — the bounded out-of-order reordering buffer.
 //! * [`click_model`] — the behavioral click/trade model.
 //! * [`ab_test`] — the two-bucket A/B experiment harness that
 //!   regenerates Table V. The judge of the A/B test is the synthetic
@@ -78,7 +77,6 @@ pub mod ring;
 pub mod sharded;
 pub mod stream;
 pub mod wal;
-pub mod watermark;
 
 pub use ab_test::{
     run_ab_test, run_bucket, split_buckets, AbResult, AbTestConfig, BucketOutcome, CandidateGen,
@@ -100,4 +98,3 @@ pub use sharded::{
 };
 pub use stream::{events_after, replay_events, replay_into, StreamEvent};
 pub use wal::{WalError, WalRecord, WalStatus};
-pub use watermark::WatermarkBuffer;

@@ -129,10 +129,10 @@ pub(super) fn open_wals(
 }
 
 impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
-    /// Arm the durability layer: every shard worker gets a
-    /// [`WalWriter`] appending each ingested event (before applying
-    /// it) to `dir/wal-{shard}.log`, and an epoch-0 *full* checkpoint
-    /// of the current state is written atomically. From here on a
+    /// Arm the durability layer: an epoch-0 *full* checkpoint of the
+    /// current state is written atomically, then every shard worker
+    /// gets a [`WalWriter`] appending each ingested event (before
+    /// applying it) to `dir/wal-{shard}.log`. From here on a
     /// crash loses at most the unsynced WAL tail (bounded by
     /// `cfg.fsync_every` records per shard); everything acknowledged
     /// and synced is reconstructed bit-identically by
@@ -165,16 +165,21 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
                 cfg.dir.display()
             )));
         }
+        // Epoch 0 first: the full baseline every later incremental diff
+        // stacks on. The export rides the FIFO queues, so it reflects
+        // exactly the events routed so far — `watermark`. A failure
+        // here leaves the directory and every worker untouched, so the
+        // call can be retried; a crash after it leaves a directory
+        // `recover` accepts (it creates the logs that are missing).
+        let watermark = self.events_routed;
+        let blobs = self.checkpoint_blobs(true);
+        let bytes = wal::write_checkpoint_atomic(&cfg.dir, 0, watermark, &blobs)?;
+        // `&mut self` is held throughout, so nothing is routed between
+        // the export above and the arming below.
         for (s, wal) in open_wals(&cfg, 0..self.txs.len())?.into_iter().enumerate() {
             let dirty = Vec::new();
             self.send(s, ShardMsg::Durability { wal, dirty });
         }
-        // Epoch 0: the full baseline every later incremental diff
-        // stacks on. The export rides the FIFO queues, so it reflects
-        // exactly the events routed so far — `watermark`.
-        let watermark = self.events_routed;
-        let blobs = self.checkpoint_blobs(true);
-        let bytes = wal::write_checkpoint_atomic(&cfg.dir, 0, watermark, &blobs)?;
         self.durability = Some(DurabilityState {
             cfg,
             checkpoints: 1,

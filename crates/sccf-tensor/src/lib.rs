@@ -61,6 +61,6 @@ pub mod tape;
 pub use init::Initializer;
 pub use mat::{axpy, cosine, dot, matvec_into, norm, normalize, Mat};
 pub use serialize::{load_into, load_store, save_store, SnapshotError};
-pub use simd::{avx2_enabled, pq_adc_all, pq_adc_gather, pq_adc_row_scalar};
+pub use simd::{avx2_enabled, pq_adc_gather, pq_adc_row_scalar};
 pub use store::{GradSlot, Grads, ParamId, ParamStore};
 pub use tape::{stable_sigmoid, Tape, Var};

@@ -77,33 +77,44 @@ pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
-        // SAFETY: `avx2_enabled` verified AVX2 support on this CPU.
+        // SAFETY: `avx2_enabled` verified AVX2 support on this CPU, the
+        // only precondition of `dot_avx2`.
         return unsafe { dot_avx2(a, b) };
     }
     dot_scalar(a, b)
 }
 
+/// The iteration structure of [`dot_scalar`] (zipped `chunks_exact(8)`,
+/// then zipped remainders), so the two agree — and stay in bounds — on
+/// every pair of slices, equal lengths or not.
+///
+/// # Safety
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
     use std::arch::x86_64::*;
     debug_assert_eq!(a.len(), b.len());
-    let chunks = a.len() / 8;
+    let mut ca = a.chunks_exact(8);
+    let mut cb = b.chunks_exact(8);
     // One 256-bit accumulator = the scalar kernel's 8 lanes; mul + add
     // (not FMA) keeps the per-lane rounding identical to the scalar path.
     let mut acc = _mm256_setzero_ps();
-    for c in 0..chunks {
-        let x = _mm256_loadu_ps(a.as_ptr().add(c * 8));
-        let y = _mm256_loadu_ps(b.as_ptr().add(c * 8));
-        acc = _mm256_add_ps(acc, _mm256_mul_ps(x, y));
+    for (x, y) in (&mut ca).zip(&mut cb) {
+        // SAFETY: `chunks_exact(8)` yields slices of exactly 8 `f32`s,
+        // which is what each unaligned 256-bit load reads.
+        let xv = _mm256_loadu_ps(x.as_ptr());
+        let yv = _mm256_loadu_ps(y.as_ptr());
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(xv, yv));
     }
     let mut lanes = [0.0f32; 8];
+    // SAFETY: the store writes 8 `f32`s into a local `[f32; 8]`.
     _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
     // The exact reduction tree of the scalar kernel.
     let mut s = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
         + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-    for i in chunks * 8..a.len() {
-        s += a[i] * b[i];
+    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
+        s += x * y;
     }
     s
 }
@@ -125,28 +136,39 @@ pub fn axpy_scalar(alpha: f32, x: &[f32], y: &mut [f32]) {
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
-        // SAFETY: `avx2_enabled` verified AVX2 support on this CPU.
+        // SAFETY: `avx2_enabled` verified AVX2 support on this CPU, the
+        // only precondition of `axpy_avx2`.
         unsafe { axpy_avx2(alpha, x, y) };
         return;
     }
     axpy_scalar(alpha, x, y);
 }
 
+/// Stays in bounds on every pair of slices: whole 8-lane chunks are
+/// zipped, then the two remainders. With unequal lengths (a caller bug,
+/// debug-asserted) which elements of `y` are updated is unspecified.
+///
+/// # Safety
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
     use std::arch::x86_64::*;
     debug_assert_eq!(x.len(), y.len());
-    let chunks = x.len() / 8;
     let av = _mm256_set1_ps(alpha);
-    for c in 0..chunks {
-        let xv = _mm256_loadu_ps(x.as_ptr().add(c * 8));
-        let yv = _mm256_loadu_ps(y.as_ptr().add(c * 8));
+    let mut cx = x.chunks_exact(8);
+    let mut cy = y.chunks_exact_mut(8);
+    for (xc, yc) in (&mut cx).zip(&mut cy) {
+        // SAFETY: `chunks_exact(8)` / `chunks_exact_mut(8)` yield slices
+        // of exactly 8 `f32`s — what each unaligned 256-bit load and the
+        // store touch; `xc` and `yc` cannot overlap (`&` vs `&mut`).
+        let xv = _mm256_loadu_ps(xc.as_ptr());
+        let yv = _mm256_loadu_ps(yc.as_ptr());
         let r = _mm256_add_ps(yv, _mm256_mul_ps(av, xv));
-        _mm256_storeu_ps(y.as_mut_ptr().add(c * 8), r);
+        _mm256_storeu_ps(yc.as_mut_ptr(), r);
     }
-    for i in chunks * 8..x.len() {
-        y[i] += alpha * x[i];
+    for (yi, &xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
+        *yi += alpha * xi;
     }
 }
 
@@ -166,9 +188,8 @@ pub fn pq_adc_row_scalar(lut: &[f32], kk: usize, codes: &[u8]) -> f32 {
 /// Fused PQ asymmetric-distance scan over a *gather list* of rows:
 /// `out[j] = Σ_s lut[s·kk + codes[rows[j]·m + s]]`.
 ///
-/// This is the inner loop of every product-quantized search (the tier's
-/// IVF-PQ cell scan, `PqIndex::search`): per row, `m` table reads and
-/// adds. The AVX2 path scores eight rows at once, using
+/// This is the inner loop of the tier's IVF-PQ cell scan: per row, `m`
+/// table reads and adds. The AVX2 path scores eight rows at once, using
 /// `_mm256_i32gather_ps` for the eight table reads of each subspace —
 /// one gather replaces eight dependent scalar loads while the per-row
 /// add order (ascending `s`) stays exactly the scalar order, so the
@@ -176,6 +197,10 @@ pub fn pq_adc_row_scalar(lut: &[f32], kk: usize, codes: &[u8]) -> f32 {
 ///
 /// `out` is overwritten and resized to `rows.len()`; its capacity is
 /// retained across calls (hot-path scratch discipline).
+///
+/// # Panics
+/// On either path, if a row id points outside `codes` or a code indexes
+/// past the end of `lut`.
 pub fn pq_adc_gather(
     lut: &[f32],
     kk: usize,
@@ -186,13 +211,17 @@ pub fn pq_adc_gather(
 ) {
     assert!(m > 0, "pq scan needs at least one subspace");
     assert!(lut.len() >= m * kk, "lut too small for m×kk");
+    assert!(
+        lut.len() <= i32::MAX as usize,
+        "lut too large for i32 lanes"
+    );
     out.clear();
     out.resize(rows.len(), 0.0);
     #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
-        // SAFETY: `avx2_enabled` verified AVX2 support; bounds on
-        // `rows`/`codes`/`lut` are asserted above and by the slice
-        // indexing in the tail loop sharing the same access pattern.
+        // SAFETY: `avx2_enabled` verified AVX2 support; `out` was just
+        // resized to `rows.len()` and `lut` fits i32 lane indices — the
+        // two shape conditions of `pq_adc_gather_avx2`.
         unsafe { pq_adc_gather_avx2(lut, kk, codes, m, rows, out) };
         return;
     }
@@ -202,6 +231,9 @@ pub fn pq_adc_gather(
     }
 }
 
+/// # Safety
+/// The CPU must support AVX2, `out.len() == rows.len()` and
+/// `lut.len() <= i32::MAX`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn pq_adc_gather_avx2(
@@ -213,6 +245,13 @@ unsafe fn pq_adc_gather_avx2(
     out: &mut [f32],
 ) {
     use std::arch::x86_64::*;
+    // SAFETY: `rows` and `codes` are read through checked indexing only.
+    // The gather reads `lut[idx[l]]` for eight lanes: each `idx[l]` is
+    // asserted `< lut.len()` right before it is stored (the check the
+    // scalar path's `lut[..]` indexing performs) and fits an i32 by the
+    // contract. The store writes lanes `base .. base + 8` with
+    // `base + 8 <= rows.len()` (= `out.len()` by the contract); the tail
+    // uses checked indexing.
     let blocks = rows.len() / 8;
     let mut idx = [0i32; 8];
     for blk in 0..blocks {
@@ -220,7 +259,9 @@ unsafe fn pq_adc_gather_avx2(
         let mut acc = _mm256_setzero_ps();
         for s in 0..m {
             for (slot, &r) in idx.iter_mut().zip(&rows[base..base + 8]) {
-                *slot = (s * kk) as i32 + codes[r as usize * m + s] as i32;
+                let i = s * kk + codes[r as usize * m + s] as usize;
+                assert!(i < lut.len(), "pq code indexes past the lookup table");
+                *slot = i as i32;
             }
             let iv = _mm256_loadu_si256(idx.as_ptr() as *const __m256i);
             // scale = 4: indices are in f32 elements.
@@ -232,53 +273,6 @@ unsafe fn pq_adc_gather_avx2(
     for j in blocks * 8..rows.len() {
         let r = rows[j] as usize;
         out[j] = pq_adc_row_scalar(lut, kk, &codes[r * m..(r + 1) * m]);
-    }
-}
-
-/// Fused ADC scan over *contiguous* rows `0..n`: the full-population
-/// form `PqIndex::search` uses. Equivalent to [`pq_adc_gather`] with
-/// `rows = [0, 1, .., n-1]` but without materializing the id list.
-pub fn pq_adc_all(lut: &[f32], kk: usize, codes: &[u8], m: usize, out: &mut Vec<f32>) {
-    assert!(m > 0, "pq scan needs at least one subspace");
-    assert!(codes.len().is_multiple_of(m), "ragged code rows");
-    assert!(lut.len() >= m * kk, "lut too small for m×kk");
-    let n = codes.len() / m;
-    out.clear();
-    out.resize(n, 0.0);
-    #[cfg(target_arch = "x86_64")]
-    if avx2_enabled() {
-        // SAFETY: `avx2_enabled` verified AVX2 support; shape asserts
-        // above guarantee every access the kernel performs is in bounds.
-        unsafe { pq_adc_all_avx2(lut, kk, codes, m, out) };
-        return;
-    }
-    for (r, o) in out.iter_mut().enumerate() {
-        *o = pq_adc_row_scalar(lut, kk, &codes[r * m..(r + 1) * m]);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn pq_adc_all_avx2(lut: &[f32], kk: usize, codes: &[u8], m: usize, out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = out.len();
-    let blocks = n / 8;
-    let mut idx = [0i32; 8];
-    for blk in 0..blocks {
-        let base = blk * 8;
-        let mut acc = _mm256_setzero_ps();
-        for s in 0..m {
-            for (slot, r) in idx.iter_mut().zip(base..base + 8) {
-                *slot = (s * kk) as i32 + codes[r * m + s] as i32;
-            }
-            let iv = _mm256_loadu_si256(idx.as_ptr() as *const __m256i);
-            let g = _mm256_i32gather_ps::<4>(lut.as_ptr(), iv);
-            acc = _mm256_add_ps(acc, g);
-        }
-        _mm256_storeu_ps(out.as_mut_ptr().add(base), acc);
-    }
-    for r in blocks * 8..n {
-        out[r] = pq_adc_row_scalar(lut, kk, &codes[r * m..(r + 1) * m]);
     }
 }
 
@@ -325,26 +319,47 @@ mod tests {
 
     #[test]
     fn pq_adc_matches_scalar_bitwise() {
-        let (m, kk, n) = (6usize, 16usize, 29usize);
-        let lut = slab(m * kk, 5);
-        let codes: Vec<u8> = (0..n * m).map(|i| ((i * 31 + 7) % kk) as u8).collect();
-        // gather-list form, ids deliberately shuffled and repeated
-        let rows: Vec<u32> = (0..n as u32).rev().chain([3, 3, 11]).collect();
-        let mut fast = Vec::new();
-        pq_adc_gather(&lut, kk, &codes, m, &rows, &mut fast);
-        assert_eq!(fast.len(), rows.len());
-        for (j, &r) in rows.iter().enumerate() {
-            let want = pq_adc_row_scalar(&lut, kk, &codes[r as usize * m..(r as usize + 1) * m]);
-            assert_eq!(fast[j].to_bits(), want.to_bits(), "row {r}");
+        // Subspace counts, row counts around the 8-lane boundary and
+        // codebook sizes; ids deliberately shuffled and repeated.
+        for m in [1usize, 2, 3, 7, 8, 9, 16] {
+            for n_rows in [0usize, 1, 7, 8, 9, 17] {
+                for kk in [2usize, 16, 256] {
+                    let n = 29usize;
+                    let lut = slab(m * kk, 5 + (m * kk) as u64);
+                    let codes: Vec<u8> = (0..n * m).map(|i| ((i * 31 + 7) % kk) as u8).collect();
+                    let rows: Vec<u32> = (0..n as u32)
+                        .rev()
+                        .chain([3, 3, 11])
+                        .cycle()
+                        .skip(m)
+                        .take(n_rows)
+                        .collect();
+                    let mut fast = Vec::new();
+                    pq_adc_gather(&lut, kk, &codes, m, &rows, &mut fast);
+                    assert_eq!(fast.len(), rows.len());
+                    for (j, &r) in rows.iter().enumerate() {
+                        let r = r as usize;
+                        let want = pq_adc_row_scalar(&lut, kk, &codes[r * m..(r + 1) * m]);
+                        assert_eq!(
+                            fast[j].to_bits(),
+                            want.to_bits(),
+                            "m {m} rows {n_rows} kk {kk} row {r}"
+                        );
+                    }
+                }
+            }
         }
-        // contiguous form
-        let mut all = Vec::new();
-        pq_adc_all(&lut, kk, &codes, m, &mut all);
-        assert_eq!(all.len(), n);
-        for (r, &got) in all.iter().enumerate() {
-            let want = pq_adc_row_scalar(&lut, kk, &codes[r * m..(r + 1) * m]);
-            assert_eq!(got.to_bits(), want.to_bits(), "row {r}");
-        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn pq_adc_code_past_the_table_panics_on_both_paths() {
+        // One full 8-row block so the AVX2 path takes the gather; code 5
+        // with kk = 2, m = 1 indexes lut[5] of a 2-entry table.
+        let lut = slab(2, 6);
+        let codes = [0u8, 1, 0, 1, 5, 0, 1, 0];
+        let rows: Vec<u32> = (0..8).collect();
+        pq_adc_gather(&lut, 2, &codes, 1, &rows, &mut Vec::new());
     }
 
     #[test]

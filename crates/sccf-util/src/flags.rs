@@ -1,14 +1,18 @@
 //! The one `--key value` command-line grammar every entry point in the
 //! workspace parses (`sccf`, `sccf serve-shard`, `sccf route`, the
 //! `--world-*` flags): every flag takes exactly one value, `-k` is
-//! accepted for `--k`, the first occurrence of a key wins.
+//! accepted for `--k`, the first occurrence of a key wins, and a flag
+//! no lookup asked for is an error ([`Flags::finish`]) — a typo must
+//! not silently run with the default.
 
+use std::cell::Cell;
 use std::str::FromStr;
 
 /// A parsed `--key value` argument list.
 #[derive(Debug, Clone, Default)]
 pub struct Flags {
-    pairs: Vec<(String, String)>,
+    /// `(key, value, read)` — `read` flips when a lookup asks for `key`.
+    pairs: Vec<(String, String, Cell<bool>)>,
 }
 
 impl Flags {
@@ -24,17 +28,31 @@ impl Flags {
             let value = pair
                 .get(1)
                 .ok_or_else(|| format!("flag --{key} needs a value"))?;
-            pairs.push((key.to_string(), value.clone()));
+            pairs.push((key.to_string(), value.clone(), Cell::new(false)));
         }
         Ok(Self { pairs })
     }
 
     /// The value of `--key`, if given.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+        let mut first = None;
+        for (k, v, read) in &self.pairs {
+            if k == key {
+                read.set(true);
+                first = first.or(Some(v.as_str()));
+            }
+        }
+        first
+    }
+
+    /// Errors, naming it, on the first flag no lookup has asked for.
+    /// Every entry point calls this once it has read all of its flags
+    /// and before it acts on them.
+    pub fn finish(&self) -> Result<(), String> {
+        match self.pairs.iter().find(|(_, _, read)| !read.get()) {
+            Some((key, _, _)) => Err(format!("unknown flag --{key}")),
+            None => Ok(()),
+        }
     }
 
     /// The value of `--key`, or the standard "missing" error.
@@ -74,6 +92,7 @@ mod tests {
         assert_eq!(f.parsed("absent", 10usize), Ok(10));
         assert_eq!(f.required("users"), Ok("12"));
         assert_eq!(f.required("out"), Err("missing --out".to_string()));
+        assert_eq!(f.finish(), Ok(()), "both --users pairs count as read");
         let bad = Flags::parse(&args(&["--n", "five"])).unwrap();
         assert_eq!(
             bad.parsed("n", 1usize),
@@ -86,5 +105,8 @@ mod tests {
         assert!(Flags::parse(&args(&["oops", "1"])).is_err_and(|e| e.contains("`oops`")));
         assert!(Flags::parse(&args(&["--port"])).is_err_and(|e| e.contains("--port")));
         assert!(Flags::parse(&[]).unwrap().get("x").is_none());
+        let typo = Flags::parse(&args(&["--seed", "7", "--sede", "8"])).unwrap();
+        assert_eq!(typo.parsed("seed", 42u64), Ok(7));
+        assert_eq!(typo.finish(), Err("unknown flag --sede".to_string()));
     }
 }

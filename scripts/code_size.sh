@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Code-size report, deprecated-surface gate, one-artifact-path gate and
-# `unsafe` gate (run from the repo root).
+# Code-size report, deprecated-surface gate, one-artifact-path gate,
+# `unsafe` gate and every-module-has-a-caller gate (run from the repo
+# root).
 #
 # Per crate: non-comment, non-blank lines over src/**/*.rs, and the
 # number of `pub` items (fn/struct/enum/trait/const/type). ROADMAP
@@ -25,6 +26,18 @@
 # and src/ (hand byte-twiddling outside the shared codec shows up here)
 # and exits 1 if `struct Reader` or `fn put_u32` is defined anywhere but
 # crates/sccf-util/src/codec.rs — one cursor, one set of appenders.
+#
+# Exits 1 if a module re-exported from a `crates/*/src/lib.rs`
+# (`pub use <mod>::…;`) has no caller: none of the re-exported names
+# occurs in a non-comment line of any other file under crates/*/src,
+# src/ or benchmark/src. A module stays if a serving path, a `repro`
+# experiment or the `sccf` CLI reaches it; tests, examples and docs do
+# not keep one alive — except `sccf-serving/src/stream`, the
+# dataset → event-stream flattener three examples share (its only
+# library caller was the deleted reorder buffer; ROADMAP item 5
+# decides). Also exits 1 if `criterion` or `parking_lot` is
+# named in any Cargo.toml or a `benches/` directory exists under
+# crates/ — the perf records are BENCHMARK.json and the BENCH_*.json.
 set -euo pipefail
 
 code_lines() { xargs -r cat | grep -cvE '^\s*(//|$)' || true; }
@@ -74,5 +87,34 @@ if grep -n 'python3' .github/workflows/ci.yml; then
 fi
 if grep -rn '\\"' crates/sccf-bench/src/experiments/; then
   echo 'error: hand-escaped JSON in a bench experiment; build a sccf_util::Json instead' >&2
+  exit 1
+fi
+
+orphans=0
+for lib in crates/*/src/lib.rs; do
+  src=$(dirname "$lib")
+  # One `pub use <mod>::<names>;` per line, whatever its layout in lib.rs.
+  while read -r _ _ path; do
+    mod=${path%%::*}
+    [ -e "$src/$mod.rs" ] || [ -d "$src/$mod" ] || continue # a foreign crate
+    [ "$src/$mod" = crates/sccf-serving/src/stream ] && continue # see the header
+    names=$(grep -oE '[A-Za-z_][A-Za-z0-9_]*' <<<"${path#*::}" | grep -vx as | paste -sd'|')
+    callers=$(grep -rnwE --include='*.rs' "$names" crates/*/src src benchmark/src |
+      grep -vE "^($lib|$src/$mod\.rs|$src/$mod/[^:]*):" |
+      grep -cvE '^[^:]+:[0-9]+:\s*//' || true)
+    if [ "$callers" -eq 0 ]; then
+      echo "error: $src/$mod has no caller outside its own file ($names); wire it in or delete it" >&2
+      orphans=1
+    fi
+  done < <(tr '\n' ' ' <"$lib" | grep -oE 'pub use [a-z_]+::[^;]+;')
+done
+[ "$orphans" -eq 0 ] || exit 1
+
+if grep -nE 'criterion|parking_lot' Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml benchmark/Cargo.toml; then
+  echo 'error: a deleted shim is named in a manifest (see the lines above)' >&2
+  exit 1
+fi
+if find crates -type d -name benches | grep .; then
+  echo 'error: a benches/ directory; perf loops belong in a repro experiment or benchmark/' >&2
   exit 1
 fi

@@ -276,6 +276,7 @@ fn cmd_gen(flags: &Flags) -> Result<(), String> {
         other => return Err(format!("unknown scale `{other}`")),
     };
     let seed: u64 = flags.parsed("seed", 42)?;
+    flags.finish()?;
     let cfg = all_benchmarks(scale)
         .into_iter()
         .chain(std::iter::once(taobao_sim(scale)))
@@ -305,6 +306,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     let epochs: usize = flags.parsed("epochs", 10)?;
     let max_len: usize = flags.parsed("max-len", 50)?;
     let seed: u64 = flags.parsed("seed", 42)?;
+    flags.finish()?;
     let tc = TrainConfig {
         dim,
         epochs,
@@ -395,6 +397,7 @@ fn cmd_eval(flags: &Flags) -> Result<(), String> {
         .collect::<Result<_, _>>()?;
     let wrap_sccf: bool = flags.parsed("sccf", false)?;
     let beta: usize = flags.parsed("beta", 100)?;
+    flags.finish()?;
 
     model.with(|m| {
         let name = m.name();
@@ -464,6 +467,7 @@ fn cmd_recommend(flags: &Flags) -> Result<(), String> {
     }
     let n: usize = flags.parsed("n", 10)?;
     let wrap_sccf: bool = flags.parsed("sccf", false)?;
+    flags.finish()?;
     let history = split.train_plus_val(user);
 
     model.with(|m| {

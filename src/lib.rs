@@ -7,7 +7,7 @@
 //! harness regenerating each table and figure of the paper's evaluation.
 //!
 //! The package also ships the `sccf` command-line binary
-//! (`gen`/`train`/`eval`/`recommend`) and six Criterion bench suites;
+//! (`gen`/`train`/`eval`/`recommend`/`serve-shard`/`route`);
 //! see the repository README for the full map and `docs/ARCHITECTURE.md`
 //! for the serving-path event flow and sharding design.
 //!
@@ -17,11 +17,11 @@
 //! |---|---|---|
 //! | [`tensor`] | `sccf-tensor` | matrices, autodiff, NN layers, Adam |
 //! | [`data`] | `sccf-data` | datasets, splits, synthetic generators |
-//! | [`index`] | `sccf-index` | flat/IVF/HNSW/SQ8/PQ similarity search (Faiss role) |
+//! | [`index`] | `sccf-index` | flat, HNSW, frozen tier + `FrozenTierMode` acceleration (Faiss role) |
 //! | [`models`] | `sccf-models` | Pop, ItemKNN, UserKNN, BPR-MF, FISM, SASRec, AvgPoolDNN, GRU4Rec, Caser, SLIM, LRec |
 //! | [`core`] | `sccf-core` | the SCCF framework + real-time engine + §V ranking stage |
 //! | [`eval`] | `sccf-eval` | HR/NDCG, leave-one-out protocol |
-//! | [`serving`] | `sccf-serving` | the unified `ServingApi`, event replay, sharded multi-writer engine, watermark buffer, A/B test simulator |
+//! | [`serving`] | `sccf-serving` | the unified `ServingApi`, event replay, sharded multi-writer engine, durability layer, control plane, A/B test simulator |
 //! | [`net`] | `sccf-net` | the networked shard fleet: wire protocol, shard server, fleet router, supervisor |
 //! | [`util`] | `sccf-util` | hashing, top-k, stats, tables, timers |
 //!

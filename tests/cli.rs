@@ -170,3 +170,34 @@ fn user_out_of_range_is_rejected() {
     assert!(!out.status.success());
     assert!(stderr(&out).contains("out of range"));
 }
+
+/// A misspelt flag must not silently run with the default — one case
+/// per subcommand family (the generic commands, `serve-shard`, `route`).
+#[test]
+fn unknown_flags_are_rejected_naming_the_flag() {
+    let data = tmp("typo.tsv");
+    let _ = std::fs::remove_file(&data);
+    let out_path = data.to_str().unwrap();
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &[
+                "gen",
+                "--dataset",
+                "ml1m-sim",
+                "--out",
+                out_path,
+                "--sede",
+                "7",
+            ],
+            "--sede",
+        ),
+        (&["serve-shard", "--dri", "/data/shard0"], "--dri"),
+        (&["route", "--prcs", "3"], "--prcs"),
+    ];
+    for (args, typo) in cases {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(typo), "{args:?}: {}", stderr(&out));
+    }
+    assert!(!data.exists(), "gen wrote its output despite the typo");
+}

@@ -204,6 +204,41 @@ fn enable_durability_rejects_dirty_directory_and_zero_fsync() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A failed epoch-0 checkpoint write must leave nothing behind: no WAL
+/// file (a WAL without a checkpoint is a directory neither
+/// `enable_durability` nor `recover` accepts), no armed worker — so the
+/// same call succeeds once the obstacle is gone.
+#[test]
+fn failed_enable_durability_leaves_the_directory_retryable() {
+    let w = world();
+    for fresh_engine in [false, true] {
+        let dir = scratch_dir(if fresh_engine { "wedge_fresh" } else { "wedge" });
+        // A *directory* where the checkpoint's temp file goes: the write fails.
+        let obstacle = dir.join("ckpt-00000000.tmp");
+        std::fs::create_dir_all(&obstacle).unwrap();
+
+        let mut fleet = fresh_fleet(w, 2);
+        assert!(fleet.enable_durability(durability(&dir, 8)).is_err());
+        assert!(
+            wal::list_wal_files(&dir).unwrap().is_empty(),
+            "no WAL may exist before the epoch-0 checkpoint does"
+        );
+        assert!(!fleet.serving_stats().expect("stats").durability.enabled);
+
+        std::fs::remove_dir(&obstacle).unwrap();
+        if fresh_engine {
+            fleet.shutdown();
+            fleet = fresh_fleet(w, 2);
+        }
+        fleet
+            .enable_durability(durability(&dir, 8))
+            .expect("the once-failed directory is still usable");
+        assert!(fleet.serving_stats().expect("stats").durability.enabled);
+        fleet.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn recover_requires_a_checkpoint() {
     let w = world();

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use sccf::data::dataset::{Dataset, Interaction};
 use sccf::data::LeaveOneOut;
-use sccf::index::{FlatIndex, IvfIndex, Metric};
+use sccf::index::{FlatIndex, Metric};
 use sccf::util::stats::zscore_normalize;
 use sccf::util::topk::{rank_of, topk_of_scores};
 
@@ -190,29 +190,6 @@ proptest! {
             prop_assert_eq!(x.score.to_bits(), y.score.to_bits());
             prop_assert!(once.insert(x.id), "user {} surfaced twice", x.id);
         }
-    }
-
-    /// IVF with every list probed is exactly the flat result.
-    #[test]
-    fn ivf_full_probe_is_exact(
-        seed in 0u64..1000,
-        n in 20usize..120,
-    ) {
-        use rand::Rng;
-        let mut rng = sccf::util::rng::rng_for(seed, 1);
-        let dim = 6;
-        let data: Vec<f32> = (0..n * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let nlist = 5;
-        let mut ivf = IvfIndex::train(dim, Metric::InnerProduct, nlist, &data, &mut rng);
-        let mut flat = FlatIndex::new(dim, Metric::InnerProduct);
-        for v in data.chunks_exact(dim) {
-            ivf.add(v);
-            flat.add(v);
-        }
-        let q: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let a: Vec<u32> = ivf.search_with_nprobe(&q, 5, None, nlist).iter().map(|s| s.id).collect();
-        let e: Vec<u32> = flat.search(&q, 5, None).iter().map(|s| s.id).collect();
-        prop_assert_eq!(a, e);
     }
 }
 
@@ -419,135 +396,6 @@ fn recommend_identical_between_oneshot_and_scratch_paths() {
         // a second pass through the reused scratch must not drift
         let again = sccf.recommend_with(u, &history, 10, &mut scratch);
         assert_eq!(with_scratch, again, "user {u} scratch reuse drifted");
-    }
-}
-
-// ------------------------------------------------- scalar quantization
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Every SQ8-decoded value stays within half a quantization step of
-    /// the original, and codes roundtrip deterministically.
-    #[test]
-    fn sq_codebook_error_bound(
-        data in prop::collection::vec(-10.0f32..10.0, 8..160),
-    ) {
-        use sccf::index::SqCodebook;
-        let dim = 4;
-        let n = data.len() / dim;
-        let slab = &data[..n * dim];
-        let cb = SqCodebook::train(slab, dim);
-        let bound = cb.max_error() + 1e-5;
-        let mut codes = vec![0u8; dim];
-        let mut out = vec![0.0f32; dim];
-        for row in slab.chunks_exact(dim) {
-            cb.encode(row, &mut codes);
-            cb.decode(&codes, &mut out);
-            for (a, b) in row.iter().zip(&out) {
-                prop_assert!((a - b).abs() <= bound, "{a} vs {b} (bound {bound})");
-            }
-            // determinism
-            let mut codes2 = vec![0u8; dim];
-            cb.encode(row, &mut codes2);
-            prop_assert_eq!(&codes, &codes2);
-        }
-    }
-
-    /// SQ8 inner-product search returns the same item the exact scan
-    /// does whenever the top-1 margin exceeds the worst-case quantization
-    /// slack (d · max_error · max|q|).
-    #[test]
-    fn sq_search_respects_margin(
-        data in prop::collection::vec(-1.0f32..1.0, 32..320),
-        qseed in 0u64..1000,
-    ) {
-        use rand::{Rng, SeedableRng};
-        use sccf::index::{FlatIndex, SqIndex};
-        let dim = 8;
-        let n = data.len() / dim;
-        prop_assume!(n >= 2);
-        let slab = &data[..n * dim];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(qseed);
-        let q: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let mut flat = FlatIndex::new(dim, Metric::InnerProduct);
-        flat.add_batch(slab);
-        let sq = SqIndex::build(slab, dim, Metric::InnerProduct);
-        let exact = flat.search(&q, 2, None);
-        let approx = sq.search(&q, 1, None);
-        let slack = dim as f32
-            * sq_max_error(slab, dim)
-            * q.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        if exact.len() == 2 && exact[0].score - exact[1].score > 2.0 * slack {
-            prop_assert_eq!(approx[0].id, exact[0].id);
-        }
-    }
-}
-
-/// Worst-case per-dimension SQ8 reconstruction error for a slab.
-fn sq_max_error(slab: &[f32], dim: usize) -> f32 {
-    sccf::index::SqCodebook::train(slab, dim).max_error()
-}
-
-// ------------------------------------------------- watermark reordering
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Any input whose disorder is bounded by the allowed lateness comes
-    /// out (a) complete and (b) globally sorted.
-    #[test]
-    fn watermark_sorts_bounded_disorder(
-        base in prop::collection::vec(0i64..500, 1..120),
-        lateness in 1i64..40,
-    ) {
-        use sccf::serving::{StreamEvent, WatermarkBuffer};
-        // construct bounded disorder: sort, then perturb each timestamp
-        // back by at most `lateness` positions worth of time
-        let mut ts = base.clone();
-        ts.sort_unstable();
-        let events: Vec<StreamEvent> = ts
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| StreamEvent { ts: t, user: (i % 5) as u32, item: i as u32 })
-            .collect();
-        // emit in an order where event i may arrive early by < lateness
-        let mut arrival = events.clone();
-        arrival.sort_by_key(|e| e.ts + ((e.item as i64 * 7919) % lateness));
-        let mut buf = WatermarkBuffer::new(2 * lateness);
-        let mut out = Vec::new();
-        for e in arrival {
-            out.extend(buf.push(e));
-        }
-        out.extend(buf.flush());
-        prop_assert_eq!(out.len(), events.len(), "dropped {}", buf.dropped());
-        prop_assert!(out.windows(2).all(|w| w[0].ts <= w[1].ts));
-    }
-
-    /// Whatever the input, emissions are sorted and
-    /// accepted = emitted + pending, dropped = input − accepted.
-    #[test]
-    fn watermark_conservation(
-        raw in prop::collection::vec((0i64..200, 0u32..8, 0u32..50), 1..100),
-        lateness in 0i64..30,
-    ) {
-        use sccf::serving::{StreamEvent, WatermarkBuffer};
-        let mut buf = WatermarkBuffer::new(lateness);
-        let mut emitted = Vec::new();
-        for &(ts, user, item) in &raw {
-            emitted.extend(buf.push(StreamEvent { ts, user, item }));
-        }
-        let pending = buf.pending();
-        prop_assert_eq!(
-            buf.accepted() as usize,
-            emitted.len() + pending
-        );
-        prop_assert_eq!(
-            buf.dropped() as usize + buf.accepted() as usize,
-            raw.len()
-        );
-        emitted.extend(buf.flush());
-        prop_assert!(emitted.windows(2).all(|w| w[0].ts <= w[1].ts));
     }
 }
 
@@ -776,33 +624,5 @@ proptest! {
         snap.search_append_with(&q, 8, &|_| false, &mut scratch, &mut a);
         back.search_append_with(&q, 8, &|_| false, &mut scratch, &mut b);
         prop_assert_eq!(a, b);
-    }
-
-    /// PQ quantization is a fixed point: re-encoding a reconstructed
-    /// vector reproduces the reconstruction bit-for-bit (each subspace
-    /// of a reconstruction *is* a codeword, and its nearest codeword is
-    /// itself — or a bit-identical duplicate).
-    #[test]
-    fn pq_requantization_is_fixed_point(
-        data in prop::collection::vec(-2.0f32..2.0, 32..256),
-    ) {
-        use sccf::index::{PqConfig, PqIndex};
-        let dim = 8;
-        let n = data.len() / dim;
-        let slab = &data[..n * dim];
-        let mut pq = PqIndex::build(
-            slab,
-            dim,
-            Metric::InnerProduct,
-            PqConfig { m: 4, k: 16, iters: 6, seed: 7 },
-        );
-        for id in 0..n as u32 {
-            let v = pq.vector(id);
-            pq.update(id, &v);
-            let again = pq.vector(id);
-            for (x, y) in v.iter().zip(&again) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
     }
 }

@@ -25,7 +25,8 @@ struct Point {
 /// sparse Eq. 12 scorer and the engine's reusable [`sccf_core::QueryScratch`],
 /// so neither allocates catalog-sized memory per event; the comparison
 /// isolates the remaining O(catalog) *compute* of exact UI retrieval.
-/// `process_event` (infer + identify) is catalog-free in both.
+/// `process_event` (one `try_ingest`: infer + index row, no neighbor
+/// search) is catalog-free in both.
 ///
 /// `--scale full` is the ≥100k-item pair behind the committed artifact;
 /// `quick` is the CI-sized pair.

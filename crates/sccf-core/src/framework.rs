@@ -30,6 +30,7 @@
 //! candidate assembly sublinear in the catalog (approximate; off by
 //! default to preserve the paper's exact Eq. 10 retrieval).
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -557,11 +558,12 @@ impl<M: InductiveUiModel> Sccf<M> {
     }
 
     /// The vector stored in / queried against the user index for `user`:
-    /// the raw representation, or its profile-augmented form (§V).
-    pub fn index_vector(&self, user: u32, rep: &[f32]) -> Vec<f32> {
+    /// the raw representation (borrowed — no copy on the hot path), or
+    /// its profile-augmented form (§V).
+    pub fn index_vector<'a>(&self, user: u32, rep: &'a [f32]) -> Cow<'a, [f32]> {
         match &self.shared.cfg.profiles {
-            Some(p) => p.augment(user, rep),
-            None => rep.to_vec(),
+            Some(p) => Cow::Owned(p.augment(user, rep)),
+            None => Cow::Borrowed(rep),
         }
     }
 

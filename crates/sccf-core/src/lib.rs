@@ -50,12 +50,14 @@
 //! *neighborhood*, never the *catalog*. This crate enforces that as an
 //! API contract:
 //!
-//! * Steady-state [`RealtimeEngine::try_process_event`] and
-//!   [`RealtimeEngine::recommend_query`] perform **no heap allocation
-//!   proportional to `n_items`**. All catalog-sized state lives in a
-//!   [`QueryScratch`] allocated once (per engine, or per serving thread
-//!   via [`Sccf::new_scratch`]) and reset in O(1) by epoch stamps
-//!   (`sccf_util::sparse`), not by re-zeroing.
+//! * Steady-state [`RealtimeEngine::apply_event`] (the write path:
+//!   infer + index row, no neighbor search) and
+//!   [`RealtimeEngine::recommend_query`] (which identifies) perform
+//!   **no heap allocation proportional to `n_items`** or to the
+//!   population — `tests/alloc.rs` counts them. All catalog-sized
+//!   state lives in a [`QueryScratch`] allocated once (per engine, or
+//!   per serving thread via [`Sccf::new_scratch`]) and reset in O(1) by
+//!   epoch stamps (`sccf_util::sparse`), not by re-zeroing.
 //! * Eq. 12 aggregates **sparsely**: [`UserBasedComponent::scores_into`]
 //!   touches `β × recent_window` accumulator slots; recent items live in
 //!   fixed-capacity ring buffers, so `record` is O(1).

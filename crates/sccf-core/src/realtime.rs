@@ -1,17 +1,21 @@
 //! The real-time serving engine (§III-C.2, §IV-D).
 //!
-//! Every incoming interaction triggers the two-step refresh the paper
-//! times in Table III:
+//! The paper's loop is *infer on the fly → identify neighbours →
+//! recommend*, and Table III times its two legs:
 //!
 //! 1. **Inferring** — run the inductive UI model on the updated history
 //!    to get the fresh `m_u` (milliseconds; no training).
 //! 2. **Identifying** — update the user index and search it for the new
 //!    β-neighborhood.
 //!
-//! The engine keeps per-event timing statistics split exactly along those
-//! two legs so the Table III comparison against UserKNN (whose
-//! "identifying" step is a full sparse-set scan that grows with catalog
-//! size) drops out of the same run.
+//! An ingested event ([`RealtimeEngine::apply_event`]) pays leg 1 and
+//! the index update only; the search is paid by the request for a slate
+//! ([`RealtimeEngine::recommend_query`]), which needs it, rather than by
+//! every click, which would throw it away.
+//! [`RealtimeEngine::try_process_event`] runs both per event — the
+//! Table III form, whose comparison against UserKNN (whose "identifying"
+//! step is a full sparse-set scan that grows with catalog size) drops
+//! out of the same run.
 
 use std::sync::Arc;
 
@@ -24,10 +28,14 @@ use sccf_util::topk::Scored;
 use crate::framework::{CandidateSource, Exclusion, QueryError, QueryScratch, Sccf};
 use crate::neighbor::NeighborSource;
 
-/// Timing breakdown of one processed event, in milliseconds.
+/// Timing breakdown of one event or one slate, in milliseconds.
 #[derive(Debug, Clone, Copy)]
 pub struct EventTiming {
+    /// Inferring `m_u` from the history.
     pub infer_ms: f64,
+    /// Everything after inference: the index-row update for an applied
+    /// event, plus the Eq. 11 search for `try_process_event`; search,
+    /// candidates and fusion for a slate.
     pub identify_ms: f64,
 }
 
@@ -69,8 +77,7 @@ impl EngineTimings {
 /// so steady-state serving performs no heap allocation proportional to
 /// the catalog (see the `sccf-core` crate docs for the full contract).
 ///
-/// The typed, fallible entry points
-/// ([`RealtimeEngine::try_process_event`],
+/// The typed, fallible entry points ([`RealtimeEngine::apply_event`],
 /// [`RealtimeEngine::recommend_query`]) are the primary surface — the
 /// serving layer's `ServingApi` rides on them.
 pub struct RealtimeEngine<M: InductiveUiModel> {
@@ -229,16 +236,12 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         Ok(self.sccf.neighbors_with(user, &rep, &mut self.scratch))
     }
 
-    /// Ingest one interaction: append to the history, re-infer the user
-    /// representation, refresh index + recent-items state, and find the
-    /// new neighborhood. Returns the neighborhood and the measured
-    /// timing split; invalid ids surface as [`QueryError`] instead of
-    /// panicking mid-update.
-    pub fn try_process_event(
-        &mut self,
-        user: u32,
-        item: u32,
-    ) -> Result<(Vec<Scored>, EventTiming), QueryError> {
+    /// The state change one interaction requires, shared by
+    /// [`RealtimeEngine::apply_event`] and
+    /// [`RealtimeEngine::try_process_event`]; the fresh representation
+    /// goes back so the diagnostic form can search with it. The caller
+    /// records the timing once it is complete.
+    fn apply(&mut self, user: u32, item: u32) -> Result<(Vec<f32>, EventTiming), QueryError> {
         let n_users = self.sccf.user_count();
         if user as usize >= n_users {
             return Err(QueryError::UnknownUser { user, n_users });
@@ -258,16 +261,48 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         let infer_ms = sw.lap_ms();
 
         self.sccf.record_event(user, item, &rep);
-        let neighbors = self.sccf.neighbors_with(user, &rep, &mut self.scratch);
         let identify_ms = sw.lap_ms();
 
+        self.dirty.insert(user);
+        self.tier_dirty.insert(user);
         let timing = EventTiming {
             infer_ms,
             identify_ms,
         };
+        Ok((rep, timing))
+    }
+
+    /// Ingest one interaction — the write path: append to the history,
+    /// re-infer the user representation, refresh her index row and
+    /// recent-items ring, mark her dirty. No Eq. 11 search: identifying
+    /// the neighborhood belongs to the request for a slate
+    /// ([`RealtimeEngine::recommend_query`] re-infers and re-identifies
+    /// from the state written here), so the cost of an event does not
+    /// depend on population or tier size. In the returned split
+    /// `identify_ms` is the index maintenance. Invalid ids surface as
+    /// [`QueryError`] before any state changes.
+    pub fn apply_event(&mut self, user: u32, item: u32) -> Result<EventTiming, QueryError> {
+        let (_, timing) = self.apply(user, item)?;
         self.timings.record(timing);
-        self.dirty.insert(user);
-        self.tier_dirty.insert(user);
+        Ok(timing)
+    }
+
+    /// [`RealtimeEngine::apply_event`], then the Eq. 11 search for the
+    /// user's new neighborhood — the per-event "inferring + identifying"
+    /// refresh Table III times, kept as the diagnostic form: here
+    /// `identify_ms` includes the search. The search is pure (it
+    /// touches only the query scratch), so engine state afterwards is
+    /// exactly what `apply_event` alone leaves.
+    pub fn try_process_event(
+        &mut self,
+        user: u32,
+        item: u32,
+    ) -> Result<(Vec<Scored>, EventTiming), QueryError> {
+        let (rep, mut timing) = self.apply(user, item)?;
+        let sw = Stopwatch::start();
+        let neighbors = self.sccf.neighbors_with(user, &rep, &mut self.scratch);
+        timing.identify_ms += sw.elapsed_ms();
+        self.timings.record(timing);
         Ok((neighbors, timing))
     }
 

@@ -406,11 +406,14 @@ pub struct TransportStats {
 /// shape, so dashboards and benches read both engine kinds identically.
 #[derive(Debug, Clone, Default)]
 pub struct ServingStats {
-    /// Events ingested (each ran the infer + identify refresh).
+    /// Events ingested (each re-inferred its user and rewrote her index
+    /// row; the neighbor search is paid per slate, not per event).
     pub events: u64,
     /// Recommendation requests served.
     pub recommends: u64,
-    /// The Table III timing split, merged across all workers.
+    /// Per-event write-path cost, merged across all workers: `infer` is
+    /// Table III's inferring leg, `identify` is index maintenance only.
+    /// The Eq. 11 search is in [`RecResponse::timing`].
     pub timings: EngineTimings,
     /// Per-shard breakdown; empty on the single-writer engine. After a
     /// live scale-in this includes retired workers' final reports, so
@@ -462,10 +465,13 @@ impl ServingStats {
 ///   of [`sccf_core::encode_histories`], restorable by either engine at
 ///   any shard count.
 pub trait ServingApi {
-    /// Ingest one interaction. Returns the Table III timing split when
-    /// the engine processes synchronously ([`RealtimeEngine`]), `None`
-    /// when the event was queued to a worker (`ShardedEngine` — read
-    /// aggregate timings via [`ServingApi::serving_stats`]).
+    /// Ingest one interaction: history, representation and index row
+    /// are current when it returns or is flushed; no neighbor search
+    /// runs (the next slate identifies). Returns the event's infer /
+    /// index-maintenance split when the engine processes synchronously
+    /// ([`RealtimeEngine`]), `None` when the event was queued to a
+    /// worker (`ShardedEngine` — read aggregate timings via
+    /// [`ServingApi::serving_stats`]).
     fn try_ingest(&mut self, user: u32, item: u32) -> Result<Option<EventTiming>, ServingError>;
 
     /// Ingest a batch of `(user, item)` events in order. Validated
@@ -491,7 +497,7 @@ pub trait ServingApi {
     /// serving state. A no-op on the synchronous plain engine.
     fn flush(&mut self) -> Result<(), ServingError>;
 
-    /// Unified counters + Table III timings (merged across workers,
+    /// Unified counters + per-event timings (merged across workers,
     /// with the per-shard breakdown attached where one exists).
     fn serving_stats(&mut self) -> Result<ServingStats, ServingError>;
 
@@ -540,8 +546,8 @@ fn check_plain_query<M: InductiveUiModel>(
 
 impl<M: InductiveUiModel> ServingApi for RealtimeEngine<M> {
     fn try_ingest(&mut self, user: u32, item: u32) -> Result<Option<EventTiming>, ServingError> {
-        self.try_process_event(user, item)
-            .map(|(_, timing)| Some(timing))
+        self.apply_event(user, item)
+            .map(Some)
             .map_err(ServingError::from)
     }
 
@@ -556,8 +562,7 @@ impl<M: InductiveUiModel> ServingApi for RealtimeEngine<M> {
             }
         }
         for &(user, item) in events {
-            self.try_process_event(user, item)
-                .map_err(ServingError::from)?;
+            self.apply_event(user, item).map_err(ServingError::from)?;
         }
         Ok(events.len() as u64)
     }

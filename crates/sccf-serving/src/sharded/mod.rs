@@ -231,11 +231,12 @@ impl ShardedConfig {
 #[derive(Debug, Clone)]
 pub struct ShardReport {
     pub shard: usize,
-    /// Events ingested (each one ran the infer + identify refresh).
+    /// Events ingested (each one re-inferred its user and rewrote her
+    /// index row).
     pub events: u64,
     /// Recommendation requests served.
     pub recommends: u64,
-    /// The shard engine's Table III timing split.
+    /// The shard engine's per-event split: infer vs index maintenance.
     pub timings: EngineTimings,
     /// Final report of a worker retired by a live scale-in. A later
     /// scale-out may re-spawn a worker under the same shard id, so
@@ -755,8 +756,8 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
 impl<M: InductiveUiModel + 'static> ServingApi for ShardedEngine<M> {
     /// Route to the owning shard and return (`Ok(None)` — processing is
     /// asynchronous). Blocks only when that shard's queue is full
-    /// (backpressure). The infer + identify refresh happens on the
-    /// worker thread.
+    /// (backpressure). Inference and the index-row update happen on the
+    /// worker thread; the neighbor search waits for a slate request.
     fn try_ingest(
         &mut self,
         user: u32,

@@ -229,7 +229,7 @@ fn shard_worker<M: InductiveUiModel>(
                 }
                 // The router pre-validates ids, so an error here means a
                 // routing bug — surface it loudly.
-                if let Err(e) = engine.try_process_event(user, item) {
+                if let Err(e) = engine.apply_event(user, item) {
                     panic!("shard {shard}: {e}");
                 }
                 events += 1;

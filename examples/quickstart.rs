@@ -126,18 +126,17 @@ fn main() {
         .collect();
     let mut engine = RealtimeEngine::new(sccf, histories);
     let item = fused[0].id;
-    let timing = engine
-        .try_ingest(user, item)
-        .expect("ids are in range")
-        .expect("the plain engine reports per-event timing");
+    // The event updates history, representation and index row; the
+    // slate that follows re-infers and identifies the neighborhood.
+    engine.try_ingest(user, item).expect("ids are in range");
     let res = engine
         .try_recommend(user, &RecQuery::top(5))
         .expect("user exists");
     println!(
         "
-served a live event (infer {:.3} ms, identify {:.3} ms); fresh top-5: {:?}",
-        timing.infer_ms,
-        timing.identify_ms,
+served a live event; fresh top-5 (infer {:.3} ms, identify {:.3} ms): {:?}",
+        res.timing.infer_ms,
+        res.timing.identify_ms,
         res.ids()
     );
 }

@@ -97,10 +97,9 @@ fn main() {
     );
 
     for &item in &new_items {
-        let t = engine
-            .try_ingest(user, item)
-            .expect("ids in range")
-            .expect("plain engine reports timing");
+        // The Table III form — infer, then identify — per event; the
+        // serving write path (`try_ingest`) stops after the index row.
+        let (_, t) = engine.try_process_event(user, item).expect("ids in range");
         println!(
             "  event item {item:>4}  infer {:.3} ms  identify {:.3} ms",
             t.infer_ms, t.identify_ms
@@ -129,9 +128,12 @@ fn main() {
         .into_iter()
         .filter_map(|u| split.test_item(u).map(|item| (u, item)))
         .collect();
-    engine.ingest_batch(&tail).expect("test ids are in range");
-    let stats = engine.serving_stats().expect("stats");
-    let t = &stats.timings;
+    for &(u, item) in &tail {
+        engine
+            .try_process_event(u, item)
+            .expect("test ids are in range");
+    }
+    let t = engine.timings();
     println!("per-event latency over {} events:", t.infer.count());
     println!(
         "  inferring  : {:.3} ms mean (max {:.3})",

@@ -57,10 +57,11 @@ fn main() {
     let mut engine = RealtimeEngine::new(sccf, histories);
 
     for (user, item) in [(0u32, 3u32), (1, 9), (0, 14), (2, 5)] {
-        let t = engine
-            .try_ingest(user, item % split.n_items() as u32)
-            .expect("ids in range")
-            .expect("plain engine reports timing");
+        // The Table III form: apply the event, then search the new
+        // neighborhood (`try_ingest` applies only).
+        let (_, t) = engine
+            .try_process_event(user, item % split.n_items() as u32)
+            .expect("ids in range");
         println!(
             "event (user {user}, item {item}): infer {:.3} ms, identify {:.3} ms",
             t.infer_ms, t.identify_ms

@@ -20,7 +20,7 @@ use sccf::serving::{
 use sccf::util::timer::Stopwatch;
 
 fn main() {
-    // --- a mid-sized world: enough users that identify dominates -------
+    // --- a mid-sized world: the neighbor scan dominates a slate --------
     let mut cfg = ml1m_sim(Scale::Quick);
     cfg.n_users = 2000;
     cfg.n_items = 600;
@@ -116,22 +116,22 @@ fn main() {
 
     // --- unified stats: one shape for any engine kind ------------------
     let stats = engine.serving_stats().expect("stats");
-    println!("\nunified ServingStats (Table III split, merged + per shard):");
+    println!("\nunified ServingStats (per-event write path, merged + per shard):");
     println!(
-        "  fleet: {:>5} events, {} recommends, infer {:.3} ms, identify {:.3} ms / event",
+        "  fleet: {:>5} events, {} recommends, infer {:.2} µs, index update {:.2} µs / event",
         stats.events,
         stats.recommends,
-        stats.timings.infer.mean_ms(),
-        stats.timings.identify.mean_ms(),
+        stats.timings.infer.mean_ms() * 1e3,
+        stats.timings.identify.mean_ms() * 1e3,
     );
     for r in &stats.shards {
         println!(
-            "  shard {}: {:>5} events, {} recommends, infer {:.3} ms, identify {:.3} ms / event",
+            "  shard {}: {:>5} events, {} recommends, infer {:.2} µs, index update {:.2} µs / event",
             r.shard,
             r.events,
             r.recommends,
-            r.timings.infer.mean_ms(),
-            r.timings.identify.mean_ms(),
+            r.timings.infer.mean_ms() * 1e3,
+            r.timings.identify.mean_ms() * 1e3,
         );
     }
     assert_eq!(

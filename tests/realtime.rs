@@ -161,3 +161,120 @@ fn timings_accumulate_per_event() {
     assert_eq!(engine.timings().identify.count(), 5);
     assert!(engine.timings().mean_total_ms() > 0.0);
 }
+
+// ------------------------------------------------------------------
+// The write path applies, the slate identifies: `apply_event` (what
+// every serving caller ingests through) and `try_process_event` (the
+// Table III form, which also searches) must leave the same engine.
+// ------------------------------------------------------------------
+
+fn seeded_stream(len: usize) -> Vec<(u32, u32)> {
+    use rand::Rng;
+    let c = cfg();
+    let mut rng = sccf::util::rng::rng_for(21, 5);
+    (0..len)
+        .map(|_| {
+            (
+                rng.gen_range(0..c.n_users as u32),
+                rng.gen_range(0..c.n_items as u32),
+            )
+        })
+        .collect()
+}
+
+fn top10(engine: &mut RealtimeEngine<Fism>, user: u32) -> Vec<sccf::util::topk::Scored> {
+    let (items, _) = engine
+        .recommend_query(user, 10, CandidateSource::Configured, &Exclusion::History)
+        .expect("valid user");
+    items
+}
+
+fn assert_same_slate(a: &[sccf::util::topk::Scored], b: &[sccf::util::topk::Scored], ctx: &str) {
+    assert_eq!(a.len(), b.len(), "{ctx}: slate length");
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!(x.id, y.id, "{ctx}: item id");
+        assert_eq!(x.score.to_bits(), y.score.to_bits(), "{ctx}: score bits");
+    }
+}
+
+#[test]
+fn apply_event_leaves_the_state_try_process_event_leaves() {
+    let (split, mut applied, _) = build();
+    let (_, mut processed, _) = build();
+    for &(user, item) in &seeded_stream(600) {
+        let t = applied.apply_event(user, item).expect("ids in range");
+        assert!(t.infer_ms >= 0.0 && t.identify_ms >= 0.0);
+        let (neighbors, _) = processed
+            .try_process_event(user, item)
+            .expect("ids in range");
+        // The returned neighborhood is the one a diagnostic read sees.
+        let probed = processed.neighbors_of(user).expect("valid user");
+        assert_same_slate(&neighbors, &probed, &format!("neighbors of {user}"));
+    }
+    assert_eq!(applied.snapshot(), processed.snapshot());
+    for user in 0..split.n_users() as u32 {
+        assert_eq!(
+            applied.export_user(user).expect("owned"),
+            processed.export_user(user).expect("owned"),
+            "export_user({user})"
+        );
+    }
+    for user in 0..64u32 {
+        assert_same_slate(
+            &top10(&mut applied, user),
+            &top10(&mut processed, user),
+            &format!("user {user}"),
+        );
+    }
+    assert_eq!(applied.timings().identify.count(), 600);
+}
+
+#[test]
+fn sharded_two_tier_ingest_equals_the_searching_plain_engine() {
+    use sccf::serving::{RecQuery, RouterKind, ServingApi, ShardedConfig, ShardedEngine};
+
+    let (split, mut plain, _) = build();
+    let (_, twin, _) = build();
+    let n_users = split.n_users() as u32;
+    let histories: Vec<Vec<u32>> = (0..n_users).map(|u| twin.history(u).to_vec()).collect();
+    let mut fleet = ShardedEngine::try_new(
+        twin.into_sccf(),
+        histories,
+        ShardedConfig {
+            n_shards: 2,
+            queue_capacity: 64,
+            router: RouterKind::Modulo,
+        },
+    )
+    .expect("valid config");
+    fleet.refresh_global_tier().expect("tier on before traffic");
+
+    for &(user, item) in &seeded_stream(600) {
+        plain.try_process_event(user, item).expect("ids in range");
+        fleet.try_ingest(user, item).expect("ids in range");
+    }
+    fleet.flush().expect("barrier");
+    fleet.refresh_global_tier().expect("tier catches up");
+
+    assert_eq!(fleet.try_snapshot().expect("snapshot"), plain.snapshot());
+    let users: Vec<u32> = (0..n_users).collect();
+    let blobs = fleet.export_user_states(&users).expect("export");
+    for (&user, blob) in users.iter().zip(&blobs) {
+        assert_eq!(
+            blob,
+            &plain.export_user(user).expect("owned"),
+            "export_user({user})"
+        );
+    }
+    let slates = fleet
+        .recommend_many(&users[..64], &RecQuery::top(10))
+        .expect("users exist");
+    for (&user, slate) in users[..64].iter().zip(&slates) {
+        assert_same_slate(
+            &slate.items,
+            &top10(&mut plain, user),
+            &format!("user {user}"),
+        );
+    }
+    fleet.shutdown();
+}

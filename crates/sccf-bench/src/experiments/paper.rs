@@ -276,7 +276,7 @@ pub fn table3(h: &HarnessConfig) -> Vec<Table> {
 /// alone at growing platform size. UserKNN intersects sparse sets whose
 /// cost grows with users × basket size; the SCCF index scans dense
 /// `d`-dimensional vectors, so its per-query cost grows only with the
-/// user count — and sub-linearly once IVF probes replace the full scan.
+/// user count — and sub-linearly once an HNSW beam replaces the full scan.
 /// No trained model is needed: identification cost is independent of the
 /// embedding *values*.
 fn table3_scaling(h: &HarnessConfig) -> Table {

@@ -15,7 +15,7 @@ use crate::harness::{event_at, serving_sccf_config, serving_world, HarnessConfig
 
 /// One frozen-tier mode's measured operating point at bench scale.
 struct TierPoint {
-    /// `"flat"`, `"hnsw"` or `"ivf_pq"`.
+    /// `"flat"` or `"hnsw"`.
     mode: &'static str,
     /// Fraction of the exact flat top-β recovered, averaged over probes.
     recall_at_beta: f64,
@@ -60,9 +60,9 @@ fn tier_world(n: usize, dim: usize, seed: u64) -> sccf_index::FrozenUserIndex {
 }
 
 /// Sublinear-tier scaling measurement: at ≥100k synthetic users, time
-/// `search_append` per [`FrozenTierMode`] and score the ANN/quantized
-/// top-β against the exact flat scan, then pin exhaustive parameters
-/// to bit-identity at small n (where `OVERFETCH × β` covers the whole
+/// `search_append` per [`FrozenTierMode`] and score the ANN top-β
+/// against the exact flat scan, then pin the exhaustive beam to
+/// bit-identity at small n (where `HNSW_OVERFETCH × β` covers the whole
 /// population, so candidate generation cannot lose the true top-β).
 /// Returns the artifact's `frozen_tier` section, its table and the
 /// checks the section failed.
@@ -117,56 +117,51 @@ fn frozen_tier(h: &HarnessConfig) -> (Json, Table, Vec<String>) {
         bytes: 0,
     }];
 
-    for mode in [
-        FrozenTierMode::Hnsw { ef: 128 },
-        FrozenTierMode::IvfPq {
-            nlist: 256,
-            nprobe: 16,
-            m: 8,
-        },
-    ] {
-        eprintln!("[bench-quality] frozen tier: building {} ...", mode.label());
-        let accel = FrozenTierAccel::build(mode, &frozen, h.seed).expect("non-flat mode");
-        let mut scratch = TierScratch::new();
-        let mut out = Vec::with_capacity(beta);
-        // Warm-up sizes every scratch buffer; the timed pass then
-        // allocates nothing (the capacity-fixed-point property pinned
-        // in sccf-index's tier tests).
-        for q in &queries {
-            out.clear();
-            accel.search_append(&frozen, q, beta, &no_skip, &mut scratch, &mut out);
-        }
-        let sw = Stopwatch::start();
-        for q in &queries {
-            out.clear();
-            accel.search_append(&frozen, q, beta, &no_skip, &mut scratch, &mut out);
-            std::hint::black_box(&out);
-        }
-        let ns = sw.elapsed_ms() * 1e6 / queries.len() as f64;
-        let mut recall = 0.0f64;
-        for (q, t) in queries.iter().zip(&truth) {
-            out.clear();
-            accel.search_append(&frozen, q, beta, &no_skip, &mut scratch, &mut out);
-            let mut got = sccf_util::hash::fx_set_with_capacity(out.len());
-            got.extend(out.iter().map(|s| s.id));
-            let hit = t.iter().filter(|s| got.contains(&s.id)).count();
-            recall += hit as f64 / t.len().max(1) as f64;
-        }
-        recall /= queries.len() as f64;
-        points.push(TierPoint {
-            mode: mode.label(),
-            recall_at_beta: recall,
-            ns_per_search: ns,
-            speedup_vs_flat: flat_ns / ns,
-            bytes: accel.bytes(),
-        });
+    let mode = FrozenTierMode::Hnsw { ef: 128 };
+    eprintln!("[bench-quality] frozen tier: building {} ...", mode.label());
+    let accel = FrozenTierAccel::build(mode, &frozen, h.seed).expect("non-flat mode");
+    let mut scratch = TierScratch::new();
+    let mut out = Vec::with_capacity(beta);
+    // Warm-up sizes every scratch buffer; the timed pass then
+    // allocates nothing (the capacity-fixed-point property pinned
+    // in sccf-index's tier tests).
+    for q in &queries {
+        out.clear();
+        accel.search_append(&frozen, q, beta, &no_skip, &mut scratch, &mut out);
     }
+    let sw = Stopwatch::start();
+    for q in &queries {
+        out.clear();
+        accel.search_append(&frozen, q, beta, &no_skip, &mut scratch, &mut out);
+        std::hint::black_box(&out);
+    }
+    let ns = sw.elapsed_ms() * 1e6 / queries.len() as f64;
+    let mut recall = 0.0f64;
+    for (q, t) in queries.iter().zip(&truth) {
+        out.clear();
+        accel.search_append(&frozen, q, beta, &no_skip, &mut scratch, &mut out);
+        let mut got = sccf_util::hash::fx_set_with_capacity(out.len());
+        got.extend(out.iter().map(|s| s.id));
+        let hit = t.iter().filter(|s| got.contains(&s.id)).count();
+        recall += hit as f64 / t.len().max(1) as f64;
+    }
+    recall /= queries.len() as f64;
+    points.push(TierPoint {
+        mode: mode.label(),
+        recall_at_beta: recall,
+        ns_per_search: ns,
+        speedup_vs_flat: flat_ns / ns,
+        bytes: accel.bytes(),
+    });
 
-    // Exhaustive-parameter exactness pins at small n.
+    // Exhaustive-beam exactness pin at small n: `Hnsw { ef ≥ n }` +
+    // exact rerank must reproduce the flat scan bit-for-bit on every
+    // probe.
     let small = tier_world(96, dim, h.seed ^ 0xA5);
-    let beta_small = 96 / sccf_index::tier::OVERFETCH;
-    let pin = |mode: FrozenTierMode| -> bool {
-        let accel = FrozenTierAccel::build(mode, &small, 7).expect("non-flat mode");
+    let beta_small = 96 / sccf_index::tier::HNSW_OVERFETCH;
+    let hnsw_exact = {
+        let accel = FrozenTierAccel::build(FrozenTierMode::Hnsw { ef: 96 }, &small, 7)
+            .expect("non-flat mode");
         let mut scratch = TierScratch::new();
         let mut rng = sccf_util::rng::rng_for(h.seed, 9003);
         let mut got = Vec::new();
@@ -182,19 +177,11 @@ fn frozen_tier(h: &HarnessConfig) -> (Json, Table, Vec<String>) {
                     .all(|(a, b)| a.id == b.id && a.score.to_bits() == b.score.to_bits())
         })
     };
-    // `Hnsw { ef ≥ n }` / `IvfPq { nprobe = nlist }` + exact rerank must
-    // reproduce the flat scan bit-for-bit on every probe.
-    let hnsw_exact = pin(FrozenTierMode::Hnsw { ef: 96 });
-    let ivfpq_exact = pin(FrozenTierMode::IvfPq {
-        nlist: 4,
-        nprobe: 4,
-        m: 4,
-    });
 
     let mut table = Table::new(
         format!(
             "Frozen global tier — {n} users × dim {dim}, β={beta}, candidates exactly reranked \
-             (exhaustive pins: hnsw bit-identical {hnsw_exact}, ivf_pq bit-identical {ivfpq_exact})",
+             (exhaustive pin: hnsw bit-identical {hnsw_exact})",
         ),
         &["mode", "recall@β", "ns/search", "speedup", "MiB"],
     );
@@ -217,8 +204,7 @@ fn frozen_tier(h: &HarnessConfig) -> (Json, Table, Vec<String>) {
             ("bytes", Json::int(p.bytes)),
         ])
     });
-    let at = |mode: &str| points.iter().find(|p| p.mode == mode).expect("measured");
-    let (hnsw, ivfpq) = (at("hnsw"), at("ivf_pq"));
+    let hnsw = points.last().expect("hnsw measured");
     let json = Json::obj([
         ("n_users", Json::int(n)),
         ("dim", Json::int(dim)),
@@ -226,21 +212,14 @@ fn frozen_tier(h: &HarnessConfig) -> (Json, Table, Vec<String>) {
         ("points", Json::Arr(rows.collect())),
         ("hnsw_speedup_vs_flat", Json::num(hnsw.speedup_vs_flat, 3)),
         ("hnsw_recall_at_beta", Json::num(hnsw.recall_at_beta, 6)),
-        ("ivfpq_speedup_vs_flat", Json::num(ivfpq.speedup_vs_flat, 3)),
-        ("ivfpq_recall_at_beta", Json::num(ivfpq.recall_at_beta, 6)),
         ("exhaustive_hnsw_bit_identical", Json::Bool(hnsw_exact)),
-        ("exhaustive_ivfpq_bit_identical", Json::Bool(ivfpq_exact)),
     ]);
     let checks = [
         (n >= 100_000, "the tier comparison must run at scale"),
-        (points.len() == 3, "flat, hnsw and ivf_pq all measured"),
+        (points.len() == 2, "flat and hnsw both measured"),
         (
             hnsw_exact,
             "exhaustive-beam HNSW + exact rerank must reproduce the flat scan bit-for-bit",
-        ),
-        (
-            ivfpq_exact,
-            "full-probe IVF-PQ + exact rerank must reproduce the flat scan bit-for-bit",
         ),
         (
             hnsw.recall_at_beta >= 0.95,
@@ -472,8 +451,8 @@ pub fn bench_quality(h: &HarnessConfig) -> BenchArtifact {
     );
     a.require_keys(
         "frozen_tier",
-        "n_users dim beta points hnsw_speedup_vs_flat hnsw_recall_at_beta ivfpq_speedup_vs_flat \
-         ivfpq_recall_at_beta exhaustive_hnsw_bit_identical exhaustive_ivfpq_bit_identical",
+        "n_users dim beta points hnsw_speedup_vs_flat hnsw_recall_at_beta \
+         exhaustive_hnsw_bit_identical",
     );
     a.failures.extend(tier_failures);
     a

@@ -161,7 +161,6 @@ pub fn sccf_config(beta: usize, candidate_n: usize, seed: u64, threads: usize) -
             ..Default::default()
         },
         threads,
-        profiles: None,
         ui_ann: None,
         frozen_tier: FrozenTierMode::Flat,
     }

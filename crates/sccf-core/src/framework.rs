@@ -30,7 +30,6 @@
 //! candidate assembly sublinear in the catalog (approximate; off by
 //! default to preserve the paper's exact Eq. 10 retrieval).
 
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -43,7 +42,6 @@ use sccf_util::topk::Scored;
 
 use crate::integrator::{CandidateFeatures, Integrator, IntegratorConfig};
 use crate::neighbor::{GlobalNeighborSnapshot, NeighborSource};
-use crate::profile::UserProfiles;
 use crate::realtime::EventTiming;
 use crate::user_component::{UserBasedComponent, UserBasedConfig, UuScratch};
 
@@ -142,11 +140,6 @@ pub struct SccfConfig {
     pub integrator: IntegratorConfig,
     /// Threads for the representation pre-computation.
     pub threads: usize,
-    /// Optional side information (§V future work): when set, neighbor
-    /// search runs over `[m̂_u ⊕ w·p̂_u]` so profile similarity
-    /// co-determines the neighborhood. `None` is exactly the paper's
-    /// Eq. 11.
-    pub profiles: Option<UserProfiles>,
     /// When set, UI candidate generation (Eq. 10 top-N) is served by an
     /// HNSW index over the item embeddings instead of a dense
     /// full-catalog scan — sublinear in catalog size but approximate.
@@ -155,19 +148,19 @@ pub struct SccfConfig {
     pub ui_ann: Option<HnswConfig>,
     /// How the frozen *global user tier* is searched
     /// ([`crate::GlobalNeighborSnapshot`]): [`FrozenTierMode::Flat`]
-    /// (the default) is the exact O(population) scan; the ANN /
-    /// quantized modes build an acceleration structure at refresh time
-    /// and re-rank their candidates against the exact frozen vectors,
-    /// so exhaustive parameters reproduce the flat scan bit-for-bit
-    /// and anything less is a measured recall trade
+    /// (the default) is the exact O(population) scan;
+    /// [`FrozenTierMode::Hnsw`] builds a graph at refresh time and
+    /// re-ranks its candidates against the exact frozen vectors, so an
+    /// exhaustive beam reproduces the flat scan bit-for-bit and
+    /// anything less is a measured recall trade
     /// (`docs/OPERATIONS.md` has the tuning runbook).
     pub frozen_tier: FrozenTierMode,
 }
 
-/// The seed every frozen-tier acceleration build runs under: k-means
-/// initialisation and HNSW level sampling derive from it, so rebuilding
-/// a snapshot from identical exports is byte-identical — the same
-/// determinism discipline as the engine's own RNG plumbing.
+/// The seed every frozen-tier acceleration build runs under: HNSW
+/// level sampling derives from it, so rebuilding a snapshot from
+/// identical exports is byte-identical — the same determinism
+/// discipline as the engine's own RNG plumbing.
 pub const TIER_BUILD_SEED: u64 = 0x5CCF_71E2;
 
 impl Default for SccfConfig {
@@ -177,7 +170,6 @@ impl Default for SccfConfig {
             candidate_n: 100,
             integrator: IntegratorConfig::default(),
             threads: 4,
-            profiles: None,
             ui_ann: None,
             frozen_tier: FrozenTierMode::Flat,
         }
@@ -319,36 +311,25 @@ impl<M: InductiveUiModel> SccfShared<M> {
     /// Build an epoch-stamped [`GlobalNeighborSnapshot`] from per-user
     /// export entries `(user, raw representation, full history)` — the
     /// decoded payload of `RealtimeEngine::export_user` blobs. The
-    /// representation gets the same profile augmentation the live index
-    /// applies and the history is truncated to the recent window, so
-    /// the frozen tier holds exactly the vectors and windows the
-    /// mutable tiers would derive from the same state — the
-    /// bit-identity the synchronous-refresh equivalence rests on.
+    /// history is truncated to the recent window, so the frozen tier
+    /// holds exactly the vectors and windows the mutable tiers would
+    /// derive from the same state — the bit-identity the
+    /// synchronous-refresh equivalence rests on.
     pub fn build_neighbor_snapshot(
         &self,
         epoch: u64,
         n_users: usize,
         entries: impl IntoIterator<Item = (u32, Vec<f32>, Vec<u32>)>,
     ) -> GlobalNeighborSnapshot {
-        let dim = self.model.dim();
-        let index_dim = self
-            .cfg
-            .profiles
-            .as_ref()
-            .map_or(dim, |p| p.augmented_dim(dim));
         let w = self.cfg.user_based.recent_window;
         let rows = entries.into_iter().map(|(u, rep, history)| {
-            let vec = match &self.cfg.profiles {
-                Some(p) => p.augment(u, &rep),
-                None => rep,
-            };
             let window = history[history.len().saturating_sub(w)..].to_vec();
-            (u, vec, window)
+            (u, rep, window)
         });
         GlobalNeighborSnapshot::build_with_mode(
             epoch,
             n_users,
-            index_dim,
+            self.model.dim(),
             self.cfg.frozen_tier,
             TIER_BUILD_SEED,
             rows,
@@ -358,11 +339,11 @@ impl<M: InductiveUiModel> SccfShared<M> {
     /// Delta sibling of [`SccfShared::build_neighbor_snapshot`]: patch
     /// `prev` with export entries for only the users whose state changed
     /// since it was built (the engines' tier-dirty sets). Entries get
-    /// the identical augmentation and window truncation as the full
-    /// path, and the accelerated structure is rebuilt with the same
-    /// seed, so when the entries cover every changed user the result is
-    /// bit-identical to a full rebuild at the same watermark — pinned
-    /// by `tests/serving_api.rs`.
+    /// the identical window truncation as the full path, and the
+    /// accelerated structure is rebuilt with the same seed, so when the
+    /// entries cover every changed user the result is bit-identical to
+    /// a full rebuild at the same watermark — pinned by
+    /// `tests/serving_api.rs`.
     pub fn build_neighbor_snapshot_delta(
         &self,
         prev: &GlobalNeighborSnapshot,
@@ -371,12 +352,8 @@ impl<M: InductiveUiModel> SccfShared<M> {
     ) -> GlobalNeighborSnapshot {
         let w = self.cfg.user_based.recent_window;
         let rows = entries.into_iter().map(|(u, rep, history)| {
-            let vec = match &self.cfg.profiles {
-                Some(p) => p.augment(u, &rep),
-                None => rep,
-            };
             let window = history[history.len().saturating_sub(w)..].to_vec();
-            (u, vec, window)
+            (u, rep, window)
         });
         GlobalNeighborSnapshot::build_delta_with_mode(
             prev,
@@ -475,16 +452,8 @@ impl<M: InductiveUiModel> Sccf<M> {
             .collect();
         let reps = infer_all_reps(&model, &train_histories, cfg.threads);
         let dim = model.dim();
-        let index_dim = cfg.profiles.as_ref().map_or(dim, |p| p.augmented_dim(dim));
-        let flat: Vec<f32> = reps
-            .iter()
-            .enumerate()
-            .flat_map(|(u, r)| match &cfg.profiles {
-                Some(p) => p.augment(u as u32, r),
-                None => r.clone(),
-            })
-            .collect();
-        let mut user_index = FlatIndex::new(index_dim, Metric::Cosine);
+        let flat: Vec<f32> = reps.iter().flatten().copied().collect();
+        let mut user_index = FlatIndex::new(dim, Metric::Cosine);
         user_index.add_batch(&flat);
         let item_index = cfg.ui_ann.as_ref().map(|hnsw_cfg| {
             let table = model.item_embeddings();
@@ -509,11 +478,7 @@ impl<M: InductiveUiModel> Sccf<M> {
         for u in split.val_users() {
             let val = split.val_item(u).expect("val user");
             let rep = &reps[u as usize];
-            let query = match &cfg.profiles {
-                Some(p) => p.augment(u, rep),
-                None => rep.clone(),
-            };
-            let neighbors = user_index.search(&query, cfg.user_based.beta, Some(u));
+            let neighbors = user_index.search(rep, cfg.user_based.beta, Some(u));
             assemble_candidates_into(
                 &model,
                 item_index.as_ref(),
@@ -558,13 +523,10 @@ impl<M: InductiveUiModel> Sccf<M> {
     }
 
     /// The vector stored in / queried against the user index for `user`:
-    /// the raw representation (borrowed — no copy on the hot path), or
-    /// its profile-augmented form (§V).
-    pub fn index_vector<'a>(&self, user: u32, rep: &'a [f32]) -> Cow<'a, [f32]> {
-        match &self.shared.cfg.profiles {
-            Some(p) => Cow::Owned(p.augment(user, rep)),
-            None => Cow::Borrowed(rep),
-        }
+    /// the representation itself — index space *is* representation
+    /// space (Eq. 11). Kept for callers that probe a tier directly.
+    pub fn index_vector<'a>(&self, _user: u32, rep: &'a [f32]) -> &'a [f32] {
+        rep
     }
 
     /// The wrapped UI model.
@@ -622,20 +584,18 @@ impl<M: InductiveUiModel> Sccf<M> {
         QueryScratch::for_population(self.shared.model.n_items(), self.user_count())
     }
 
-    /// Current neighborhood of a representation (Eq. 11; profile-blended
-    /// when side information is attached), in *global* user ids. On a
-    /// shard view this merges the shard's fresh local delta with the
-    /// frozen global tier when one is installed
+    /// Current neighborhood of a representation (Eq. 11), in *global*
+    /// user ids. On a shard view this merges the shard's fresh local
+    /// delta with the frozen global tier when one is installed
     /// ([`Sccf::set_global_tier`]); without one it searches the shard's
     /// owned users only — the historical behavior, bit-for-bit.
     /// One-shot form (allocates its merge buffers); the serving path
     /// goes through [`Sccf::neighbors_with`].
     pub fn neighbors(&self, user: u32, rep: &[f32]) -> Vec<Scored> {
-        let q = self.index_vector(user, rep);
         let mut out = Vec::new();
         let mut seen = StampSet::new(0);
         let mut tier = TierScratch::new();
-        self.merged_neighbors_into(user, &q, &mut out, &mut seen, &mut tier);
+        self.merged_neighbors_into(user, rep, &mut out, &mut seen, &mut tier);
         out
     }
 
@@ -649,13 +609,32 @@ impl<M: InductiveUiModel> Sccf<M> {
         rep: &[f32],
         scratch: &mut QueryScratch,
     ) -> Vec<Scored> {
-        let q = self.index_vector(user, rep);
-        let mut out = std::mem::take(&mut scratch.merged);
-        let mut seen = std::mem::replace(&mut scratch.users_seen, StampSet::new(0));
-        self.merged_neighbors_into(user, &q, &mut out, &mut seen, &mut scratch.tier);
-        scratch.users_seen = seen;
-        let result = out.clone();
-        scratch.merged = out;
+        self.with_neighbors(user, rep, scratch, |neighbors, _| neighbors.to_vec())
+    }
+
+    /// The neighbour step of every scratch-path query: run the merged
+    /// Eq. 11 search for `user` out of `scratch`, then hand `f` the
+    /// neighbourhood *and* the scratch — the buffer is taken out for
+    /// the duration so candidate assembly can borrow the rest of the
+    /// scratch mutably while reading it, and goes back (capacity
+    /// intact) when `f` returns.
+    fn with_neighbors<R>(
+        &self,
+        user: u32,
+        rep: &[f32],
+        scratch: &mut QueryScratch,
+        f: impl FnOnce(&[Scored], &mut QueryScratch) -> R,
+    ) -> R {
+        let mut neighbors = std::mem::take(&mut scratch.merged);
+        self.merged_neighbors_into(
+            user,
+            rep,
+            &mut neighbors,
+            &mut scratch.users_seen,
+            &mut scratch.tier,
+        );
+        let result = f(&neighbors, scratch);
+        scratch.merged = neighbors;
         result
     }
 
@@ -780,8 +759,7 @@ impl<M: InductiveUiModel> Sccf<M> {
         let slot = self
             .slot_of(user)
             .expect("event for a user this shard does not own");
-        let q = self.index_vector(user, rep);
-        self.user_index.update(slot, &q);
+        self.user_index.update(slot, rep);
         self.user_comp.record(slot, item);
     }
 
@@ -801,8 +779,7 @@ impl<M: InductiveUiModel> Sccf<M> {
     /// state).
     pub(crate) fn reset_user_state(&mut self, user: u32, history: &[u32], rep: &[f32]) {
         if let Some(slot) = self.slot_of(user) {
-            let q = self.index_vector(user, rep);
-            self.user_index.update(slot, &q);
+            self.user_index.update(slot, rep);
             self.user_comp.reset_user(slot, history);
         }
     }
@@ -825,22 +802,18 @@ impl<M: InductiveUiModel> Sccf<M> {
     /// serving-path form of [`Sccf::candidate_features`].
     pub fn candidate_features_with(&self, user: u32, history: &[u32], scratch: &mut QueryScratch) {
         let rep = self.shared.model.infer_user(history);
-        let query = self.index_vector(user, &rep);
-        let mut neighbors = std::mem::take(&mut scratch.merged);
-        let mut seen = std::mem::replace(&mut scratch.users_seen, StampSet::new(0));
-        self.merged_neighbors_into(user, &query, &mut neighbors, &mut seen, &mut scratch.tier);
-        scratch.users_seen = seen;
-        assemble_candidates_into(
-            &self.shared.model,
-            self.shared.item_index.as_ref(),
-            &rep,
-            history,
-            self.shared.cfg.candidate_n,
-            &Exclusion::History,
-            scratch,
-            |uu| self.fill_uu_scores(&neighbors, uu),
-        );
-        scratch.merged = neighbors;
+        self.with_neighbors(user, &rep, scratch, |neighbors, scratch| {
+            assemble_candidates_into(
+                &self.shared.model,
+                self.shared.item_index.as_ref(),
+                &rep,
+                history,
+                self.shared.cfg.candidate_n,
+                &Exclusion::History,
+                scratch,
+                |uu| self.fill_uu_scores(neighbors, uu),
+            )
+        });
     }
 
     /// The union candidate set with raw scores — the integrator's input.
@@ -865,13 +838,9 @@ impl<M: InductiveUiModel> Sccf<M> {
         scratch: &mut QueryScratch,
     ) {
         let rep = self.shared.model.infer_user(history);
-        let query = self.index_vector(user, &rep);
-        let mut neighbors = std::mem::take(&mut scratch.merged);
-        let mut seen = std::mem::replace(&mut scratch.users_seen, StampSet::new(0));
-        self.merged_neighbors_into(user, &query, &mut neighbors, &mut seen, &mut scratch.tier);
-        scratch.users_seen = seen;
-        self.fill_uu_scores(&neighbors, &mut scratch.uu);
-        scratch.merged = neighbors;
+        self.with_neighbors(user, &rep, scratch, |neighbors, scratch| {
+            self.fill_uu_scores(neighbors, &mut scratch.uu)
+        });
         scratch.reset_for(history);
         let cand = &mut scratch.cand;
         for &i in items {
@@ -924,22 +893,18 @@ impl<M: InductiveUiModel> Sccf<M> {
         let mut sw = Stopwatch::start();
         let rep = self.shared.model.infer_user(history);
         let infer_ms = sw.lap_ms();
-        let query = self.index_vector(user, &rep);
-        let mut neighbors = std::mem::take(&mut scratch.merged);
-        let mut seen = std::mem::replace(&mut scratch.users_seen, StampSet::new(0));
-        self.merged_neighbors_into(user, &query, &mut neighbors, &mut seen, &mut scratch.tier);
-        scratch.users_seen = seen;
-        assemble_candidates_into(
-            &self.shared.model,
-            item_index,
-            &rep,
-            history,
-            self.shared.cfg.candidate_n,
-            exclusion,
-            scratch,
-            |uu| self.fill_uu_scores(&neighbors, uu),
-        );
-        scratch.merged = neighbors;
+        self.with_neighbors(user, &rep, scratch, |neighbors, scratch| {
+            assemble_candidates_into(
+                &self.shared.model,
+                item_index,
+                &rep,
+                history,
+                self.shared.cfg.candidate_n,
+                exclusion,
+                scratch,
+                |uu| self.fill_uu_scores(neighbors, uu),
+            )
+        });
         let fused = self
             .shared
             .integrator
@@ -1054,11 +1019,6 @@ impl<M: InductiveUiModel> Sccf<M> {
         assert_eq!(histories.len(), n_users, "one history per indexed user");
         let shared = self.shared;
         let dim = shared.model.dim();
-        let index_dim = shared
-            .cfg
-            .profiles
-            .as_ref()
-            .map_or(dim, |p| p.augmented_dim(dim));
         let n_items = shared.model.n_items();
         // One threaded pass over the whole population (each user's
         // representation lands in at most one shard) — same parallel
@@ -1091,15 +1051,14 @@ impl<M: InductiveUiModel> Sccf<M> {
                 );
                 let mut shard = Sccf {
                     shared: Arc::clone(&shared),
-                    user_index: FlatIndex::new(index_dim, Metric::Cosine),
+                    user_index: FlatIndex::new(dim, Metric::Cosine),
                     user_comp,
                     owned: Some(ShardMap { globals, local_of }),
                     global_tier: None,
                 };
                 let map = shard.owned.as_ref().expect("just set");
                 for &g in &map.globals {
-                    let q = shard.index_vector(g, &reps[g as usize]);
-                    shard.user_index.add(&q);
+                    shard.user_index.add(&reps[g as usize]);
                 }
                 shard
             })
@@ -1115,12 +1074,6 @@ impl<M: InductiveUiModel> Sccf<M> {
     /// every user, it just owns none of them), matching the views
     /// [`Sccf::into_shards`] produces.
     pub fn empty_shard_view(shared: &Arc<SccfShared<M>>, n_users: usize) -> Self {
-        let dim = shared.model.dim();
-        let index_dim = shared
-            .cfg
-            .profiles
-            .as_ref()
-            .map_or(dim, |p| p.augmented_dim(dim));
         let user_comp = UserBasedComponent::new(
             shared.cfg.user_based.clone(),
             shared.model.n_items(),
@@ -1128,7 +1081,7 @@ impl<M: InductiveUiModel> Sccf<M> {
         );
         Self {
             shared: Arc::clone(shared),
-            user_index: FlatIndex::new(index_dim, Metric::Cosine),
+            user_index: FlatIndex::new(shared.model.dim(), Metric::Cosine),
             user_comp,
             owned: Some(ShardMap {
                 globals: Vec::new(),
@@ -1148,7 +1101,6 @@ impl<M: InductiveUiModel> Sccf<M> {
     /// If this is not a shard view or the user is already owned here —
     /// the migration router must only import unowned users.
     pub(crate) fn adopt_user(&mut self, user: u32, history: &[u32], rep: &[f32]) {
-        let q = self.index_vector(user, rep);
         let map = self.owned.as_mut().expect("adopt_user on a shard view");
         assert_eq!(
             map.local_of[user as usize],
@@ -1158,7 +1110,7 @@ impl<M: InductiveUiModel> Sccf<M> {
         let slot = map.globals.len() as u32;
         map.globals.push(user);
         map.local_of[user as usize] = slot;
-        let pushed = self.user_index.add(&q);
+        let pushed = self.user_index.add(rep);
         debug_assert_eq!(pushed, slot);
         self.user_comp.push_user(history);
     }

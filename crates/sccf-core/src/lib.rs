@@ -37,9 +37,7 @@
 //!   index).
 //! * [`realtime`] — [`RealtimeEngine`]: the single-writer event loop
 //!   with the Table III infer/identify timing split.
-//! * [`profile`] — side-information-aware neighborhoods (the paper's §V
-//!   future work), blending behavioral and profile similarity.
-//! * [`ranking`] — [`RankingStage`]: the paper's second §V direction —
+//! * [`ranking`] — [`RankingStage`]: the paper's §V direction of
 //!   applying the fused UI+UU evidence to an upstream generator's
 //!   candidates in the ranking step.
 //! * [`analysis`] — the Figure 4 similarity-distribution computation.
@@ -85,7 +83,6 @@ pub mod analysis;
 pub mod framework;
 pub mod integrator;
 pub mod neighbor;
-pub mod profile;
 pub mod ranking;
 pub mod realtime;
 pub mod user_component;
@@ -96,7 +93,6 @@ pub use framework::{
 };
 pub use integrator::{CandidateFeatures, Integrator, IntegratorConfig};
 pub use neighbor::{GlobalNeighborSnapshot, NeighborSource, TierDecodeError};
-pub use profile::UserProfiles;
 pub use ranking::RankingStage;
 pub use realtime::{
     decode_histories, decode_user_state, encode_histories, encode_user_state, EngineTimings,

@@ -166,8 +166,7 @@ pub struct GlobalNeighborSnapshot {
     win_offsets: Vec<u32>,
     win_items: Vec<u32>,
     /// Optional acceleration structure over the frozen index
-    /// ([`FrozenTierMode::Hnsw`] / [`FrozenTierMode::IvfPq`]), built at
-    /// refresh time; `None` keeps the exact flat scan. `Arc` because
+    /// ([`FrozenTierMode::Hnsw`]), built at refresh time; `None` keeps the exact flat scan. `Arc` because
     /// the structure is immutable and snapshot clones share it.
     accel: Option<Arc<FrozenTierAccel>>,
 }
@@ -186,9 +185,8 @@ impl std::fmt::Debug for GlobalNeighborSnapshot {
 impl GlobalNeighborSnapshot {
     /// Build a snapshot from per-user export entries
     /// `(user, index vector, recent window)` over a population of
-    /// `n_users`. The vector must already be in *index space* (profile
-    /// augmentation applied — see `SccfShared::build_neighbor_snapshot`,
-    /// which handles that); the window is the user's last
+    /// `n_users`. The vector is the user's representation; the window
+    /// is the user's last
     /// `recent_window` items, oldest first — exactly the live ring's
     /// contents at export time. Users without an entry stay uncovered
     /// (zero vector, empty window).
@@ -222,8 +220,8 @@ impl GlobalNeighborSnapshot {
 
     /// [`build`](Self::build), then construct the acceleration
     /// structure `mode` asks for over the frozen vectors — the refresh
-    /// pipeline's entry point. `seed` drives every k-means / graph
-    /// randomization so rebuilding from identical exports is
+    /// pipeline's entry point. `seed` drives the graph's level
+    /// sampling so rebuilding from identical exports is
     /// byte-identical. [`FrozenTierMode::Flat`] builds nothing and is
     /// bit-for-bit the historical snapshot.
     pub fn build_with_mode(
@@ -361,7 +359,8 @@ impl GlobalNeighborSnapshot {
             None
         } else {
             let mut section = Reader::new(accel_bytes);
-            let a = FrozenTierAccel::decode_from(&mut section).map_err(TierDecodeError::Accel)?;
+            let a = FrozenTierAccel::decode_from(&mut section, &index)
+                .map_err(TierDecodeError::Accel)?;
             section.finish().map_err(TierDecodeError::Accel)?;
             Some(Arc::new(a))
         };

@@ -806,7 +806,6 @@ mod tests {
                     ..Default::default()
                 },
                 threads: 1,
-                profiles: None,
                 ui_ann: None,
                 frozen_tier: FrozenTierMode::Flat,
             },

@@ -57,7 +57,6 @@ fn build(seed: u64) -> (LeaveOneOut, Sccf<Fism>) {
                 ..Default::default()
             },
             threads: 1,
-            profiles: None,
             ui_ann: None,
             frozen_tier: FrozenTierMode::Flat,
         },

@@ -166,12 +166,6 @@ fn sample_cumulative(rng: &mut StdRng, cum: &[f64]) -> usize {
 pub struct SyntheticData {
     pub dataset: Dataset,
     pub truth: GroundTruth,
-    /// Observable per-user side information ("user profile", the paper's
-    /// §V future work): a noisy soft indicator of the user's interest
-    /// segment, unit-normalized. Real platforms would derive this from
-    /// demographics/registration data; it correlates with — but does not
-    /// reveal — the latent group.
-    pub profiles: Vec<Vec<f32>>,
 }
 
 /// Generate a dataset from `cfg`, deterministically from `seed`.
@@ -350,20 +344,6 @@ pub fn generate(cfg: &SyntheticConfig, seed: u64) -> SyntheticData {
         user_latent.push(z);
     }
 
-    // observable profiles: noisy one-hot of the interest group
-    let profiles: Vec<Vec<f32>> = user_group
-        .iter()
-        .map(|&g| {
-            let mut p = vec![0.0f32; cfg.n_groups];
-            p[g as usize] = 1.0;
-            for x in p.iter_mut() {
-                *x += 0.35 * gauss(&mut rng);
-            }
-            normalize(&mut p);
-            p
-        })
-        .collect();
-
     let dataset = Dataset::from_interactions(
         cfg.name.clone(),
         cfg.n_users,
@@ -380,7 +360,6 @@ pub fn generate(cfg: &SyntheticConfig, seed: u64) -> SyntheticData {
             user_group,
             niche,
         },
-        profiles,
     }
 }
 

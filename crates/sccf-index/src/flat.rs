@@ -128,14 +128,6 @@ impl FlatIndex {
                     tk.push(id as u32, sccf_tensor::mat::dot(query, row) / (qn * n));
                 }
             }
-            Metric::L2 => {
-                for (id, row) in self.data.chunks_exact(self.dim).enumerate() {
-                    if exclude == Some(id as u32) {
-                        continue;
-                    }
-                    tk.push(id as u32, Metric::L2.score(query, row));
-                }
-            }
         }
         tk.into_sorted_vec()
     }
@@ -159,7 +151,6 @@ impl FlatIndex {
                         sccf_tensor::mat::dot(query, row) / (qn * n)
                     }
                 }
-                Metric::L2 => Metric::L2.score(query, row),
             })
             .collect()
     }
@@ -270,15 +261,5 @@ mod tests {
         assert_eq!(idx.vector(0), &[1.0, 1.0]);
         idx.swap_remove(0);
         assert!(idx.is_empty());
-    }
-
-    #[test]
-    fn l2_prefers_closest() {
-        let mut idx = FlatIndex::new(1, Metric::L2);
-        idx.add(&[0.0]);
-        idx.add(&[5.0]);
-        idx.add(&[2.0]);
-        let hits = idx.search(&[1.9], 3, None);
-        assert_eq!(hits[0].id, 2);
     }
 }

@@ -248,7 +248,7 @@ impl FrozenUserIndex {
         out
     }
 
-    /// Exact rerank of an ANN/quantized candidate set: score each id in
+    /// Exact rerank of an ANN candidate set: score each id in
     /// `candidates` against the **exact** stored f32 row with the same
     /// float expression as [`FrozenUserIndex::search_append`]
     /// (`dot(query,row)/(qn·n)`, same [`TopK`] fold), append the top
@@ -257,8 +257,8 @@ impl FrozenUserIndex {
     /// **bit-identical** to the flat scan — candidate order, duplicates
     /// from the skip predicate having already been applied upstream,
     /// none of it matters. Zero-norm rows are skipped exactly as the
-    /// flat scan skips them. `candidates` ids must be unique (ANN
-    /// visited-set / disjoint IVF cells guarantee this upstream).
+    /// flat scan skips them. `candidates` ids must be unique (the ANN
+    /// visited-set guarantees this upstream).
     pub fn rerank_append(
         &self,
         query: &[f32],
@@ -298,7 +298,7 @@ impl FrozenUserIndex {
     }
 
     /// The raw row-major vector slab (population × dim) — the exact f32
-    /// source ANN/quantized tier structures are built from and reranked
+    /// source the ANN tier structure is built from and reranked
     /// against.
     pub fn slab(&self) -> &[f32] {
         &self.data

@@ -564,7 +564,6 @@ fn metric_tag(m: Metric) -> u8 {
     match m {
         Metric::InnerProduct => 0,
         Metric::Cosine => 1,
-        Metric::L2 => 2,
     }
 }
 
@@ -572,7 +571,6 @@ fn metric_from_tag(t: u8) -> Result<Metric, CodecError> {
     match t {
         0 => Ok(Metric::InnerProduct),
         1 => Ok(Metric::Cosine),
-        2 => Ok(Metric::L2),
         _ => Err(CodecError::Invalid("metric tag")),
     }
 }
@@ -793,6 +791,13 @@ mod tests {
         assert_eq!(
             HnswIndex::decode_from(&mut Reader::new(&bad)).err(),
             Some(CodecError::BadMagic)
+        );
+        // so is the retired L2 metric tag (the byte after magic + dim)
+        let mut l2 = bytes.clone();
+        l2[HNSW_MAGIC.len() + 4] = 2;
+        assert_eq!(
+            HnswIndex::decode_from(&mut Reader::new(&l2)).err(),
+            Some(CodecError::Invalid("metric tag"))
         );
         // truncation is a typed failure
         assert!(HnswIndex::decode_from(&mut Reader::new(&bytes[..bytes.len() - 3])).is_err());

@@ -17,8 +17,7 @@
 //!   of the sharded engine's two-tier Eq. 11 search (skip-aware scan,
 //!   snapshot-encodable).
 //! * [`tier::FrozenTierAccel`] — [`FrozenTierMode`] acceleration over
-//!   the frozen tier (HNSW or seeded IVF-PQ candidates over [`kmeans`]
-//!   cells and codebooks, exact rerank).
+//!   the frozen tier (seeded HNSW candidates, exact rerank).
 //!
 //! ```
 //! use sccf_index::{FlatIndex, Metric};
@@ -33,7 +32,6 @@
 pub mod flat;
 pub mod frozen;
 pub mod hnsw;
-pub mod kmeans;
 pub mod metric;
 pub mod tier;
 

@@ -3,7 +3,7 @@
 //! The paper's user-based component ranks neighbors by cosine similarity
 //! of user representations (Eq. 11) and the UI component ranks items by
 //! inner product (Eq. 10); both are served by the same index machinery.
-//! Scores are "larger is better" for every metric (L2 is negated).
+//! Scores are "larger is better" for both metrics.
 
 use sccf_tensor::mat::{dot, norm};
 
@@ -14,8 +14,6 @@ pub enum Metric {
     InnerProduct,
     /// Cosine similarity — the neighbor score `cos(m_u, m_v)` (Eq. 11).
     Cosine,
-    /// Negated squared Euclidean distance.
-    L2,
 }
 
 impl Metric {
@@ -32,14 +30,6 @@ impl Metric {
                 } else {
                     dot(a, b) / (na * nb)
                 }
-            }
-            Metric::L2 => {
-                let mut acc = 0.0f32;
-                for (x, y) in a.iter().zip(b) {
-                    let d = x - y;
-                    acc += d * d;
-                }
-                -acc
             }
         }
     }
@@ -67,13 +57,5 @@ mod tests {
         let o = Metric::Cosine.score(&[1., 0.], &[0., 1.]);
         assert!(o.abs() < 1e-6);
         assert_eq!(Metric::Cosine.score(&[0., 0.], &[1., 0.]), 0.0);
-    }
-
-    #[test]
-    fn l2_is_negated_distance() {
-        assert_eq!(Metric::L2.score(&[0., 0.], &[3., 4.]), -25.0);
-        assert_eq!(Metric::L2.score(&[1., 1.], &[1., 1.]), 0.0);
-        // closer pair scores higher
-        assert!(Metric::L2.score(&[0.], &[1.]) > Metric::L2.score(&[0.], &[2.]));
     }
 }

@@ -252,12 +252,6 @@ fn put_tier_mode(out: &mut Vec<u8>, m: FrozenTierMode) {
             put_u8(out, 1);
             put_u64(out, ef as u64);
         }
-        FrozenTierMode::IvfPq { nlist, nprobe, m } => {
-            put_u8(out, 2);
-            put_u64(out, nlist as u64);
-            put_u64(out, nprobe as u64);
-            put_u64(out, m as u64);
-        }
     }
 }
 
@@ -266,11 +260,6 @@ fn get_tier_mode(r: &mut Reader<'_>) -> Result<FrozenTierMode, WireError> {
         0 => Ok(FrozenTierMode::Flat),
         1 => Ok(FrozenTierMode::Hnsw {
             ef: r.u64()? as usize,
-        }),
-        2 => Ok(FrozenTierMode::IvfPq {
-            nlist: r.u64()? as usize,
-            nprobe: r.u64()? as usize,
-            m: r.u64()? as usize,
         }),
         tag => Err(WireError::BadTag {
             what: "tier mode",
@@ -884,11 +873,7 @@ mod tests {
                 events_since_refresh: 17,
                 last_refresh_ms: 1.5,
                 refresh_in_progress: false,
-                tier_mode: FrozenTierMode::IvfPq {
-                    nlist: 4,
-                    nprobe: 2,
-                    m: 8,
-                },
+                tier_mode: FrozenTierMode::Hnsw { ef: 48 },
                 tier_bytes: 4096,
                 tier_search_ns: 12345.6,
                 last_refresh_users: 33,
@@ -962,6 +947,18 @@ mod tests {
             Response::Err(ServingError::InvalidConfig("bad".into())),
         ] {
             roundtrip_response(resp);
+        }
+        // Tier-mode tag 2 named the retired IVF-PQ mode: a typed error
+        // now, like any tag the protocol never had.
+        for tag in [2u8, 3, 0xff] {
+            let bytes = [tag, 0, 0, 0, 0, 0, 0, 0, 0];
+            assert_eq!(
+                get_tier_mode(&mut Reader::new(&bytes)),
+                Err(WireError::BadTag {
+                    what: "tier mode",
+                    tag
+                })
+            );
         }
     }
 

@@ -130,7 +130,6 @@ impl WorldSpec {
                     ..Default::default()
                 },
                 threads: 1,
-                profiles: None,
                 ui_ann: None,
                 frozen_tier: FrozenTierMode::Flat,
             },

@@ -52,7 +52,6 @@
 //!     candidate_n: 6,
 //!     integrator: IntegratorConfig { epochs: 2, ..Default::default() },
 //!     threads: 1,
-//!     profiles: None,
 //!     ui_ann: None,
 //!     frozen_tier: FrozenTierMode::Flat,
 //! });

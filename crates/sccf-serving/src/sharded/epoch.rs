@@ -248,7 +248,6 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
     ///     candidate_n: 6,
     ///     integrator: IntegratorConfig { epochs: 2, ..Default::default() },
     ///     threads: 1,
-    ///     profiles: None,
     ///     ui_ann: None,
     ///     frozen_tier: FrozenTierMode::Flat,
     /// });
@@ -707,15 +706,9 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
             )));
         }
         let dim = self.shared.model().dim();
-        let index_dim = self
-            .shared
-            .config()
-            .profiles
-            .as_ref()
-            .map_or(dim, |p| p.augmented_dim(dim));
-        if snapshot.index().dim() != index_dim {
+        if snapshot.index().dim() != dim {
             return Err(ServingError::InvalidConfig(format!(
-                "global tier vectors are {}-dimensional but this fleet indexes {index_dim}",
+                "global tier vectors are {}-dimensional but this fleet indexes {dim}",
                 snapshot.index().dim()
             )));
         }

@@ -23,8 +23,8 @@
 //!   for deployment hand-off and warm restarts.
 //! * [`init`] — truncated-normal (the paper's §IV-A.4 default) and Xavier
 //!   initialization.
-//! * [`simd`] — runtime-dispatched AVX2 kernels (dot, axpy, fused PQ
-//!   table-lookup) with bit-identical scalar fallbacks.
+//! * [`simd`] — runtime-dispatched AVX2 kernels (dot, axpy) with
+//!   bit-identical scalar fallbacks.
 //!
 //! ## Example
 //!
@@ -61,6 +61,5 @@ pub mod tape;
 pub use init::Initializer;
 pub use mat::{axpy, cosine, dot, matvec_into, norm, normalize, Mat};
 pub use serialize::{load_into, load_store, save_store, SnapshotError};
-pub use simd::{avx2_enabled, pq_adc_gather, pq_adc_row_scalar};
 pub use store::{GradSlot, Grads, ParamId, ParamStore};
 pub use tape::{stable_sigmoid, Tape, Var};

@@ -1,11 +1,10 @@
 //! Runtime-dispatched x86-64 SIMD kernels with bit-identical scalar
 //! fallbacks.
 //!
-//! The serving-path kernels ([`crate::mat::dot`], [`crate::mat::axpy`],
-//! and the fused PQ table-lookup scan below) check for AVX2 once per
-//! process (`is_x86_feature_detected!`) and take a hand-written
-//! intrinsics path when available. Two rules keep the workspace's
-//! pinned-equivalence discipline intact across machines:
+//! The serving-path kernels ([`crate::mat::dot`], [`crate::mat::axpy`])
+//! check for AVX2 once per process (`is_x86_feature_detected!`) and take
+//! a hand-written intrinsics path when available. Two rules keep the
+//! workspace's pinned-equivalence discipline intact across machines:
 //!
 //! 1. **Same arithmetic, same order.** The AVX2 paths perform exactly
 //!    the per-lane multiply-then-add sequence of the scalar kernels
@@ -19,9 +18,39 @@
 //!    between the two paths. The kernels stick to `_mm256_mul_ps` +
 //!    `_mm256_add_ps`.
 //!
-//! The unit tests pin rule 1 (`*_matches_scalar_bitwise`) on every
-//! machine that has AVX2; on others they degrade to scalar-vs-scalar
-//! and pass trivially.
+//! ## The four `unsafe` sites
+//!
+//! Two `unsafe fn`s ([`dot`]'s and [`axpy`]'s AVX2 bodies) and the two
+//! call sites that dispatch to them; nothing else in the workspace is
+//! `unsafe` (`scripts/code_size.sh` gates that). Each pair has the
+//! same two-part contract:
+//!
+//! * **Caller (the dispatch site).** The only precondition is that the
+//!   CPU supports AVX2, established by [`avx2_enabled`] in the same
+//!   `if`. Slice lengths, alignment and contents are *not*
+//!   preconditions: any two slices are memory-safe arguments.
+//! * **Callee (the `unsafe fn`).** Every pointer handed to an intrinsic
+//!   comes from a `chunks_exact(8)` / `chunks_exact_mut(8)` item — a
+//!   slice of exactly eight `f32`s — and each load/store touches
+//!   exactly those 32 bytes through the unaligned (`loadu`/`storeu`)
+//!   forms. Chunks are zipped, so the shorter operand bounds the loop;
+//!   tails go through safe slice iteration. No pointer arithmetic, no
+//!   alignment assumption, no read past either slice.
+//!
+//! Unequal lengths are a caller bug (`debug_assert`ed on both paths).
+//! In a release build `dot` still agrees bit-for-bit with
+//! [`dot_scalar`] on them (same zipped iteration), while for `axpy`
+//! *which* elements of `y` are updated is unspecified — only that
+//! nothing outside `y` is written.
+//!
+//! `tests/properties.rs` (`simd_*`) checks all of this differentially
+//! over unaligned sub-slices, zero / odd / unequal lengths and
+//! denormal-bearing inputs: `dot` and `axpy` bit-equal to their scalar
+//! kernels (the reduction order is defined by rule 1), `matvec_into`
+//! bit-equal to per-row `dot`, and the sequential-sum reference — whose
+//! order differs from the 8-lane tree — within an error bound. On a
+//! machine without AVX2 the differential degrades to scalar-vs-scalar
+//! and passes trivially.
 
 /// Whether the AVX2 paths are live in this process. Detection runs once
 /// and is cached; the result is stable for the process lifetime.
@@ -77,8 +106,8 @@ pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
-        // SAFETY: `avx2_enabled` verified AVX2 support on this CPU, the
-        // only precondition of `dot_avx2`.
+        // SAFETY: `avx2_enabled` just verified AVX2 support on this CPU,
+        // the only precondition of `dot_avx2` (any lengths are in bounds).
         return unsafe { dot_avx2(a, b) };
     }
     dot_scalar(a, b)
@@ -89,7 +118,8 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// every pair of slices, equal lengths or not.
 ///
 /// # Safety
-/// The CPU must support AVX2.
+/// The CPU must support AVX2. Nothing is required of `a` and `b`: every
+/// load reads one whole `chunks_exact(8)` item.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
@@ -136,8 +166,8 @@ pub fn axpy_scalar(alpha: f32, x: &[f32], y: &mut [f32]) {
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if avx2_enabled() {
-        // SAFETY: `avx2_enabled` verified AVX2 support on this CPU, the
-        // only precondition of `axpy_avx2`.
+        // SAFETY: `avx2_enabled` just verified AVX2 support on this CPU,
+        // the only precondition of `axpy_avx2` (any lengths are in bounds).
         unsafe { axpy_avx2(alpha, x, y) };
         return;
     }
@@ -146,10 +176,14 @@ pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
 
 /// Stays in bounds on every pair of slices: whole 8-lane chunks are
 /// zipped, then the two remainders. With unequal lengths (a caller bug,
-/// debug-asserted) which elements of `y` are updated is unspecified.
+/// debug-asserted) which elements of `y` are updated is unspecified;
+/// with equal lengths every element sees the scalar kernel's one `mul`
+/// and one `add`.
 ///
 /// # Safety
-/// The CPU must support AVX2.
+/// The CPU must support AVX2. Nothing is required of `x` and `y`: every
+/// load and store touches one whole `chunks_exact(8)` /
+/// `chunks_exact_mut(8)` item, and `&` vs `&mut` rules out overlap.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
@@ -169,110 +203,6 @@ unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
     for (yi, &xi) in cy.into_remainder().iter_mut().zip(cx.remainder()) {
         *yi += alpha * xi;
-    }
-}
-
-// ------------------------------------------------- fused PQ table lookup
-
-/// Scalar reference ADC accumulation for one code row:
-/// `Σ_s lut[s·kk + codes[s]]`, subspaces in ascending order.
-#[inline]
-pub fn pq_adc_row_scalar(lut: &[f32], kk: usize, codes: &[u8]) -> f32 {
-    let mut acc = 0.0f32;
-    for (s, &c) in codes.iter().enumerate() {
-        acc += lut[s * kk + c as usize];
-    }
-    acc
-}
-
-/// Fused PQ asymmetric-distance scan over a *gather list* of rows:
-/// `out[j] = Σ_s lut[s·kk + codes[rows[j]·m + s]]`.
-///
-/// This is the inner loop of the tier's IVF-PQ cell scan: per row, `m`
-/// table reads and adds. The AVX2 path scores eight rows at once, using
-/// `_mm256_i32gather_ps` for the eight table reads of each subspace —
-/// one gather replaces eight dependent scalar loads while the per-row
-/// add order (ascending `s`) stays exactly the scalar order, so the
-/// accumulated floats are bit-identical.
-///
-/// `out` is overwritten and resized to `rows.len()`; its capacity is
-/// retained across calls (hot-path scratch discipline).
-///
-/// # Panics
-/// On either path, if a row id points outside `codes` or a code indexes
-/// past the end of `lut`.
-pub fn pq_adc_gather(
-    lut: &[f32],
-    kk: usize,
-    codes: &[u8],
-    m: usize,
-    rows: &[u32],
-    out: &mut Vec<f32>,
-) {
-    assert!(m > 0, "pq scan needs at least one subspace");
-    assert!(lut.len() >= m * kk, "lut too small for m×kk");
-    assert!(
-        lut.len() <= i32::MAX as usize,
-        "lut too large for i32 lanes"
-    );
-    out.clear();
-    out.resize(rows.len(), 0.0);
-    #[cfg(target_arch = "x86_64")]
-    if avx2_enabled() {
-        // SAFETY: `avx2_enabled` verified AVX2 support; `out` was just
-        // resized to `rows.len()` and `lut` fits i32 lane indices — the
-        // two shape conditions of `pq_adc_gather_avx2`.
-        unsafe { pq_adc_gather_avx2(lut, kk, codes, m, rows, out) };
-        return;
-    }
-    for (o, &r) in out.iter_mut().zip(rows) {
-        let row = &codes[r as usize * m..(r as usize + 1) * m];
-        *o = pq_adc_row_scalar(lut, kk, row);
-    }
-}
-
-/// # Safety
-/// The CPU must support AVX2, `out.len() == rows.len()` and
-/// `lut.len() <= i32::MAX`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn pq_adc_gather_avx2(
-    lut: &[f32],
-    kk: usize,
-    codes: &[u8],
-    m: usize,
-    rows: &[u32],
-    out: &mut [f32],
-) {
-    use std::arch::x86_64::*;
-    // SAFETY: `rows` and `codes` are read through checked indexing only.
-    // The gather reads `lut[idx[l]]` for eight lanes: each `idx[l]` is
-    // asserted `< lut.len()` right before it is stored (the check the
-    // scalar path's `lut[..]` indexing performs) and fits an i32 by the
-    // contract. The store writes lanes `base .. base + 8` with
-    // `base + 8 <= rows.len()` (= `out.len()` by the contract); the tail
-    // uses checked indexing.
-    let blocks = rows.len() / 8;
-    let mut idx = [0i32; 8];
-    for blk in 0..blocks {
-        let base = blk * 8;
-        let mut acc = _mm256_setzero_ps();
-        for s in 0..m {
-            for (slot, &r) in idx.iter_mut().zip(&rows[base..base + 8]) {
-                let i = s * kk + codes[r as usize * m + s] as usize;
-                assert!(i < lut.len(), "pq code indexes past the lookup table");
-                *slot = i as i32;
-            }
-            let iv = _mm256_loadu_si256(idx.as_ptr() as *const __m256i);
-            // scale = 4: indices are in f32 elements.
-            let g = _mm256_i32gather_ps::<4>(lut.as_ptr(), iv);
-            acc = _mm256_add_ps(acc, g);
-        }
-        _mm256_storeu_ps(out.as_mut_ptr().add(base), acc);
-    }
-    for j in blocks * 8..rows.len() {
-        let r = rows[j] as usize;
-        out[j] = pq_adc_row_scalar(lut, kk, &codes[r * m..(r + 1) * m]);
     }
 }
 
@@ -315,63 +245,6 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "len {len}");
             }
         }
-    }
-
-    #[test]
-    fn pq_adc_matches_scalar_bitwise() {
-        // Subspace counts, row counts around the 8-lane boundary and
-        // codebook sizes; ids deliberately shuffled and repeated.
-        for m in [1usize, 2, 3, 7, 8, 9, 16] {
-            for n_rows in [0usize, 1, 7, 8, 9, 17] {
-                for kk in [2usize, 16, 256] {
-                    let n = 29usize;
-                    let lut = slab(m * kk, 5 + (m * kk) as u64);
-                    let codes: Vec<u8> = (0..n * m).map(|i| ((i * 31 + 7) % kk) as u8).collect();
-                    let rows: Vec<u32> = (0..n as u32)
-                        .rev()
-                        .chain([3, 3, 11])
-                        .cycle()
-                        .skip(m)
-                        .take(n_rows)
-                        .collect();
-                    let mut fast = Vec::new();
-                    pq_adc_gather(&lut, kk, &codes, m, &rows, &mut fast);
-                    assert_eq!(fast.len(), rows.len());
-                    for (j, &r) in rows.iter().enumerate() {
-                        let r = r as usize;
-                        let want = pq_adc_row_scalar(&lut, kk, &codes[r * m..(r + 1) * m]);
-                        assert_eq!(
-                            fast[j].to_bits(),
-                            want.to_bits(),
-                            "m {m} rows {n_rows} kk {kk} row {r}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn pq_adc_code_past_the_table_panics_on_both_paths() {
-        // One full 8-row block so the AVX2 path takes the gather; code 5
-        // with kk = 2, m = 1 indexes lut[5] of a 2-entry table.
-        let lut = slab(2, 6);
-        let codes = [0u8, 1, 0, 1, 5, 0, 1, 0];
-        let rows: Vec<u32> = (0..8).collect();
-        pq_adc_gather(&lut, 2, &codes, 1, &rows, &mut Vec::new());
-    }
-
-    #[test]
-    fn adc_gather_reuses_capacity() {
-        let lut = slab(8, 6);
-        let codes: Vec<u8> = vec![0, 1, 2, 3];
-        let rows = [0u32, 1, 2, 3];
-        let mut out = Vec::with_capacity(64);
-        let cap = out.capacity();
-        pq_adc_gather(&lut, 2, &codes, 1, &rows, &mut out);
-        assert_eq!(out.len(), 4);
-        assert_eq!(out.capacity(), cap, "scan must not reallocate scratch");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The paper leans on Faiss for billion-scale neighbor identification;
 //! this workspace serves searches from an exact flat index and an HNSW
-//! graph (the frozen tier's IVF-PQ mode is measured by
+//! graph (the frozen tier's HNSW mode at 100 k users is measured by
 //! `repro bench-quality`, not here). This example measures, on one
 //! synthetic user-embedding distribution:
 //!

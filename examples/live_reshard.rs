@@ -61,7 +61,6 @@ fn main() {
                     ..Default::default()
                 },
                 threads: 1,
-                profiles: None,
                 ui_ann: None,
                 frozen_tier: FrozenTierMode::Flat,
             },

@@ -94,7 +94,6 @@ fn fresh_sccf(w: &World) -> Sccf<Fism> {
                 ..Default::default()
             },
             threads: 1,
-            profiles: None,
             ui_ann: None,
             frozen_tier: FrozenTierMode::Flat,
         },

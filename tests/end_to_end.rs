@@ -63,7 +63,6 @@ fn build_world(seed: u64) -> World {
             candidate_n: 50,
             integrator: IntegratorConfig::default(),
             threads: 4,
-            profiles: None,
             ui_ann: None,
             frozen_tier: sccf_core::FrozenTierMode::Flat,
         },

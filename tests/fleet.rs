@@ -393,6 +393,7 @@ fn control_fanouts_reach_all_members_past_a_dead_one() {
 
 #[test]
 fn remote_errors_and_routing_guards_cross_the_wire() {
+    use sccf::core::{FrozenTierMode, GlobalNeighborSnapshot};
     let spec = spec();
     let root = scratch_dir("errors");
     let model_path = root.join("model.fism");
@@ -434,6 +435,49 @@ fn remote_errors_and_routing_guards_cross_the_wire() {
     {
         Response::Err(ServingError::NotOwned { user }) => assert_eq!(user, foreign),
         other => panic!("expected NotOwned over the wire, got {other:?}"),
+    }
+
+    // A decodable tier artifact whose accel section names users the
+    // frozen index beside it does not have (the flat body of this
+    // population with the `SCCFAC01` section of a larger one spliced
+    // on). The member used to install it and panic a worker on the
+    // next slate; it must answer a typed error and keep serving.
+    let entries =
+        |n: usize| (0..n as u32).map(|u| (u, vec![1.0 + u as f32; spec.dim], vec![u % 3]));
+    let flat = GlobalNeighborSnapshot::build(1, spec.n_users, spec.dim, entries(spec.n_users));
+    let mode = FrozenTierMode::Hnsw { ef: 4 };
+    let bigger = spec.n_users + 5;
+    let hnsw =
+        GlobalNeighborSnapshot::build_with_mode(1, bigger, spec.dim, mode, 77, entries(bigger))
+            .encode();
+    let section = hnsw
+        .windows(8)
+        .position(|w| w == b"SCCFAC01")
+        .expect("accel section");
+    let mut spliced = flat.encode();
+    spliced.truncate(spliced.len() - 8); // the flat artifact's empty accel section
+    spliced.extend_from_slice(&hnsw[section - 8..]);
+    match direct
+        .request(&Request::InstallTier(spliced))
+        .expect("transport ok")
+    {
+        Response::Err(ServingError::InvalidConfig(msg)) => {
+            assert!(msg.contains("accel ids vs frozen index"), "{msg}")
+        }
+        other => panic!("expected a typed decode rejection, got {other:?}"),
+    }
+    let owned = (0..n_users)
+        .find(|&u| router.owner_of(u) == 0)
+        .expect("some user lives on member 0");
+    match direct
+        .request(&Request::Recommend {
+            user: owned,
+            query: RecQuery::top(5),
+        })
+        .expect("transport ok")
+    {
+        Response::Slate(_) => {}
+        other => panic!("member 0 must still serve after the rejection, got {other:?}"),
     }
 
     router.shutdown_all().expect("graceful shutdown");

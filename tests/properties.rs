@@ -551,49 +551,11 @@ proptest! {
         }
     }
 
-    /// Full-probe IVF-PQ with an over-fetch that covers the whole
-    /// population reduces, after the exact rerank, to the flat top-β —
-    /// the quantization error cancels out entirely because quantized
-    /// scores only *order* candidates, never score the output.
-    #[test]
-    fn tier_ivfpq_full_probe_equals_flat_top_beta(seed in 0u64..300) {
-        use rand::{Rng, SeedableRng};
-        use sccf::index::tier::OVERFETCH;
-        use sccf::index::{FrozenTierAccel, FrozenTierMode, FrozenUserIndex, TierScratch};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9E37);
-        let dim = 8;
-        let n = rng.gen_range(16usize..100);
-        let rows: Vec<(u32, Vec<f32>)> = (0..n as u32)
-            .map(|u| (u, (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect()))
-            .collect();
-        let frozen = FrozenUserIndex::from_rows(n, dim, rows);
-        let nlist = rng.gen_range(1usize..8);
-        let accel = FrozenTierAccel::build(
-            FrozenTierMode::IvfPq { nlist, nprobe: nlist, m: 4 },
-            &frozen,
-            seed,
-        )
-        .unwrap();
-        let mut scratch = TierScratch::new();
-        let q: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        // fetch = OVERFETCH·β ≥ n ⇒ the candidate set is the whole
-        // population ⇒ the rerank must reproduce the exact scan.
-        let beta = n.div_ceil(OVERFETCH);
-        let exact = frozen.search(&q, beta, &|_| false);
-        let mut fast = Vec::new();
-        accel.search_append(&frozen, &q, beta, &|_| false, &mut scratch, &mut fast);
-        prop_assert_eq!(exact.len(), fast.len());
-        for (a, b) in exact.iter().zip(&fast) {
-            prop_assert_eq!(a.id, b.id);
-            prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
-        }
-    }
-
     /// Accelerated snapshots survive encode → decode → re-encode
     /// byte-identically in every tier mode, and the decoded tier
     /// searches exactly like the original.
     #[test]
-    fn tier_snapshot_roundtrip_all_modes(seed in 0u64..150, mode_tag in 0u8..3) {
+    fn tier_snapshot_roundtrip_all_modes(seed in 0u64..150, mode_tag in 0u8..2) {
         use rand::{Rng, SeedableRng};
         use sccf::core::{GlobalNeighborSnapshot, NeighborSource};
         use sccf::index::{FrozenTierMode, TierScratch};
@@ -609,8 +571,7 @@ proptest! {
             .collect();
         let mode = match mode_tag {
             0 => FrozenTierMode::Flat,
-            1 => FrozenTierMode::Hnsw { ef: 32 },
-            _ => FrozenTierMode::IvfPq { nlist: 3, nprobe: 2, m: 2 },
+            _ => FrozenTierMode::Hnsw { ef: 32 },
         };
         let snap = GlobalNeighborSnapshot::build_with_mode(9, n, dim, mode, seed, entries);
         let bytes = snap.encode();
@@ -624,5 +585,152 @@ proptest! {
         snap.search_append_with(&q, 8, &|_| false, &mut scratch, &mut a);
         back.search_append_with(&q, 8, &|_| false, &mut scratch, &mut b);
         prop_assert_eq!(a, b);
+    }
+}
+
+// ------------------------------------------------- SIMD differentials
+//
+// The workspace's four `unsafe` sites are the AVX2 bodies of `dot` and
+// `axpy` and their dispatch sites (`sccf-tensor/src/simd.rs`). These
+// properties hold them to the scalar kernels over the inputs the unit
+// tests do not reach: sub-slices at every 4-byte offset (so no load is
+// 32-byte aligned by luck), zero and odd lengths, unequal lengths, and
+// values mixing ordinary magnitudes with denormals and signed zeros.
+// Where the reduction order is defined — `dot` vs `dot_scalar`, `axpy`
+// vs `axpy_scalar`, `matvec_into` vs per-row `dot`: all three share
+// the 8-lane tree — the check is bit-equality. Against the sequential
+// f64 sum, whose order differs, it is the standard error bound.
+
+/// One generated `f32`: mostly the drawn value, sometimes a denormal
+/// of its sign, sometimes a signed zero.
+fn simd_value((v, kind): (f32, u8)) -> f32 {
+    match kind {
+        0 => f32::from_bits(1 + (v.abs() * 1e5) as u32).copysign(v),
+        1 => 0.0f32.copysign(v),
+        _ => v,
+    }
+}
+
+fn simd_values(raw: &[(f32, u8)]) -> Vec<f32> {
+    raw.iter().copied().map(simd_value).collect()
+}
+
+/// `slab[off..]` cut to `len`, both clamped to what the slab holds.
+fn simd_window(slab: &[f32], off: usize, len: usize) -> std::ops::Range<usize> {
+    let off = off.min(slab.len());
+    off..off + len.min(slab.len() - off)
+}
+
+proptest! {
+    /// `dot` (AVX2 where the CPU has it) is bit-equal to `dot_scalar`
+    /// on equal-length unaligned sub-slices, and within the summation
+    /// error bound `2·n·u·Σ|xᵢyᵢ|` of the sequential f64 sum.
+    #[test]
+    fn simd_dot_equals_scalar_bitwise_and_bounds_the_sequential_sum(
+        raw_a in prop::collection::vec((-4.0f32..4.0, 0u8..8), 0..96),
+        raw_b in prop::collection::vec((-4.0f32..4.0, 0u8..8), 0..96),
+        off_a in 0usize..8,
+        off_b in 0usize..8,
+        len in 0usize..96,
+    ) {
+        use sccf::tensor::simd::{dot, dot_scalar};
+        let (a, b) = (simd_values(&raw_a), simd_values(&raw_b));
+        let (wa, wb) = (simd_window(&a, off_a, len), simd_window(&b, off_b, len));
+        let n = wa.len().min(wb.len());
+        let (x, y) = (&a[wa.start..wa.start + n], &b[wb.start..wb.start + n]);
+        let got = dot(x, y);
+        prop_assert_eq!(got.to_bits(), dot_scalar(x, y).to_bits(), "len {}", n);
+        let exact: f64 = x.iter().zip(y).map(|(&p, &q)| p as f64 * q as f64).sum();
+        let mass: f64 = x.iter().zip(y).map(|(&p, &q)| (p as f64 * q as f64).abs()).sum();
+        let u = f32::EPSILON as f64 / 2.0;
+        // + one denormal step per product: an underflowing f32 product
+        // rounds absolutely, not relatively.
+        let bound = 2.0 * n as f64 * u * mass + n as f64 * f32::from_bits(1) as f64;
+        prop_assert!((got as f64 - exact).abs() <= bound, "len {}: {} vs {}", n, got, exact);
+    }
+
+    /// Unequal lengths are a caller bug: debug-asserted on both paths,
+    /// and in a release build still bit-equal (both kernels zip) and in
+    /// bounds.
+    #[test]
+    fn simd_dot_on_unequal_lengths_agrees_or_asserts(
+        raw_a in prop::collection::vec((-4.0f32..4.0, 0u8..8), 0..64),
+        raw_b in prop::collection::vec((-4.0f32..4.0, 0u8..8), 0..64),
+        off_a in 0usize..8,
+        off_b in 0usize..8,
+    ) {
+        use sccf::tensor::simd::{dot, dot_scalar};
+        let (a, b) = (simd_values(&raw_a), simd_values(&raw_b));
+        let (x, y) = (&a[simd_window(&a, off_a, 64)], &b[simd_window(&b, off_b, 64)]);
+        prop_assume!(x.len() != y.len());
+        if cfg!(debug_assertions) {
+            prop_assert!(std::panic::catch_unwind(|| dot(x, y)).is_err());
+            prop_assert!(std::panic::catch_unwind(|| dot_scalar(x, y)).is_err());
+        } else {
+            prop_assert_eq!(dot(x, y).to_bits(), dot_scalar(x, y).to_bits());
+        }
+    }
+
+    /// `axpy` is bit-equal to `axpy_scalar` element by element on
+    /// equal-length unaligned sub-slices and writes nothing outside
+    /// `y`. On unequal lengths (debug-asserted) which elements of `y`
+    /// move is unspecified — only that nothing outside it does.
+    #[test]
+    fn simd_axpy_equals_scalar_bitwise_and_stays_inside_y(
+        raw_x in prop::collection::vec((-4.0f32..4.0, 0u8..8), 0..96),
+        raw_y in prop::collection::vec((-4.0f32..4.0, 0u8..8), 0..96),
+        alpha in (-2.0f32..2.0, 0u8..8),
+        off_x in 0usize..8,
+        off_y in 0usize..8,
+        len_x in 0usize..96,
+        len_y in 0usize..96,
+        equal in 0u8..4,
+    ) {
+        use sccf::tensor::simd::{axpy, axpy_scalar};
+        let (x, y) = (simd_values(&raw_x), simd_values(&raw_y));
+        let alpha = simd_value(alpha);
+        let (mut wx, mut wy) = (simd_window(&x, off_x, len_x), simd_window(&y, off_y, len_y));
+        if equal != 0 {
+            let n = wx.len().min(wy.len());
+            (wx, wy) = (wx.start..wx.start + n, wy.start..wy.start + n);
+        }
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+        let (mut fast, mut slow) = (y.clone(), y.clone());
+        if wx.len() == wy.len() {
+            axpy(alpha, &x[wx.clone()], &mut fast[wy.clone()]);
+            axpy_scalar(alpha, &x[wx], &mut slow[wy]);
+            prop_assert_eq!(bits(&fast), bits(&slow));
+        } else if cfg!(debug_assertions) {
+            let call = std::panic::AssertUnwindSafe(|| axpy(alpha, &x[wx], &mut fast[wy]));
+            prop_assert!(std::panic::catch_unwind(call).is_err());
+        } else {
+            axpy(alpha, &x[wx], &mut fast[wy.clone()]);
+            prop_assert_eq!(bits(&fast[..wy.start]), bits(&y[..wy.start]));
+            prop_assert_eq!(bits(&fast[wy.end..]), bits(&y[wy.end..]));
+        }
+    }
+
+    /// `matvec_into` — four rows per block, scalar lanes — is bit-equal
+    /// to one `dot` per row, block rows and remainder rows alike, for
+    /// any width including 0 and non-multiples of 8.
+    #[test]
+    fn simd_matvec_equals_per_row_dot_bitwise(
+        rows in 0usize..11,
+        cols in 0usize..41,
+        raw_m in prop::collection::vec((-4.0f32..4.0, 0u8..8), 400),
+        raw_v in prop::collection::vec((-4.0f32..4.0, 0u8..8), 48),
+        off_v in 0usize..8,
+    ) {
+        use sccf::tensor::{dot, matvec_into, Mat};
+        let mut data = simd_values(&raw_m);
+        data.truncate(rows * cols);
+        let m = Mat::from_vec(rows, cols, data);
+        let v = simd_values(&raw_v);
+        let v = &v[off_v..off_v + cols];
+        let mut out = vec![f32::NAN; rows];
+        matvec_into(&m, v, &mut out);
+        for (r, got) in out.iter().enumerate() {
+            prop_assert_eq!(got.to_bits(), dot(m.row(r), v).to_bits(), "row {} of {}x{}", r, rows, cols);
+        }
     }
 }

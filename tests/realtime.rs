@@ -56,7 +56,6 @@ fn build() -> (LeaveOneOut, RealtimeEngine<Fism>, sccf::data::Dataset) {
                 ..Default::default()
             },
             threads: 2,
-            profiles: None,
             ui_ann: None,
             frozen_tier: sccf_core::FrozenTierMode::Flat,
         },

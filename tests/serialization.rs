@@ -155,8 +155,8 @@ fn global_neighbor_snapshot_roundtrips_search_and_windows() {
 
 #[test]
 fn accelerated_tier_snapshot_roundtrips_and_rebuilds_byte_identically() {
-    // ANN / quantized tier structures ride inside the snapshot
-    // encoding; decoding must reproduce them byte-for-byte, and —
+    // The ANN tier structure rides inside the snapshot encoding;
+    // decoding must reproduce it byte-for-byte, and —
     // because the build seed is carried explicitly — rebuilding from
     // the same entries must too (the determinism the refresh pipeline
     // relies on for reproducible fleets).
@@ -172,30 +172,51 @@ fn accelerated_tier_snapshot_roundtrips_and_rebuilds_byte_identically() {
             (u, v, vec![u % 3])
         })
         .collect();
-    for mode in [
-        FrozenTierMode::Hnsw { ef: 16 },
-        FrozenTierMode::IvfPq {
-            nlist: 4,
-            nprobe: 2,
-            m: 3,
-        },
-    ] {
-        let snap =
-            GlobalNeighborSnapshot::build_with_mode(5, n_users, dim, mode, 77, entries.clone());
-        assert_eq!(snap.tier_mode(), mode);
-        let bytes = snap.encode();
-        let back = GlobalNeighborSnapshot::decode(&bytes).expect("own artifact decodes");
-        assert_eq!(back.encode(), bytes, "roundtrip must be byte-identical");
-        let again =
-            GlobalNeighborSnapshot::build_with_mode(5, n_users, dim, mode, 77, entries.clone());
-        assert_eq!(
-            again.encode(),
-            bytes,
-            "seeded rebuild must be byte-identical"
-        );
-        // Truncations anywhere in the accel section are typed errors.
-        assert!(GlobalNeighborSnapshot::decode(&bytes[..bytes.len() - 3]).is_err());
-    }
+    let mode = FrozenTierMode::Hnsw { ef: 16 };
+    let snap = GlobalNeighborSnapshot::build_with_mode(5, n_users, dim, mode, 77, entries.clone());
+    assert_eq!(snap.tier_mode(), mode);
+    let bytes = snap.encode();
+    let back = GlobalNeighborSnapshot::decode(&bytes).expect("own artifact decodes");
+    assert_eq!(back.encode(), bytes, "roundtrip must be byte-identical");
+    let again = GlobalNeighborSnapshot::build_with_mode(5, n_users, dim, mode, 77, entries.clone());
+    assert_eq!(
+        again.encode(),
+        bytes,
+        "seeded rebuild must be byte-identical"
+    );
+    // Truncations anywhere in the accel section are typed errors.
+    assert!(GlobalNeighborSnapshot::decode(&bytes[..bytes.len() - 3]).is_err());
+}
+
+/// Regression: `decode` never checked the accel section against the
+/// frozen index beside it. The flat body of a 5-user snapshot with the
+/// `SCCFAC01` section of a 10-user `Hnsw` one spliced on decoded `Ok`,
+/// and the first search then indexed a 5-row slab with user id 5 — a
+/// panic on the serving path (`Request::InstallTier` on a shard server).
+#[test]
+fn tier_accel_section_must_fit_the_index_it_sits_beside() {
+    use sccf::core::{GlobalNeighborSnapshot, TierDecodeError};
+    use sccf::index::{CodecError, FrozenTierMode};
+    let dim = 4usize;
+    let entries = |n: u32| (0..n).map(|u| (u, vec![1.0 + u as f32; dim], vec![u % 3]));
+    let mode = FrozenTierMode::Hnsw { ef: 4 };
+    let hnsw = GlobalNeighborSnapshot::build_with_mode(1, 10, dim, mode, 77, entries(10)).encode();
+    let section = hnsw
+        .windows(8)
+        .position(|w| w == b"SCCFAC01")
+        .expect("accel section");
+    // A flat artifact ends with the zero length of its empty accel
+    // section; the accelerated one's length prefix sits right before
+    // its magic.
+    let mut spliced = GlobalNeighborSnapshot::build(1, 5, dim, entries(5)).encode();
+    spliced.truncate(spliced.len() - 8);
+    spliced.extend_from_slice(&hnsw[section - 8..]);
+    assert_eq!(
+        GlobalNeighborSnapshot::decode(&spliced).err(),
+        Some(TierDecodeError::Accel(CodecError::Invalid(
+            "accel ids vs frozen index"
+        )))
+    );
 }
 
 // ------------------------------------------- corruption proptests
@@ -423,7 +444,8 @@ proptest! {
         flip_bit in 0u8..8,
     ) {
         use proptest::Gen;
-        use sccf::core::GlobalNeighborSnapshot;
+        use sccf::core::{GlobalNeighborSnapshot, TierDecodeError};
+        use sccf::index::CodecError;
         let mut g = Gen::new(seed);
         let dim = 4usize;
         let n_users = 2 + g.below(30) as usize;
@@ -449,21 +471,27 @@ proptest! {
         corrupt[pos] ^= 1 << flip_bit;
         let _ = GlobalNeighborSnapshot::decode(&corrupt);
         // The population count at u64::MAX, then the exhaustive sweep —
-        // over the flat artifact and over both accelerated ones, whose
+        // over the flat artifact and over the accelerated one, whose
         // `SCCFAC01`/`SCCFHN01` sections carry a dozen more counts.
         prop_assert!(GlobalNeighborSnapshot::decode(&with_max_field(&bytes, 16, 8)).is_err());
         assert_decoder_is_total(&bytes, GlobalNeighborSnapshot::decode);
         use sccf::index::FrozenTierMode;
-        for mode in [
-            FrozenTierMode::Hnsw { ef: 8 },
-            FrozenTierMode::IvfPq { nlist: 2, nprobe: 1, m: 2 },
-        ] {
-            let accel = GlobalNeighborSnapshot::build_with_mode(
-                1, n_users, dim, mode, seed, accel_entries.clone(),
-            )
-            .encode();
-            prop_assert!(GlobalNeighborSnapshot::decode(&accel).is_ok());
-            assert_decoder_is_total(&accel, GlobalNeighborSnapshot::decode);
+        let accel = GlobalNeighborSnapshot::build_with_mode(
+            1, n_users, dim, FrozenTierMode::Hnsw { ef: 8 }, seed, accel_entries,
+        )
+        .encode();
+        prop_assert!(GlobalNeighborSnapshot::decode(&accel).is_ok());
+        assert_decoder_is_total(&accel, GlobalNeighborSnapshot::decode);
+        // Mode tag 2 named the retired IVF-PQ tier: a typed error, like
+        // any tag the format never had.
+        let tag_at = accel.windows(8).position(|w| w == b"SCCFAC01").expect("accel section") + 8;
+        for tag in [2u8, 0, 0xff] {
+            let mut retired = accel.clone();
+            retired[tag_at] = tag;
+            prop_assert_eq!(
+                GlobalNeighborSnapshot::decode(&retired).err(),
+                Some(TierDecodeError::Accel(CodecError::Invalid("accel mode tag")))
+            );
         }
     }
 
@@ -822,14 +850,6 @@ fn golden_fixtures() -> Vec<(String, Vec<u8>)> {
     for (name, mode) in [
         ("tier_flat", FrozenTierMode::Flat),
         ("tier_hnsw", FrozenTierMode::Hnsw { ef: 16 }),
-        (
-            "tier_ivfpq",
-            FrozenTierMode::IvfPq {
-                nlist: 4,
-                nprobe: 2,
-                m: 3,
-            },
-        ),
     ] {
         let snap = GlobalNeighborSnapshot::build_with_mode(
             5,
@@ -960,11 +980,7 @@ fn golden_fixtures() -> Vec<(String, Vec<u8>)> {
             events_since_refresh: 17,
             last_refresh_ms: 1.5,
             refresh_in_progress: false,
-            tier_mode: FrozenTierMode::IvfPq {
-                nlist: 4,
-                nprobe: 2,
-                m: 8,
-            },
+            tier_mode: FrozenTierMode::Hnsw { ef: 48 },
             tier_bytes: 4096,
             tier_search_ns: 12345.6,
             last_refresh_users: 33,
@@ -1094,7 +1110,6 @@ const GOLDEN_DIGESTS: &[(&str, u32)] = &[
     ("frozen_index", 0x6952a226),
     ("tier_flat", 0xce4f9132),
     ("tier_hnsw", 0x506e8e9a),
-    ("tier_ivfpq", 0x59626aa1),
     ("hnsw_section", 0x807bdc4c),
     ("checkpoint", 0x290ac080),
     ("wal_magic_and_one_frame", 0x5dea18af),
@@ -1119,7 +1134,7 @@ const GOLDEN_DIGESTS: &[(&str, u32)] = &[
     ("resp_Slate", 0xea2d092a),
     ("resp_Slates", 0xd94c15ba),
     ("resp_Done", 0xa2681b02),
-    ("resp_Stats", 0xbe452ade),
+    ("resp_Stats", 0x9ef8b421),
     ("resp_Bytes", 0xf1954396),
     ("resp_Watermark", 0xeda6e3c4),
     ("resp_Blobs", 0x1211916b),

@@ -84,7 +84,6 @@ fn build_sccf(split: &LeaveOneOut, seed: u64) -> Sccf<Fism> {
                 ..Default::default()
             },
             threads: 1,
-            profiles: None,
             ui_ann: None,
             frozen_tier: sccf_core::FrozenTierMode::Flat,
         },
@@ -785,7 +784,6 @@ fn local_delta_wins_and_cross_shard_staleness_clears_on_refresh() {
                 ..Default::default()
             },
             threads: 1,
-            profiles: None,
             ui_ann: None,
             frozen_tier: sccf_core::FrozenTierMode::Flat,
         },

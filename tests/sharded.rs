@@ -93,7 +93,6 @@ fn build_sccf_with_tier(
                 ..Default::default()
             },
             threads: 1,
-            profiles: None,
             ui_ann: None,
             frozen_tier,
         },

@@ -7,7 +7,7 @@ use sccf_serving::control::{ActuatorStep, ControlDriver, PolicyConfig};
 use sccf_serving::{RecQuery, RouterKind, ServingApi, ShardedConfig, ShardedEngine};
 use sccf_util::table::{f2, f4};
 use sccf_util::timer::Stopwatch;
-use sccf_util::{Json, LatencyHistogram, Table};
+use sccf_util::{Json, Table, TimingStats};
 
 use super::BenchArtifact;
 use crate::harness::HarnessConfig;
@@ -19,12 +19,12 @@ use crate::workload::{FlashSale, TickTrace, WorkloadConfig, WorkloadGen};
 /// window, and the window's converged second half.
 #[derive(Default)]
 struct Probes {
-    all: LatencyHistogram,
-    flash: LatencyHistogram,
-    tail: LatencyHistogram,
-    wait_all: LatencyHistogram,
-    wait_flash: LatencyHistogram,
-    wait_tail: LatencyHistogram,
+    all: TimingStats,
+    flash: TimingStats,
+    tail: TimingStats,
+    wait_all: TimingStats,
+    wait_flash: TimingStats,
+    wait_tail: TimingStats,
 }
 
 impl Probes {

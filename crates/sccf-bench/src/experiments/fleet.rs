@@ -6,7 +6,7 @@ use sccf_data::catalog::Scale;
 use sccf_net::{Connection, FleetRouter, Request, Supervisor, WorldSpec};
 use sccf_serving::{RecQuery, RouterKind, ServingApi, ShardedConfig, ShardedEngine};
 use sccf_util::table::f2;
-use sccf_util::{Json, LatencyHistogram, Table};
+use sccf_util::{Json, Table, TimingStats};
 
 use super::BenchArtifact;
 use crate::harness::{event_at, HarnessConfig};
@@ -136,17 +136,14 @@ pub fn bench_fleet(h: &HarnessConfig) -> BenchArtifact {
 
     // --- single-recommend RTT over TCP vs in-process -------------------
     let query = RecQuery::top(10);
-    let mut rtt = LatencyHistogram::new();
-    let mut rtt_sum = 0.0f64;
+    let mut rtt = TimingStats::new();
     for k in 0..n_rtt {
         let user = (k % n_users) as u32;
         let t = Instant::now();
         router.try_recommend(user, &query).expect("fleet recommend");
-        let ms = t.elapsed().as_secs_f64() * 1e3;
-        rtt.record_ms(ms);
-        rtt_sum += ms;
+        rtt.record_ms(t.elapsed().as_secs_f64() * 1e3);
     }
-    let rtt_mean_ms = rtt_sum / n_rtt as f64;
+    let rtt_mean_ms = rtt.mean_ms();
 
     let mut inproc_sum = 0.0f64;
     for k in 0..n_rtt {
@@ -213,7 +210,7 @@ pub fn bench_fleet(h: &HarnessConfig) -> BenchArtifact {
     }
     let mut seq_span = 0.0f64;
     let mut seq_wall = 0.0f64;
-    let mut seq_wave = LatencyHistogram::new();
+    let mut seq_wave = TimingStats::new();
     for w in 0..n_waves {
         let wave0 = Instant::now();
         for (m, conn) in fan_conns.iter_mut().enumerate() {
@@ -227,7 +224,7 @@ pub fn bench_fleet(h: &HarnessConfig) -> BenchArtifact {
     }
     let mut pipe_span = 0.0f64;
     let mut pipe_wall = 0.0f64;
-    let mut pipe_wave = LatencyHistogram::new();
+    let mut pipe_wave = TimingStats::new();
     let mut sent_at = [Instant::now(); FAN_PROCS];
     for w in 0..n_waves {
         let wave0 = Instant::now();

@@ -11,7 +11,7 @@ use sccf_data::catalog::{all_benchmarks, games_sim, ml1m_sim, ml20m_sim, taobao_
 use sccf_models::{AvgPoolConfig, AvgPoolDnn, Recommender, UserKnn, UserSim};
 use sccf_serving::{run_ab_test, AbTestConfig, ApiCandidateGen, FnCandidateGen, ServingApi};
 use sccf_util::table::{f2, f4, pct};
-use sccf_util::timer::Stopwatch;
+use sccf_util::timer::{Stopwatch, TimingStats};
 use sccf_util::Table;
 
 use crate::harness::{
@@ -191,8 +191,7 @@ pub fn table3(h: &HarnessConfig) -> Vec<Table> {
 
         // --- UserKNN leg ---
         let mut userknn = UserKnn::fit(split.n_items(), &train_seqs, h.beta, UserSim::Cosine);
-        let mut knn_identify = sccf_util::timer::TimingStats::new();
-        let mut knn_hist = sccf_util::LatencyHistogram::new();
+        let mut knn_identify = TimingStats::new();
         for u in split.test_users() {
             if let Some(item) = split.val_item(u) {
                 userknn.add_interaction(u, item);
@@ -201,9 +200,7 @@ pub fn table3(h: &HarnessConfig) -> Vec<Table> {
                 query.dedup();
                 let sw = Stopwatch::start();
                 let _ = userknn.identify_neighbors(&query, Some(u));
-                let ms = sw.elapsed_ms();
-                knn_identify.record_ms(ms);
-                knn_hist.record_ms(ms);
+                knn_identify.record_ms(sw.elapsed_ms());
             }
         }
 
@@ -213,7 +210,7 @@ pub fn table3(h: &HarnessConfig) -> Vec<Table> {
             .map(|u| split.train_plus_val(u))
             .collect();
         let mut engine = RealtimeEngine::new(sccf, histories);
-        let mut sccf_hist = sccf_util::LatencyHistogram::new();
+        let mut sccf_total = TimingStats::new();
         for u in split.test_users() {
             let item = split.test_item(u).expect("test user");
             // `try_process_event`, not `try_ingest`: "identifying" is
@@ -221,7 +218,7 @@ pub fn table3(h: &HarnessConfig) -> Vec<Table> {
             let (_, timing) = engine
                 .try_process_event(u, item)
                 .expect("test ids are in range");
-            sccf_hist.record_ms(timing.total_ms());
+            sccf_total.record_ms(timing.total_ms());
         }
         let t = engine.timings();
 
@@ -257,7 +254,7 @@ pub fn table3(h: &HarnessConfig) -> Vec<Table> {
             ),
             &["Method", "p50 (ms)", "p95 (ms)", "p99 (ms)", "max (ms)"],
         );
-        for (name, hist) in [("UserKNN", &knn_hist), ("SCCF", &sccf_hist)] {
+        for (name, hist) in [("UserKNN", &knn_identify), ("SCCF", &sccf_total)] {
             pt.push(&[
                 name.to_string(),
                 f2(hist.p50_ms()),
@@ -317,8 +314,8 @@ fn table3_scaling(h: &HarnessConfig) -> Table {
             flat.add(&v);
         }
         let n_queries = 30;
-        let mut knn = sccf_util::timer::TimingStats::new();
-        let mut idx = sccf_util::timer::TimingStats::new();
+        let mut knn = TimingStats::new();
+        let mut idx = TimingStats::new();
         for q in 0..n_queries {
             let u = (q * 37) % n_users;
             let sw = Stopwatch::start();

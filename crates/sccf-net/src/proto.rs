@@ -19,8 +19,9 @@
 //! and the timing accumulators cross the wire **bit-identically** —
 //! the fleet's pinned equivalence (`tests/fleet.rs`) compares float
 //! bits, not approximations. Aggregated timings serialize via
-//! [`sccf_util::stats::OnlineStats::parts`], preserving the exact merge
-//! algebra.
+//! [`TimingStats::parts`] — the Welford accumulator plus the non-empty
+//! latency buckets — preserving the exact merge algebra, so a fleet's
+//! merged percentiles equal one recorder's.
 //!
 //! [`ServingError`] crosses the wire structurally for every variant a
 //! caller can match on; the two variants that cannot round-trip
@@ -40,13 +41,15 @@ use sccf_serving::sharded::ShardReport;
 use sccf_util::codec::{
     put_blob, put_bool, put_f32, put_f64, put_u32, put_u32s, put_u64, put_u8, DecodeError, Reader,
 };
-use sccf_util::timer::TimingStats;
+use sccf_util::stats::OnlineStats;
+use sccf_util::timer::{TimingStats, TIMING_BUCKETS};
 use sccf_util::topk::Scored;
 
 /// Wire protocol version, checked by the [`Request::Hello`] handshake.
 /// Bump on any incompatible payload change.
 /// v2: `TransportStats` block appended to the stats payload.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// v3: every timing record carries its non-empty latency buckets.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 // ----------------------------------------------------------- transport
 
@@ -72,8 +75,8 @@ pub enum WireError {
     BadUtf8,
     /// Bytes left over after the message — a framing bug or corruption.
     TrailingBytes { left: usize },
-    /// The peer speaks a different protocol version.
-    BadVersion { theirs: u32, ours: u32 },
+    /// A field decoded but is structurally impossible (says which).
+    Invalid(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -83,9 +86,7 @@ impl std::fmt::Display for WireError {
             Self::BadTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
             Self::BadUtf8 => write!(f, "invalid UTF-8 in string field"),
             Self::TrailingBytes { left } => write!(f, "{left} trailing bytes after message"),
-            Self::BadVersion { theirs, ours } => {
-                write!(f, "peer speaks protocol {theirs}, this build speaks {ours}")
-            }
+            Self::Invalid(what) => write!(f, "invalid field: {what}"),
         }
     }
 }
@@ -210,28 +211,65 @@ fn get_slate(r: &mut Reader<'_>) -> Result<RecResponse, WireError> {
     })
 }
 
-/// One `OnlineStats`/`TimingStats` accumulator: `n` + four raw f64s
-/// ([`OnlineStats::parts`]), so the merge algebra survives the trip.
+/// One [`TimingStats`]: the Welford accumulator — `n` + four raw f64s
+/// ([`OnlineStats::parts`]) — then `[pairs u64]` and that many
+/// `(index u32, count u64)` for the non-empty buckets, ascending. Both
+/// halves merge exactly, so the merge algebra survives the trip.
 fn put_timing(out: &mut Vec<u8>, t: &TimingStats) {
-    let (n, mean, m2, min, max) = t.parts();
+    let (stats, buckets) = t.parts();
+    let (n, mean, m2, min, max) = stats.parts();
     put_u64(out, n);
     put_f64(out, mean);
     put_f64(out, m2);
     put_f64(out, min);
     put_f64(out, max);
+    let filled = || buckets.iter().enumerate().filter(|&(_, &c)| c > 0);
+    put_u64(out, filled().count() as u64);
+    for (index, &count) in filled() {
+        put_u32(out, index as u32);
+        put_u64(out, count);
+    }
 }
 
+/// The inverse of [`put_timing`]. The bucket section has one encoding
+/// per recorder: indices in range and strictly ascending, no zero
+/// count, counts summing to `n` — anything else is a typed error.
+/// Each record costs one fixed `TIMING_BUCKETS` array (4.3 KiB) per
+/// ≥ [`TIMING_LEN`] payload bytes, so decoded memory is bounded by the
+/// payload length.
 fn get_timing(r: &mut Reader<'_>) -> Result<TimingStats, WireError> {
     let n = r.u64()?;
     let mean = r.f64()?;
     let m2 = r.f64()?;
     let min = r.f64()?;
     let max = r.f64()?;
-    Ok(TimingStats::from_parts(n, mean, m2, min, max))
+    let pairs = r.count(BUCKET_PAIR_LEN)?;
+    let mut buckets = Box::new([0u64; TIMING_BUCKETS]);
+    let (mut next, mut total) = (0usize, 0u128);
+    for _ in 0..pairs {
+        let (index, count) = (r.u32()? as usize, r.u64()?);
+        if index < next || index >= TIMING_BUCKETS || count == 0 {
+            return Err(WireError::Invalid(
+                "bucket pair out of range, not ascending or empty",
+            ));
+        }
+        buckets[index] = count;
+        next = index + 1;
+        total += u128::from(count);
+    }
+    if total != u128::from(n) {
+        return Err(WireError::Invalid("bucket counts do not sum to n"));
+    }
+    Ok(TimingStats::from_parts(
+        OnlineStats::from_parts(n, mean, m2, min, max),
+        buckets,
+    ))
 }
 
-/// Raw size of one encoded [`put_timing`] record.
-const TIMING_LEN: usize = 8 + 4 * 8;
+/// One encoded `(index, count)` bucket pair.
+const BUCKET_PAIR_LEN: usize = 4 + 8;
+/// Size of one encoded [`put_timing`] record with no bucket pairs.
+const TIMING_LEN: usize = 8 + 4 * 8 + 8;
 
 fn put_timings(out: &mut Vec<u8>, t: &EngineTimings) {
     put_timing(out, &t.infer);
@@ -962,6 +1000,10 @@ mod tests {
         }
     }
 
+    /// A recorder crosses the wire exactly; and, unknown being an error
+    /// (wire v3), every malformed bucket section is a typed `WireError`
+    /// — never a panic, never an allocation (the buckets are a fixed
+    /// array and the pair count is checked against the payload).
     #[test]
     fn timing_stats_cross_the_wire_exactly() {
         let mut t = TimingStats::new();
@@ -970,15 +1012,46 @@ mod tests {
         }
         let mut out = Vec::new();
         put_timing(&mut out, &t);
-        assert_eq!(out.len(), TIMING_LEN);
-        let back = get_timing(&mut Reader::new(&out)).unwrap();
-        let (n1, mean1, m21, min1, max1) = t.parts();
-        let (n2, mean2, m22, min2, max2) = back.parts();
-        assert_eq!(n1, n2);
-        assert_eq!(mean1.to_bits(), mean2.to_bits());
-        assert_eq!(m21.to_bits(), m22.to_bits());
-        assert_eq!(min1.to_bits(), min2.to_bits());
-        assert_eq!(max1.to_bits(), max2.to_bits());
+        let mut again = Vec::new();
+        put_timing(&mut again, &get_timing(&mut Reader::new(&out)).unwrap());
+        assert_eq!(again, out, "every f64 bit and every bucket count");
+
+        // A Welford header for n = 2, then `pairs` and the given pairs.
+        let decode = |pairs: u64, rows: &[(u32, u64)]| {
+            let mut out = Vec::new();
+            put_u64(&mut out, 2);
+            for x in [1.0, 0.5, 0.5, 1.5] {
+                put_f64(&mut out, x);
+            }
+            put_u64(&mut out, pairs);
+            for &(index, count) in rows {
+                put_u32(&mut out, index);
+                put_u64(&mut out, count);
+            }
+            get_timing(&mut Reader::new(&out)).err()
+        };
+        use WireError::{Invalid, Truncated};
+        let end = TIMING_BUCKETS as u32;
+        assert_eq!(decode(2, &[(0, 1), (end - 1, 1)]), None);
+        let pair = Invalid("bucket pair out of range, not ascending or empty");
+        let sum = Invalid("bucket counts do not sum to n");
+        for (pairs, rows, want) in [
+            (2, &[(3, 1), (end, 1)][..], pair.clone()),
+            (2, &[(9, 1), (3, 1)], pair.clone()),
+            (2, &[(3, 1), (3, 1)], pair.clone()),
+            (3, &[(3, 1), (4, 0), (5, 1)], pair),
+            (1, &[(3, 1)], sum.clone()),
+            (2, &[(3, u64::MAX), (4, 3)], sum),
+            (u64::MAX, &[(3, 1), (4, 1)], Truncated),
+            (3, &[(3, 1), (4, 1)], Truncated),
+        ] {
+            assert_eq!(decode(pairs, rows), Some(want));
+        }
+        // Through a whole stats response: an empty `ServingStats` whose
+        // first pair count claims 2^64 - 1.
+        let mut stats = Response::Stats(Box::default()).encode();
+        stats[1 + 2 * 8 + 5 * 8..][..8].fill(0xff);
+        assert_eq!(Response::decode(&stats).err(), Some(Truncated));
     }
 
     #[test]

@@ -320,9 +320,17 @@ pub fn route_main(args: &[String]) -> Result<(), String> {
     );
     println!("checkpoint epochs: {marks:?}");
     println!("health check: restarted {restarted:?}");
+    let (infer, identify) = (&stats.timings.infer, &stats.timings.identify);
     println!(
-        "stats: events={} recommends={} durable={}",
-        stats.events, stats.recommends, stats.durability.enabled
+        "stats: events={} recommends={} durable={} infer_p50_us={:.2} infer_p99_us={:.2} \
+         identify_p50_us={:.2} identify_p99_us={:.2}",
+        stats.events,
+        stats.recommends,
+        stats.durability.enabled,
+        infer.p50_ms() * 1e3,
+        infer.p99_ms() * 1e3,
+        identify.p50_ms() * 1e3,
+        identify.p99_ms() * 1e3
     );
     std::io::stdout().flush().map_err(|e| e.to_string())?;
 

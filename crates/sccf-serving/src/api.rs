@@ -412,7 +412,9 @@ pub struct ServingStats {
     pub recommends: u64,
     /// Per-event write-path cost, merged across all workers: `infer` is
     /// Table III's inferring leg, `identify` is index maintenance only.
-    /// The Eq. 11 search is in [`RecResponse::timing`].
+    /// Each stage reports its mean and p50/p95/p99; the percentiles
+    /// merge exactly across shards and processes. The Eq. 11 search is
+    /// in [`RecResponse::timing`].
     pub timings: EngineTimings,
     /// Per-shard breakdown; empty on the single-writer engine. After a
     /// live scale-in this includes retired workers' final reports, so

@@ -204,9 +204,11 @@ pub fn merge_fleet_snapshots(
 
 /// Fold per-member [`ServingStats`] into one fleet-wide view: local
 /// shard ids are remapped to global ones (`local + base`), counters and
-/// timings merge exactly like in-process shard reports, durability
-/// volumes sum, and the neighborhood block is taken from the first
-/// member (the fleet installs one tier everywhere, so they agree).
+/// timings merge exactly like in-process shard reports (so per-stage
+/// percentiles are integer-exact), durability volumes and router
+/// pressure sum (capacities and peaks take the max), and the
+/// neighborhood block is taken from the first member (the fleet
+/// installs one tier everywhere, so they agree).
 ///
 /// `parts` pairs each member index with its stats, like
 /// [`merge_fleet_snapshots`].
@@ -217,6 +219,7 @@ pub fn merge_fleet_stats(
     let mut shards = Vec::new();
     let mut neighborhood = None;
     let mut durability = crate::api::DurabilityStats::default();
+    let mut pressure = crate::api::PressureStats::default();
     let mut transport = crate::api::TransportStats::default();
     for (member, stats) in parts {
         let base = topology.members().get(member).map_or(0, |m| m.base);
@@ -238,6 +241,12 @@ pub fn merge_fleet_stats(
             durability.checkpoint_watermark.max(d.checkpoint_watermark);
         durability.last_checkpoint_bytes += d.last_checkpoint_bytes;
         durability.events_since_checkpoint += d.events_since_checkpoint;
+        let p = stats.pressure;
+        pressure.sends += p.sends;
+        pressure.stalls += p.stalls;
+        pressure.stall_ms += p.stall_ms;
+        pressure.queue_capacity = pressure.queue_capacity.max(p.queue_capacity);
+        pressure.peak_queue = pressure.peak_queue.max(p.peak_queue);
         let t = stats.transport;
         transport.requests += t.requests;
         transport.read_ahead_hits += t.read_ahead_hits;
@@ -248,6 +257,7 @@ pub fn merge_fleet_stats(
     let mut out = ServingStats::from_shards(shards);
     out.neighborhood = neighborhood.unwrap_or_default();
     out.durability = durability;
+    out.pressure = pressure;
     out.transport = transport;
     out
 }
@@ -324,5 +334,30 @@ mod tests {
         assert!(merge_fleet_snapshots(&topo, &parts[..1]).is_err());
         let dup = vec![parts[0].clone(), parts[0].clone()];
         assert!(merge_fleet_snapshots(&topo, &dup).is_err());
+    }
+
+    #[test]
+    fn stats_merge_sums_pressure() {
+        use crate::api::PressureStats;
+        let topo = FleetTopology::try_new(4, 0, vec![member(0, 2), member(2, 2)]).unwrap();
+        let p = |sends, stall_ms, queue_capacity, peak_queue| PressureStats {
+            sends,
+            stalls: sends / 10,
+            stall_ms,
+            queue_capacity,
+            peak_queue,
+        };
+        let with = |pressure| ServingStats {
+            pressure,
+            ..ServingStats::default()
+        };
+        let parts = vec![
+            (0, with(p(300, 1.5, 64, 9))),
+            (1, with(p(50, 0.25, 128, 4))),
+        ];
+        assert_eq!(
+            merge_fleet_stats(&topo, parts).pressure,
+            p(350, 1.75, 128, 9)
+        );
     }
 }

@@ -28,8 +28,9 @@
 //!   every `BENCH_*.json` artifact.
 //! * [`table`] — minimal markdown/TSV table rendering for the `repro`
 //!   harness output.
-//! * [`timer`] — wall-clock timing helpers for the latency experiments
-//!   (Table III).
+//! * [`timer`] — the stopwatch and the one latency recorder
+//!   ([`TimingStats`]: Welford mean plus fixed log-bucket percentiles,
+//!   both mergeable exactly) behind Table III and `ServingStats`.
 
 pub mod checksum;
 pub mod codec;
@@ -51,5 +52,5 @@ pub use json::Json;
 pub use sparse::{SparseScores, StampSet};
 pub use stats::{zscore_normalize, Histogram, OnlineStats};
 pub use table::Table;
-pub use timer::{LatencyHistogram, Stopwatch, TimingStats};
+pub use timer::{Stopwatch, TimingStats};
 pub use topk::TopK;

@@ -3,10 +3,12 @@
 //! Table III of the paper splits per-event latency into *inferring* time
 //! (computing the fresh user representation) and *identifying* time
 //! (finding the β nearest users). [`Stopwatch`] measures one leg;
-//! [`TimingStats`] aggregates across events and reports the mean in
-//! milliseconds, which is what the paper's table shows.
+//! [`TimingStats`] is the one latency recorder: Welford moments for the
+//! mean the paper's table shows, plus fixed log buckets for the
+//! percentiles a serving SLO is written against. Both halves merge
+//! exactly, so per-shard recorders fold into one fleet-wide recorder.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::stats::OnlineStats;
 
@@ -23,10 +25,6 @@ impl Stopwatch {
         }
     }
 
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
     /// Elapsed milliseconds as `f64`.
     pub fn elapsed_ms(&self) -> f64 {
         self.start.elapsed().as_secs_f64() * 1e3
@@ -40,10 +38,63 @@ impl Stopwatch {
     }
 }
 
-/// Aggregate of many measured intervals (in milliseconds).
-#[derive(Debug, Clone, Default)]
+/// Sub-buckets per power of two: the top `SUB_BITS` mantissa bits of a
+/// sample pick its bucket inside its octave, so a bucket is at most
+/// 1/16 of its lower edge wide.
+const SUB_BITS: u32 = 4;
+/// `ms.to_bits() >> KEY_SHIFT` = `(biased exponent << SUB_BITS) |
+/// top mantissa bits` — monotone in `ms` for every positive `f64`.
+const KEY_SHIFT: u32 = 52 - SUB_BITS;
+/// Key of 2^-20 ms (≈ 1 ns), the lower edge of bucket 0's own range.
+const FIRST_KEY: u64 = (1023 - 20) << SUB_BITS;
+/// Octaves with their own buckets: 2^-20 ms up to 2^14 ms (≈ 16 s).
+const OCTAVES: usize = 34;
+/// Buckets in every [`TimingStats`]. The layout is fixed, so any two
+/// recorders — on two shards or two processes — merge bucket-wise.
+pub const TIMING_BUCKETS: usize = OCTAVES << SUB_BITS;
+
+/// The bucket a sample falls in, from its bit pattern alone (no `ln`).
+/// Zero, negatives and NaN land in bucket 0, everything above the top
+/// edge in the last bucket.
+#[inline]
+fn bucket_of(ms: f64) -> usize {
+    if ms > 0.0 {
+        let key = (ms.to_bits() >> KEY_SHIFT).saturating_sub(FIRST_KEY);
+        key.min(TIMING_BUCKETS as u64 - 1) as usize
+    } else {
+        0
+    }
+}
+
+/// Exclusive upper edge of bucket `b` in ms (`+∞` for the last one).
+fn upper_edge(b: usize) -> f64 {
+    if b + 1 >= TIMING_BUCKETS {
+        f64::INFINITY
+    } else {
+        f64::from_bits((FIRST_KEY + b as u64 + 1) << KEY_SHIFT)
+    }
+}
+
+/// Aggregate of many measured intervals (in milliseconds): the Welford
+/// mean / max and log-bucketed quantiles. It lives in every shard
+/// worker's `EngineTimings` and is paid twice per ingested event, so
+/// [`TimingStats::record_ms`] never allocates. The buckets are one
+/// boxed array allocated with the recorder: kept inline, every
+/// by-value move of a `ServingStats` copied them through the stack,
+/// which cost each shard server ≈ 0.2 MiB of peak RSS.
+#[derive(Debug, Clone)]
 pub struct TimingStats {
     stats: OnlineStats,
+    buckets: Box<[u64; TIMING_BUCKETS]>,
+}
+
+impl Default for TimingStats {
+    fn default() -> Self {
+        Self {
+            stats: OnlineStats::new(),
+            buckets: Box::new([0; TIMING_BUCKETS]),
+        }
+    }
 }
 
 impl TimingStats {
@@ -51,20 +102,10 @@ impl TimingStats {
         Self::default()
     }
 
+    #[inline]
     pub fn record_ms(&mut self, ms: f64) {
         self.stats.push(ms);
-    }
-
-    pub fn record(&mut self, d: Duration) {
-        self.stats.push(d.as_secs_f64() * 1e3);
-    }
-
-    /// Run `f` and record its wall time, returning its output.
-    pub fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        let sw = Stopwatch::start();
-        let out = f();
-        self.record_ms(sw.elapsed_ms());
-        out
+        self.buckets[bucket_of(ms)] += 1;
     }
 
     pub fn count(&self) -> u64 {
@@ -75,10 +116,6 @@ impl TimingStats {
         self.stats.mean()
     }
 
-    pub fn std_ms(&self) -> f64 {
-        self.stats.std()
-    }
-
     pub fn max_ms(&self) -> f64 {
         if self.stats.count() == 0 {
             0.0
@@ -87,23 +124,67 @@ impl TimingStats {
         }
     }
 
+    /// Value (ms) at quantile `q ∈ [0, 1]`: the upper edge of the first
+    /// bucket whose cumulative count reaches `⌈q·count⌉`, capped at the
+    /// exact maximum. For a sample `x` in 2^-20 ms .. 2^14 ms the answer
+    /// lies in `[x, x · 17/16]`, where `x` is the sample of that rank;
+    /// `q = 0` and `q = 1` are the exact extremes. 0 when empty. A
+    /// function of the bucket counts and the extremes only, so merged
+    /// recorders answer bit-identically to one recorder fed every sample.
+    pub fn quantile_ms(&self, q: f64) -> f64 {
+        let n = self.count();
+        if n == 0 {
+            return 0.0;
+        }
+        if q <= 0.0 {
+            return self.stats.min();
+        }
+        if q >= 1.0 {
+            return self.stats.max();
+        }
+        let rank = ((q * n as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (b, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return upper_edge(b).min(self.stats.max());
+            }
+        }
+        self.stats.max()
+    }
+
+    pub fn p50_ms(&self) -> f64 {
+        self.quantile_ms(0.50)
+    }
+
+    pub fn p95_ms(&self) -> f64 {
+        self.quantile_ms(0.95)
+    }
+
+    pub fn p99_ms(&self) -> f64 {
+        self.quantile_ms(0.99)
+    }
+
+    /// Fold another recorder in: Welford merge plus bucket sums.
     pub fn merge(&mut self, other: &TimingStats) {
         self.stats.merge(&other.stats);
-    }
-
-    /// The underlying accumulator's raw state — see
-    /// [`OnlineStats::parts`]. With [`TimingStats::from_parts`] this
-    /// round-trips the aggregate exactly across a process boundary.
-    pub fn parts(&self) -> (u64, f64, f64, f64, f64) {
-        self.stats.parts()
-    }
-
-    /// Rebuild from [`TimingStats::parts`] — see
-    /// [`OnlineStats::from_parts`].
-    pub fn from_parts(n: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
-        Self {
-            stats: OnlineStats::from_parts(n, mean, m2, min, max),
+        for (a, &b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *a += b;
         }
+    }
+
+    /// The raw state — the Welford accumulator (see
+    /// [`OnlineStats::parts`]) and the bucket counts. With
+    /// [`TimingStats::from_parts`] this round-trips a recorder exactly
+    /// across a process boundary.
+    pub fn parts(&self) -> (&OnlineStats, &[u64; TIMING_BUCKETS]) {
+        (&self.stats, &self.buckets)
+    }
+
+    /// Rebuild from [`TimingStats::parts`]. Trusted as-is: a decoder
+    /// checks that the bucket counts sum to the accumulator's count.
+    pub fn from_parts(stats: OnlineStats, buckets: Box<[u64; TIMING_BUCKETS]>) -> Self {
+        Self { stats, buckets }
     }
 }
 
@@ -121,7 +202,7 @@ mod tests {
     #[test]
     fn lap_resets() {
         let mut sw = Stopwatch::start();
-        std::thread::sleep(Duration::from_millis(2));
+        std::thread::sleep(std::time::Duration::from_millis(2));
         let first = sw.lap_ms();
         assert!(first >= 1.0);
         let second = sw.elapsed_ms();
@@ -131,221 +212,38 @@ mod tests {
     #[test]
     fn timing_stats_aggregate() {
         let mut ts = TimingStats::new();
+        assert_eq!((ts.p50_ms(), ts.p99_ms(), ts.max_ms()), (0.0, 0.0, 0.0));
         ts.record_ms(1.0);
         ts.record_ms(3.0);
         assert_eq!(ts.count(), 2);
         assert!((ts.mean_ms() - 2.0).abs() < 1e-12);
         assert_eq!(ts.max_ms(), 3.0);
+        assert_eq!(ts.quantile_ms(0.0), 1.0);
+        ts.record_ms(1e7); // far beyond the top edge: the exact maximum
+        assert_eq!(ts.p99_ms(), 1e7);
     }
 
     #[test]
-    fn time_returns_value() {
-        let mut ts = TimingStats::new();
-        let v = ts.time(|| 40 + 2);
-        assert_eq!(v, 42);
-        assert_eq!(ts.count(), 1);
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = TimingStats::new();
-        a.record_ms(1.0);
-        let mut b = TimingStats::new();
-        b.record_ms(5.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!((a.mean_ms() - 3.0).abs() < 1e-12);
-    }
-}
-
-/// Log-bucketed latency histogram with percentile queries.
-///
-/// Buckets grow geometrically (~10 % per step) from 1 µs to ~1 hour, so
-/// the structure is fixed-size (no per-sample storage) while percentile
-/// error stays below one bucket width — the standard production latency
-/// recorder (HdrHistogram-style), used for the serving-side p50/p95/p99
-/// the mean of [`TimingStats`] cannot express.
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    /// `counts[b]` = samples whose µs value falls in bucket `b`.
-    counts: Vec<u64>,
-    total: u64,
-    /// Exact running extremes (reported unbucketed).
-    min_us: f64,
-    max_us: f64,
-}
-
-/// Geometric growth factor per bucket.
-const LAT_BASE: f64 = 1.1;
-/// Number of buckets: 1.1^170 ≈ 1.1e7 µs ≈ 11 s top bucket, plus one
-/// overflow bucket.
-const LAT_BUCKETS: usize = 172;
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    pub fn new() -> Self {
-        Self {
-            counts: vec![0; LAT_BUCKETS],
-            total: 0,
-            min_us: f64::INFINITY,
-            max_us: 0.0,
-        }
-    }
-
-    fn bucket_of(us: f64) -> usize {
-        if us <= 1.0 {
-            return 0;
-        }
-        let b = us.ln() / LAT_BASE.ln();
-        (b.ceil() as usize).min(LAT_BUCKETS - 1)
-    }
-
-    /// Upper edge of bucket `b` in µs.
-    fn bucket_edge(b: usize) -> f64 {
-        LAT_BASE.powi(b as i32)
-    }
-
-    /// Record one latency in milliseconds.
-    pub fn record_ms(&mut self, ms: f64) {
-        let us = (ms * 1000.0).max(0.0);
-        self.counts[Self::bucket_of(us)] += 1;
-        self.total += 1;
-        self.min_us = self.min_us.min(us);
-        self.max_us = self.max_us.max(us);
-    }
-
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
-    /// Value (ms) at quantile `q ∈ [0, 1]`: the upper edge of the first
-    /// bucket whose cumulative count reaches `q·total`. Returns 0 when
-    /// empty. Accuracy is one bucket (≤ 10 % relative error), except the
-    /// extremes which are exact.
-    pub fn quantile_ms(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        if q <= 0.0 {
-            return self.min_us / 1000.0;
-        }
-        if q >= 1.0 {
-            return self.max_us / 1000.0;
-        }
-        let target = (q * self.total as f64).ceil() as u64;
-        let mut cum = 0u64;
-        for (b, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Self::bucket_edge(b).min(self.max_us) / 1000.0;
+    fn buckets_tile_the_range_from_the_bit_pattern() {
+        // Each bucket's upper edge is the next bucket's first sample,
+        // and the edges are ≤ 1/16 apart relative to the lower one.
+        for b in 0..TIMING_BUCKETS - 1 {
+            let edge = upper_edge(b);
+            assert_eq!(bucket_of(edge), b + 1, "edge of {b}");
+            assert_eq!(bucket_of(f64::from_bits(edge.to_bits() - 1)), b);
+            if b > 0 {
+                assert!(edge <= upper_edge(b - 1) * (1.0 + 1.0 / 16.0));
             }
         }
-        self.max_us / 1000.0
-    }
-
-    /// Shorthands for the standard serving percentiles.
-    pub fn p50_ms(&self) -> f64 {
-        self.quantile_ms(0.50)
-    }
-
-    pub fn p95_ms(&self) -> f64 {
-        self.quantile_ms(0.95)
-    }
-
-    pub fn p99_ms(&self) -> f64 {
-        self.quantile_ms(0.99)
-    }
-
-    /// Merge another histogram into this one (per-shard recorders).
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
+        for (ms, b) in [
+            (0.0, 0),
+            (-1.0, 0),
+            (f64::NAN, 0),
+            (1e-12, 0),
+            (1e9, TIMING_BUCKETS - 1),
+            (f64::INFINITY, TIMING_BUCKETS - 1),
+        ] {
+            assert_eq!(bucket_of(ms), b, "{ms}");
         }
-        self.total += other.total;
-        self.min_us = self.min_us.min(other.min_us);
-        self.max_us = self.max_us.max(other.max_us);
-    }
-}
-
-#[cfg(test)]
-mod latency_tests {
-    use super::*;
-
-    #[test]
-    fn quantiles_of_uniform_samples() {
-        let mut h = LatencyHistogram::new();
-        for i in 1..=1000 {
-            h.record_ms(i as f64 / 100.0); // 0.01 .. 10 ms
-        }
-        assert_eq!(h.count(), 1000);
-        // p50 ≈ 5 ms within one bucket (10 %)
-        let p50 = h.p50_ms();
-        assert!((4.0..=6.0).contains(&p50), "p50 {p50}");
-        let p99 = h.p99_ms();
-        assert!((8.5..=11.0).contains(&p99), "p99 {p99}");
-        // extremes are exact
-        assert!((h.quantile_ms(0.0) - 0.01).abs() < 1e-9);
-        assert!((h.quantile_ms(1.0) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_histogram_reports_zero() {
-        let h = LatencyHistogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.p50_ms(), 0.0);
-        assert_eq!(h.p99_ms(), 0.0);
-    }
-
-    #[test]
-    fn single_sample_all_quantiles_agree() {
-        let mut h = LatencyHistogram::new();
-        h.record_ms(2.5);
-        for q in [0.0, 0.5, 0.95, 1.0] {
-            let v = h.quantile_ms(q);
-            assert!((2.2..=2.8).contains(&v), "q{q} -> {v}");
-        }
-    }
-
-    #[test]
-    fn merge_combines_counts_and_extremes() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record_ms(1.0);
-        b.record_ms(100.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!((a.quantile_ms(0.0) - 1.0).abs() < 1e-9);
-        assert!((a.quantile_ms(1.0) - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn monotone_in_quantile() {
-        let mut h = LatencyHistogram::new();
-        for i in 0..500 {
-            h.record_ms(0.1 + (i % 37) as f64);
-        }
-        let mut prev = 0.0;
-        for q in [0.1, 0.25, 0.5, 0.75, 0.9, 0.99] {
-            let v = h.quantile_ms(q);
-            assert!(v >= prev, "quantiles must be monotone");
-            prev = v;
-        }
-    }
-
-    #[test]
-    fn oversized_latency_lands_in_overflow_bucket() {
-        let mut h = LatencyHistogram::new();
-        h.record_ms(10_000_000.0); // far beyond the top edge
-        assert_eq!(h.count(), 1);
-        assert!(h.p99_ms() > 0.0);
     }
 }

@@ -161,6 +161,28 @@ fn fleet_matches_single_process_bit_for_bit_across_kill_and_restart() {
     let stats = router.serving_stats().expect("fleet stats");
     assert_eq!(stats.events, 300, "merged stats count the whole stream");
     assert!(stats.durability.enabled);
+    // Regression: the merged view used to drop every member's router
+    // pressure (all zeros however many sends were made).
+    assert!(
+        stats.pressure.sends >= 300,
+        "merged pressure counts the members' sends (got {})",
+        stats.pressure.sends
+    );
+    // Per-stage percentiles merge exactly: the router's merged `infer`
+    // recorder equals the merge of what each member reports over its
+    // own connection — same count, quantiles bit-equal.
+    let mut by_member = sccf::util::TimingStats::new();
+    for m in 0..PROCS {
+        by_member.merge(&member_stats(&sup, m).timings.infer);
+    }
+    assert_eq!(stats.timings.infer.count(), by_member.count());
+    for q in [0.5, 0.95, 0.99, 1.0] {
+        assert_eq!(
+            stats.timings.infer.quantile_ms(q).to_bits(),
+            by_member.quantile_ms(q).to_bits(),
+            "infer q{q}"
+        );
+    }
 
     // Checkpoint, then keep writing past it so recovery must replay a
     // WAL tail on top of the checkpoint chain.
@@ -435,6 +457,17 @@ fn remote_errors_and_routing_guards_cross_the_wire() {
     {
         Response::Err(ServingError::NotOwned { user }) => assert_eq!(user, foreign),
         other => panic!("expected NotOwned over the wire, got {other:?}"),
+    }
+    // A v2 peer (no latency buckets in its stats) is refused at the
+    // handshake, typed, and the connection keeps serving.
+    match direct
+        .request(&Request::Hello { protocol: 2 })
+        .expect("transport ok")
+    {
+        Response::Err(ServingError::Wire(msg)) => {
+            assert!(msg.contains("client speaks protocol 2"), "{msg}")
+        }
+        other => panic!("expected a version refusal, got {other:?}"),
     }
 
     // A decodable tier artifact whose accel section names users the

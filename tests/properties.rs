@@ -399,19 +399,34 @@ fn recommend_identical_between_oneshot_and_scratch_paths() {
     }
 }
 
-// ------------------------------------------------- latency histogram
+// ------------------------------------------------- latency recorder
+
+/// `mean_ms` / `count` / `max_ms` bits of this stream, taken at the
+/// parent of the change that gave `TimingStats` its buckets — the
+/// Welford half must not move by a bit.
+#[test]
+fn timing_stats_welford_bits_are_pinned() {
+    let mut t = sccf::util::TimingStats::new();
+    for k in 0..1000u64 {
+        t.record_ms(((k * 7919 + 13) % 4099) as f64 / 211.0 + 1.0 / (k as f64 + 3.0));
+    }
+    assert_eq!(t.count(), 1000);
+    assert_eq!(t.mean_ms().to_bits(), 0x40236178f9aeaf32);
+    assert_eq!(t.max_ms().to_bits(), 0x403362c4addea4a6);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Histogram quantiles are monotone in q, bracket the true extremes,
-    /// and stay within the 10 % bucket tolerance of exact quantiles.
+    /// Quantiles are monotone in q, the extremes are exact, and every
+    /// other quantile is the upper edge of the sample's bucket: at least
+    /// the exact sample of that rank and at most 1/16 above it (16
+    /// buckets per power of two, cut from the f64 bit pattern).
     #[test]
-    fn latency_histogram_quantile_accuracy(
+    fn timing_stats_quantile_accuracy(
         samples in prop::collection::vec(0.001f64..1e4, 1..300),
     ) {
-        use sccf::util::LatencyHistogram;
-        let mut h = LatencyHistogram::new();
+        let mut h = sccf::util::TimingStats::new();
         for &s in &samples {
             h.record_ms(s);
         }
@@ -424,14 +439,46 @@ proptest! {
             prev = got;
             let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
             let exact = sorted[idx];
-            // one geometric bucket of slack (base 1.1) plus float fuzz
             prop_assert!(
-                got <= exact * 1.11 + 1e-3 && got >= exact / 1.11 - 1e-3,
-                "q{q}: histogram {got} vs exact {exact}"
+                exact <= got && got <= exact * (1.0 + 1.0 / 16.0),
+                "q{q}: recorder {got} vs exact {exact}"
             );
         }
-        prop_assert!((h.quantile_ms(0.0) - sorted[0]).abs() < 1e-9);
-        prop_assert!((h.quantile_ms(1.0) - sorted[sorted.len() - 1]).abs() < 1e-9);
+        prop_assert_eq!(h.quantile_ms(0.0), sorted[0]);
+        prop_assert_eq!(h.quantile_ms(1.0), sorted[sorted.len() - 1]);
+    }
+
+    /// Recording a stream in pieces and merging equals recording it
+    /// whole: count and every quantile bit-equal (bucket sums and exact
+    /// extremes), the mean within Welford merge tolerance.
+    #[test]
+    fn timing_stats_merge_of_split_streams_equals_one_stream(
+        samples in prop::collection::vec(1e-7f64..1e5, 1..300),
+        cuts in prop::collection::vec(0usize..300, 0..4),
+    ) {
+        use sccf::util::TimingStats;
+        let mut whole = TimingStats::new();
+        for &s in &samples {
+            whole.record_ms(s);
+        }
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (samples.len() + 1)).collect();
+        bounds.push(0);
+        bounds.push(samples.len());
+        bounds.sort_unstable();
+        let mut merged = TimingStats::new();
+        for w in bounds.windows(2) {
+            let mut part = TimingStats::new();
+            for &s in &samples[w[0]..w[1]] {
+                part.record_ms(s);
+            }
+            merged.merge(&part);
+        }
+        prop_assert_eq!(merged.count(), whole.count());
+        for k in 0..=100 {
+            let q = k as f64 / 100.0;
+            prop_assert_eq!(merged.quantile_ms(q).to_bits(), whole.quantile_ms(q).to_bits(), "q{}", q);
+        }
+        prop_assert!((merged.mean_ms() - whole.mean_ms()).abs() <= 1e-10 * whole.mean_ms().abs().max(1.0));
     }
 }
 

@@ -653,6 +653,56 @@ proptest! {
     }
 }
 
+/// Wire v3: a `ServingStats` whose timings carry populated latency
+/// buckets crosses the wire with every quantile bit-equal — fleet-wide
+/// and per shard — and its decoder is total (every strict prefix is an
+/// error; an all-ones field anywhere, e.g. a bucket pair count the
+/// payload cannot hold, neither panics nor over-allocates).
+#[test]
+fn stats_with_latency_buckets_roundtrip_with_every_quantile_bit_equal() {
+    use sccf::core::{EngineTimings, EventTiming};
+    use sccf::net::Response;
+    use sccf::serving::sharded::ShardReport;
+    use sccf::serving::ServingStats;
+    let shard = |shard: usize, scale: f64| {
+        let mut timings = EngineTimings::default();
+        for k in 0..500u32 {
+            timings.record(EventTiming {
+                infer_ms: scale * (0.01 + (k as f64 * 0.37).sin().abs()),
+                identify_ms: scale * 1e-4 * (1.0 + k as f64),
+            });
+        }
+        ShardReport {
+            shard,
+            events: 500,
+            recommends: 0,
+            timings,
+            retired: false,
+            queue_capacity: 64,
+            tier_dirty: 0,
+        }
+    };
+    let stats = ServingStats::from_shards(vec![shard(0, 1.0), shard(1, 30.0)]);
+    let bytes = Response::Stats(Box::new(stats.clone())).encode();
+    let back = match Response::decode(&bytes).expect("own encoding decodes") {
+        Response::Stats(s) => *s,
+        other => panic!("expected Stats, got {other:?}"),
+    };
+    let recorders = |s: &ServingStats| {
+        let mut all = vec![s.timings.clone()];
+        all.extend(s.shards.iter().map(|r| r.timings.clone()));
+        all.into_iter().flat_map(|t| [t.infer, t.identify])
+    };
+    for (sent, got) in recorders(&stats).zip(recorders(&back)) {
+        assert_eq!(sent.count(), got.count());
+        for k in 0..=200 {
+            let q = k as f64 / 200.0;
+            assert_eq!(sent.quantile_ms(q).to_bits(), got.quantile_ms(q).to_bits());
+        }
+    }
+    assert_decoder_is_total(&bytes, Response::decode);
+}
+
 // -------------------------------- pipelined stream delivery hazards
 //
 // A pipelined connection keeps several frames back-to-back on one TCP
@@ -900,7 +950,7 @@ fn golden_fixtures() -> Vec<(String, Vec<u8>)> {
     store.param_mut(wid).v = Mat::filled(2, 3, 0.25);
     out.push(("param_store".into(), sccf::tensor::save_store(&store)));
 
-    // wire v2: one of every request and response variant
+    // wire v3: one of every request and response variant
     let query = RecQuery {
         k: 5,
         source: sccf::core::CandidateSource::Exact,
@@ -1103,7 +1153,10 @@ fn golden_fixtures() -> Vec<(String, Vec<u8>)> {
 
 /// CRC-32 of every fixture above, computed at the commit *before* the
 /// shared `sccf_util::codec` cursor replaced the per-format readers
-/// and writers (see CHANGES.md, PR 19) and not regenerated since.
+/// and writers (see CHANGES.md, PR 19) and not regenerated since —
+/// except the three rows wire v3 moved on purpose (CHANGES.md, PR 25):
+/// `req_Hello` / `resp_HelloOk` carry version 3, `resp_Stats` carries
+/// each timing's bucket section.
 const GOLDEN_DIGESTS: &[(&str, u32)] = &[
     ("histories", 0x776113a8),
     ("user_state", 0xe13dc961),
@@ -1114,7 +1167,7 @@ const GOLDEN_DIGESTS: &[(&str, u32)] = &[
     ("checkpoint", 0x290ac080),
     ("wal_magic_and_one_frame", 0x5dea18af),
     ("param_store", 0xaac45f28),
-    ("req_Hello", 0x6c2b3f96),
+    ("req_Hello", 0xd49758f3),
     ("req_Ping", 0xa505df1b),
     ("req_IngestBatch", 0x2ec3c3e8),
     ("req_Recommend", 0xce20bb34),
@@ -1128,13 +1181,13 @@ const GOLDEN_DIGESTS: &[(&str, u32)] = &[
     ("req_InstallTier", 0x02859fd0),
     ("req_ClearTier", 0xdbb4a3a6),
     ("req_Shutdown", 0xacb39330),
-    ("resp_HelloOk", 0x24211d75),
+    ("resp_HelloOk", 0x0e092517),
     ("resp_Pong", 0xa505df1b),
     ("resp_Ingested", 0xa04942b6),
     ("resp_Slate", 0xea2d092a),
     ("resp_Slates", 0xd94c15ba),
     ("resp_Done", 0xa2681b02),
-    ("resp_Stats", 0x9ef8b421),
+    ("resp_Stats", 0x9a4a504f),
     ("resp_Bytes", 0xf1954396),
     ("resp_Watermark", 0xeda6e3c4),
     ("resp_Blobs", 0x1211916b),

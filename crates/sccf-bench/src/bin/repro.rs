@@ -61,19 +61,6 @@ fn parse_args() -> (Vec<&'static Experiment>, HarnessConfig, PathBuf) {
 }
 
 fn main() {
-    // Hidden re-exec role: `bench-fleet` spawns this same binary as its
-    // shard-server processes (see `sccf_net::spawn_shard`).
-    {
-        let mut argv = std::env::args().skip(1);
-        if argv.next().as_deref() == Some("serve-shard") {
-            let rest: Vec<String> = argv.collect();
-            if let Err(e) = sccf_net::serve_shard_main(&rest) {
-                eprintln!("serve-shard error: {e}");
-                std::process::exit(1);
-            }
-            return;
-        }
-    }
     let (selected, harness, out_dir) = parse_args();
     std::process::exit(experiments::run(
         &selected,

@@ -18,7 +18,6 @@ use crate::harness::HarnessConfig;
 
 pub mod control;
 pub mod extensions;
-pub mod fleet;
 pub mod paper;
 pub mod quality;
 pub mod recovery;
@@ -111,7 +110,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("bench-reshard", "live resharding N→M under load", Bench(reshard::bench_reshard)),
     ("bench-quality", "N=1 vs N=8 shard-local vs two-tier HR/NDCG", Bench(quality::bench_quality)),
     ("bench-recovery", "crash-recovery time vs WAL depth", Bench(recovery::bench_recovery)),
-    ("bench-fleet", "loopback multi-process fleet vs in-process", Bench(fleet::bench_fleet)),
     ("bench-control", "closed-loop autoscale + delta refresh", Bench(control::bench_control)),
 ];
 

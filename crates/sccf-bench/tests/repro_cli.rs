@@ -22,6 +22,7 @@ fn registry_names_are_unique_and_all_is_the_whole_registry_in_order() {
     assert_eq!(all, names);
     assert_eq!(select("bench-control").unwrap()[0].0, "bench-control");
     assert!(select("bench-nope").is_none());
+    assert!(select("bench-fleet").is_none());
     for name in names {
         assert!(
             usage().contains(&format!("  {name} ")),

@@ -1,22 +1,22 @@
 //! One persistent, *pipelined* client connection to a shard server.
 //!
 //! A [`Connection`] is split into independent send and receive halves
-//! over one TCP stream: [`Connection::send`] (or the non-flushing
-//! [`Connection::enqueue`]) frames a [`Request`] into an outbox and
-//! bumps a FIFO in-flight counter; [`Connection::recv`] awaits the
-//! response matching the *oldest* unanswered request. Multiple
-//! requests may be in flight at once — the wire protocol carries no
-//! correlation ids because none are needed: the server handles each
-//! connection's requests strictly in arrival order and answers in the
-//! same order, so the k-th outstanding `recv` always pairs with the
-//! k-th outstanding `send`. That same per-connection FIFO is what
-//! gives the fleet router its per-user read-your-writes guarantee — a
-//! user's events and the recommendation that must observe them travel
-//! the same connection to the same owning server.
+//! over one TCP stream: [`Connection::send`] (or, inside the crate, the
+//! non-flushing `enqueue_frame` of a request framed once) appends a
+//! framed [`Request`] to an outbox and bumps a FIFO in-flight counter;
+//! [`Connection::recv`] awaits the response matching the *oldest*
+//! unanswered request. Multiple requests may be in flight at once — the
+//! wire protocol carries no correlation ids because none are needed:
+//! the server handles each connection's requests strictly in arrival
+//! order and answers in the same order, so the k-th outstanding `recv`
+//! always pairs with the k-th outstanding `send`. That same
+//! per-connection FIFO is what gives the fleet router its per-user
+//! read-your-writes guarantee — a user's events and the recommendation
+//! that must observe them travel the same connection to the same owning
+//! server.
 //!
-//! The legacy strict request/response round trip is still available as
-//! [`Connection::call`] = `send` + `recv` (it refuses to run while
-//! other responses are outstanding).
+//! A single round trip is [`Connection::call`] = `send` + `recv` (it
+//! refuses to run while other responses are outstanding).
 //!
 //! Transport failures *poison* the connection: once any read or write
 //! fails, the response stream can no longer be trusted to line up with
@@ -29,8 +29,9 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use sccf_serving::api::ServingError;
+use sccf_util::framing::build_frame;
 
-use crate::proto::{read_message, write_message, Request, Response, PROTOCOL_VERSION};
+use crate::proto::{read_message, Request, Response, PROTOCOL_VERSION};
 
 fn wire<E: std::fmt::Display>(context: &str) -> impl Fn(E) -> ServingError + '_ {
     move |e| ServingError::Wire(format!("{context}: {e}"))
@@ -108,23 +109,31 @@ impl Connection {
         }
     }
 
-    /// Frame `req` into the outbox *without* touching the socket, and
-    /// count it in flight. Pair every enqueue with exactly one
-    /// [`Connection::recv`]; flush happens on [`Connection::recv`] at
-    /// the latest, or explicitly via [`Connection::flush_outbox`]. A
-    /// request too large for one frame is a typed error that leaves the
-    /// connection as it was: nothing queued, nothing owed, not poisoned.
-    pub fn enqueue(&mut self, req: &Request) -> Result<(), ServingError> {
+    /// Encode `req` and wrap it in its frame: the exact bytes a
+    /// connection queues. A request too large for one frame is a typed
+    /// error, reported before any connection is touched.
+    pub(crate) fn frame(req: &Request) -> Result<Vec<u8>, ServingError> {
+        build_frame(|out| req.encode_into(out)).map_err(wire("framing request"))
+    }
+
+    /// Append one [`Connection::frame`] to the outbox *without* touching
+    /// the socket, and count it in flight. Pair every enqueue with
+    /// exactly one [`Connection::recv`]; flush happens on
+    /// [`Connection::recv`] at the latest, or explicitly via
+    /// [`Connection::flush_outbox`].
+    pub(crate) fn enqueue_frame(&mut self, frame: &[u8]) -> Result<(), ServingError> {
         self.check_poisoned()?;
-        write_message(&mut self.outbox, &req.encode()).map_err(wire("framing request"))?;
+        self.outbox.extend_from_slice(frame);
         self.in_flight += 1;
         Ok(())
     }
 
-    /// Send `req` now: enqueue + blocking flush. The response is owed;
-    /// collect it with [`Connection::recv`].
+    /// Send `req` now: frame, enqueue, blocking flush. The response is
+    /// owed; collect it with [`Connection::recv`]. A request too large
+    /// for one frame is a typed error that leaves the connection as it
+    /// was: nothing queued, nothing owed, not poisoned.
     pub fn send(&mut self, req: &Request) -> Result<(), ServingError> {
-        self.enqueue(req)?;
+        self.enqueue_frame(&Self::frame(req)?)?;
         self.flush_outbox()
     }
 
@@ -168,10 +177,10 @@ impl Connection {
         }
     }
 
-    /// One strict request/response round trip (the legacy shape).
-    /// Refuses to interleave with pipelined traffic: any other response
-    /// in flight is an error, because the next frame on the wire would
-    /// not be the answer to `req`.
+    /// One strict request/response round trip. Refuses to interleave
+    /// with pipelined traffic: any other response in flight is an error,
+    /// because the next frame on the wire would not be the answer to
+    /// `req`.
     pub fn request(&mut self, req: &Request) -> Result<Response, ServingError> {
         self.check_poisoned()?;
         if self.in_flight != 0 {
@@ -225,6 +234,7 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::write_message;
     use sccf_util::framing::MAX_FRAME_LEN;
     use std::io::BufWriter;
     use std::net::TcpListener;
@@ -249,7 +259,7 @@ mod tests {
         });
 
         let mut conn = Connection::connect(addr).expect("dial");
-        match conn.enqueue(&Request::InstallTier(vec![0; MAX_FRAME_LEN + 1])) {
+        match conn.send(&Request::InstallTier(vec![0; MAX_FRAME_LEN + 1])) {
             Err(ServingError::Wire(msg)) => {
                 let limit = MAX_FRAME_LEN.to_string();
                 assert!(msg.contains(&limit), "names the limit: {msg}");

@@ -533,47 +533,53 @@ pub enum Request {
 impl Request {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append this request's payload to `out` (how the client builds a
+    /// frame in one buffer).
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Hello { protocol } => {
-                put_u8(&mut out, 0);
-                put_u32(&mut out, *protocol);
+                put_u8(out, 0);
+                put_u32(out, *protocol);
             }
-            Request::Ping => put_u8(&mut out, 1),
+            Request::Ping => put_u8(out, 1),
             Request::IngestBatch(events) => {
-                put_u8(&mut out, 2);
-                put_u64(&mut out, events.len() as u64);
+                put_u8(out, 2);
+                put_u64(out, events.len() as u64);
                 for &(u, i) in events {
-                    put_u32(&mut out, u);
-                    put_u32(&mut out, i);
+                    put_u32(out, u);
+                    put_u32(out, i);
                 }
             }
             Request::Recommend { user, query } => {
-                put_u8(&mut out, 3);
-                put_u32(&mut out, *user);
-                put_query(&mut out, query);
+                put_u8(out, 3);
+                put_u32(out, *user);
+                put_query(out, query);
             }
             Request::RecommendMany { users, query } => {
-                put_u8(&mut out, 4);
-                put_u32_list(&mut out, users);
-                put_query(&mut out, query);
+                put_u8(out, 4);
+                put_u32_list(out, users);
+                put_query(out, query);
             }
-            Request::Flush => put_u8(&mut out, 5),
-            Request::Stats => put_u8(&mut out, 6),
-            Request::Snapshot => put_u8(&mut out, 7),
-            Request::Checkpoint => put_u8(&mut out, 8),
-            Request::WalSync => put_u8(&mut out, 9),
+            Request::Flush => put_u8(out, 5),
+            Request::Stats => put_u8(out, 6),
+            Request::Snapshot => put_u8(out, 7),
+            Request::Checkpoint => put_u8(out, 8),
+            Request::WalSync => put_u8(out, 9),
             Request::ExportUsers(users) => {
-                put_u8(&mut out, 10);
-                put_u32_list(&mut out, users);
+                put_u8(out, 10);
+                put_u32_list(out, users);
             }
             Request::InstallTier(bytes) => {
-                put_u8(&mut out, 11);
-                put_blob(&mut out, bytes);
+                put_u8(out, 11);
+                put_blob(out, bytes);
             }
-            Request::ClearTier => put_u8(&mut out, 12),
-            Request::Shutdown => put_u8(&mut out, 13),
+            Request::ClearTier => put_u8(out, 12),
+            Request::Shutdown => put_u8(out, 13),
         }
-        out
     }
 
     pub fn decode(payload: &[u8]) -> Result<Self, WireError> {

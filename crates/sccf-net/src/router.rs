@@ -15,18 +15,18 @@
 //! *collect in member order*. All members work concurrently; wall-clock
 //! cost is ≈ the slowest member's round trip instead of the sum of all
 //! of them. The blocking writes cannot deadlock: a connection is owed
-//! at most `depth` small acknowledgements when a request is written, a
-//! `scatter` writes one request per member, and each server's reader
-//! thread drains its socket independently of its engine — so a member
-//! never stops reading because the router has not started reading yet.
-//! Setting the pipeline depth to 1 ([`FleetRouter::set_pipeline_depth`],
-//! or `SCCF_NET_DEPTH=1` at connect time) restores the legacy strictly
-//! sequential member-by-member transport — the slow reference the
-//! pipelined path is pinned bit-identical against.
+//! at most [`DEFAULT_PIPELINE_DEPTH`] small acknowledgements when a
+//! request is written, a `scatter` writes one request per member, and
+//! each server's reader thread drains its socket independently of its
+//! engine — so a member never stops reading because the router has not
+//! started reading yet. This is the only transport; `tests/fleet.rs`
+//! pins it against the single-process `ShardedEngine`.
 //!
 //! Data-plane fan-outs (ingest, recommend, user-state export) are
-//! **strict**: a member whose connection is already poisoned fails the
-//! call before any request is queued, and the first error wins.
+//! **strict**: one preflight checks every target's connection for
+//! poison and frames every request before anything is queued on any
+//! connection — a batch that cannot be delivered whole is applied
+//! nowhere — and the first error wins.
 //! Control-plane fan-outs (flush, WAL sync, checkpoint, stats,
 //! snapshot, tier installs, shutdown) are **best-effort across all
 //! members**: every member is contacted even after an earlier member
@@ -39,9 +39,10 @@
 //! checkpoint/WAL-sync fan-outs, whole-fleet snapshot merging
 //! ([`merge_fleet_snapshots`]), user-state collection and frozen-tier
 //! installs, pipelined multi-batch ingest
-//! ([`FleetRouter::ingest_batches`]: up to `depth` batches in flight
-//! per connection), and [`FleetRouter::reconnect`] — the supervisor's
-//! hook for re-pointing a member at its restarted process.
+//! ([`FleetRouter::ingest_batches`]: up to [`DEFAULT_PIPELINE_DEPTH`]
+//! batches in flight per connection), and [`FleetRouter::reconnect`] —
+//! the supervisor's hook for re-pointing a member at its restarted
+//! process.
 
 use sccf_core::EventTiming;
 use sccf_serving::api::{RecQuery, RecResponse, ServingApi, ServingError, ServingStats};
@@ -51,8 +52,8 @@ use sccf_serving::ring::{group_by_owner, reassemble, HashRing};
 use crate::client::Connection;
 use crate::proto::{take, Request, Response};
 
-/// Default number of requests the router keeps in flight per
-/// connection when pipelining multi-batch streams.
+/// Number of requests the router keeps in flight per connection when
+/// pipelining multi-batch streams.
 pub const DEFAULT_PIPELINE_DEPTH: usize = 4;
 
 /// A connected fleet front end. See the module docs.
@@ -62,8 +63,6 @@ pub struct FleetRouter {
     conns: Vec<Connection>,
     n_users: usize,
     n_items: usize,
-    /// Max in-flight requests per connection; 1 = legacy sequential.
-    depth: usize,
     /// Per member: responses abandoned by a reconnect-while-in-flight.
     /// The next collect (or any other operation) reports them as a
     /// typed [`ServingError::Wire`] instead of hanging on a socket
@@ -111,8 +110,7 @@ impl FleetRouter {
     /// Connect to every member of `topology` and handshake. Rejects a
     /// member whose announced window or population disagrees with the
     /// topology — a mis-launched fleet fails here, not with silently
-    /// split users. The pipeline depth starts at `SCCF_NET_DEPTH` when
-    /// set (min 1), else [`DEFAULT_PIPELINE_DEPTH`].
+    /// split users.
     pub fn connect(topology: FleetTopology) -> Result<Self, ServingError> {
         let mut conns = Vec::with_capacity(topology.members().len());
         let mut world = None;
@@ -122,11 +120,6 @@ impl FleetRouter {
             conns.push(conn);
         }
         let (n_users, n_items) = world.expect("topology has ≥ 1 member");
-        let depth = std::env::var("SCCF_NET_DEPTH")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_PIPELINE_DEPTH)
-            .max(1);
         let n_members = conns.len();
         Ok(Self {
             ring: topology.global_ring(),
@@ -134,7 +127,6 @@ impl FleetRouter {
             conns,
             n_users,
             n_items,
-            depth,
             lost_in_flight: vec![0; n_members],
             acked_events: 0,
         })
@@ -142,17 +134,6 @@ impl FleetRouter {
 
     pub fn topology(&self) -> &FleetTopology {
         &self.topology
-    }
-
-    /// Max requests in flight per connection (1 = legacy sequential).
-    pub fn pipeline_depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Set the per-connection pipeline depth. Depth 1 restores the
-    /// strictly sequential member-by-member transport.
-    pub fn set_pipeline_depth(&mut self, depth: usize) {
-        self.depth = depth.max(1);
     }
 
     /// Total responses currently owed across all connections.
@@ -254,27 +235,20 @@ impl FleetRouter {
         }
     }
 
-    /// The one fan-out: send one request to each target (every request
-    /// is on the wire before any reply is awaited, so the members work
-    /// concurrently), then gather one outcome per target, in target
-    /// order, remote errors unwrapped. Every target is contacted and
-    /// every owed response is consumed (or its connection poisoned)
-    /// whatever the others did, so nothing bleeds into a later call.
-    /// Depth 1 runs one strict round trip per target instead — the
-    /// sequential reference.
+    /// The one fan-out: queue one framed request on each target (every
+    /// request is on the wire before any reply is awaited, so the
+    /// members work concurrently), then gather one outcome per target,
+    /// in target order, remote errors unwrapped. Every target is
+    /// contacted and every owed response is consumed (or its connection
+    /// poisoned) whatever the others did, so nothing bleeds into a
+    /// later call.
     fn scatter<'a>(
         &mut self,
-        targets: impl IntoIterator<Item = (usize, &'a Request)>,
+        targets: impl IntoIterator<Item = (usize, &'a [u8])>,
     ) -> Vec<(usize, Result<Response, ServingError>)> {
-        if self.depth <= 1 {
-            return targets
-                .into_iter()
-                .map(|(m, req)| (m, self.conns[m].call(req)))
-                .collect();
-        }
         let queued: Vec<(usize, Result<(), ServingError>)> = targets
             .into_iter()
-            .map(|(m, req)| (m, self.conns[m].enqueue(req)))
+            .map(|(m, frame)| (m, self.conns[m].enqueue_frame(frame)))
             .collect();
         self.flush_members(queued.iter().map(|&(m, _)| m));
         queued
@@ -288,22 +262,35 @@ impl FleetRouter {
             .collect()
     }
 
-    /// The data-plane contract over [`FleetRouter::scatter`]: refuse
-    /// before anything is queued if a target's connection is already
-    /// poisoned (a batch known to be undeliverable in part is not
-    /// applied in part), then the first error wins.
+    /// The data-plane preflight, shared by every strict entry point:
+    /// each target's connection must be healthy and each request must
+    /// fit one frame, all checked before anything is queued on any
+    /// connection — a batch that cannot be delivered whole is applied
+    /// nowhere. Returns every request framed once: the bytes that get
+    /// queued.
+    fn preflight(
+        &self,
+        targets: impl IntoIterator<Item = (usize, Request)>,
+    ) -> Result<Vec<(usize, Vec<u8>)>, ServingError> {
+        targets
+            .into_iter()
+            .map(|(m, req)| match self.conns[m].poison_reason() {
+                Some(reason) => Err(ServingError::Wire(format!(
+                    "member {m} connection poisoned ({reason}); reconnect required"
+                ))),
+                None => Ok((m, Connection::frame(&req)?)),
+            })
+            .collect()
+    }
+
+    /// The data-plane contract over [`FleetRouter::scatter`]: the
+    /// preflight, then the first error wins.
     fn scatter_strict(
         &mut self,
-        targets: &[(usize, Request)],
+        targets: impl IntoIterator<Item = (usize, Request)>,
     ) -> Result<Vec<Response>, ServingError> {
-        for &(m, _) in targets {
-            if let Some(reason) = self.conns[m].poison_reason() {
-                return Err(ServingError::Wire(format!(
-                    "member {m} connection poisoned ({reason}); reconnect required"
-                )));
-            }
-        }
-        self.scatter(targets.iter().map(|(m, req)| (*m, req)))
+        let frames = self.preflight(targets)?;
+        self.scatter(frames.iter().map(|(m, frame)| (*m, frame.as_slice())))
             .into_iter()
             .map(|(_, reply)| reply)
             .collect()
@@ -335,8 +322,8 @@ impl FleetRouter {
 
     /// The control-plane contract over [`FleetRouter::scatter`]: send
     /// `req` to *every* member and take each reply's payload with
-    /// `pick`, in member order. Best-effort: all members are contacted;
-    /// failures combine.
+    /// `pick`, in member order. Best-effort: all members are contacted
+    /// (with `req` framed once); failures combine.
     fn ask_all<T>(
         &mut self,
         op: &str,
@@ -344,10 +331,11 @@ impl FleetRouter {
         pick: impl Fn(Response) -> Result<T, ServingError>,
     ) -> Result<Vec<T>, ServingError> {
         self.ensure_idle(op)?;
+        let frame = Connection::frame(req)?;
         let n_members = self.conns.len();
         let mut parts = Vec::with_capacity(n_members);
         let mut errs = Vec::new();
-        for (m, reply) in self.scatter((0..n_members).map(|m| (m, req))) {
+        for (m, reply) in self.scatter((0..n_members).map(|m| (m, frame.as_slice()))) {
             match reply.and_then(&pick) {
                 Ok(part) => parts.push(part),
                 Err(e) => errs.push((m, e)),
@@ -410,7 +398,7 @@ impl FleetRouter {
                 .map(|g| ((g.owner, make(g.items)), (g.owner, g.positions)))
                 .unzip();
         let replies = self
-            .scatter_strict(&targets)?
+            .scatter_strict(targets)?
             .into_iter()
             .map(pick)
             .collect::<Result<Vec<_>, _>>()?;
@@ -445,7 +433,10 @@ impl FleetRouter {
     /// [`Request::IngestBatch`] per owning member. Validation comes
     /// first so a batch is atomic for validation failures even though
     /// it spans members: an error means nothing was sent.
-    fn group_events(&self, events: &[(u32, u32)]) -> Result<Vec<(usize, Request)>, ServingError> {
+    fn group_events(
+        &self,
+        events: &[(u32, u32)],
+    ) -> Result<impl Iterator<Item = (usize, Request)>, ServingError> {
         for &(user, item) in events {
             self.check_user(user)?;
             self.check_item(item)?;
@@ -453,8 +444,7 @@ impl FleetRouter {
         Ok(
             group_by_owner(events.iter().copied(), |&(user, _)| self.owner_of(user))
                 .into_iter()
-                .map(|g| (g.owner, Request::IngestBatch(g.items)))
-                .collect(),
+                .map(|g| (g.owner, Request::IngestBatch(g.items))),
         )
     }
 
@@ -468,24 +458,27 @@ impl FleetRouter {
 
     /// Queue one ingest batch on the wire **without waiting for the
     /// acknowledgements** — the pipelined half of a multi-batch ingest
-    /// stream. If a member already has
-    /// [`FleetRouter::pipeline_depth`] responses in flight, its oldest
-    /// ack is drained first (bounded depth). Validation is atomic per
-    /// batch, exactly like [`ServingApi::ingest_batch`]. Pair with
+    /// stream. A member that already has [`DEFAULT_PIPELINE_DEPTH`]
+    /// responses in flight has its oldest acks drained first (bounded
+    /// depth). Validation and the data-plane preflight are atomic per
+    /// batch, exactly like [`ServingApi::ingest_batch`]: on an error
+    /// nothing of this batch is queued anywhere. Pair with
     /// [`FleetRouter::ingest_collect`], which returns the total event
     /// count and any deferred errors.
     pub fn ingest_send(&mut self, events: &[(u32, u32)]) -> Result<(), ServingError> {
         if let Some(err) = self.take_lost() {
             return Err(err);
         }
-        let targets = self.group_events(events)?;
-        for (m, req) in &targets {
-            while self.conns[*m].in_flight() >= self.depth {
-                self.recv_ingest_ack(*m)?;
+        let frames = self.preflight(self.group_events(events)?)?;
+        for &(m, _) in &frames {
+            while self.conns[m].in_flight() >= DEFAULT_PIPELINE_DEPTH {
+                self.recv_ingest_ack(m)?;
             }
-            self.conns[*m].enqueue(req)?;
         }
-        self.flush_members(targets.iter().map(|&(m, _)| m));
+        for (m, frame) in &frames {
+            self.conns[*m].enqueue_frame(frame)?;
+        }
+        self.flush_members(frames.iter().map(|&(m, _)| m));
         Ok(())
     }
 
@@ -515,20 +508,11 @@ impl FleetRouter {
     }
 
     /// Pipelined multi-batch ingest: stream `batches` with up to
-    /// [`FleetRouter::pipeline_depth`] batches in flight per
-    /// connection, then collect every acknowledgement. Per-user event
-    /// order is preserved — a user's batches all travel the same FIFO
-    /// connection in submission order. At depth 1 this degrades to the
-    /// sequential [`ServingApi::ingest_batch`] loop (the pinned
-    /// reference). Returns the total acknowledged event count.
+    /// [`DEFAULT_PIPELINE_DEPTH`] batches in flight per connection, then
+    /// collect every acknowledgement. Per-user event order is preserved
+    /// — a user's batches all travel the same FIFO connection in
+    /// submission order. Returns the total acknowledged event count.
     pub fn ingest_batches(&mut self, batches: &[Vec<(u32, u32)>]) -> Result<u64, ServingError> {
-        if self.depth <= 1 {
-            let mut total = 0u64;
-            for batch in batches {
-                total += self.ingest_batch(batch)?;
-            }
-            return Ok(total);
-        }
         for batch in batches {
             if let Err(e) = self.ingest_send(batch) {
                 // Leave the wire clean before reporting: consume
@@ -550,7 +534,7 @@ impl ServingApi for FleetRouter {
         self.ensure_idle("ingest")?;
         let targets = self.group_events(events)?;
         let mut total = 0u64;
-        for resp in self.scatter_strict(&targets)? {
+        for resp in self.scatter_strict(targets)? {
             total += take!(resp, Ingested(n) => n)?;
         }
         Ok(total)

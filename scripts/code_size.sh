@@ -27,6 +27,11 @@
 # and exits 1 if `struct Reader` or `fn put_u32` is defined anywhere but
 # crates/sccf-util/src/codec.rs — one cursor, one set of appenders.
 #
+# Exits 1 if `env::var` or `env::var_os` appears in a code line under
+# src/ or crates/*/src outside crates/sccf-bench (whose two `*_DEBUG`
+# diagnostics stay): the serving processes read no environment, and
+# every knob is a `Flags` flag, which rejects an unknown flag.
+#
 # Exits 1 if a module re-exported from a `crates/*/src/lib.rs`
 # (`pub use <mod>::…;`) has no caller: none of the re-exported names
 # occurs in a non-comment line of any other file under crates/*/src,
@@ -73,6 +78,12 @@ printf 'le_bytes sites: %d in %d files\n' \
 if grep -rnE --include='*.rs' 'struct Reader\b|fn put_u32\b' crates src vendor |
   grep -v '^crates/sccf-util/src/codec.rs:'; then
   echo 'error: a second byte cursor or appender set; use sccf_util::codec (see the lines above)' >&2
+  exit 1
+fi
+
+if grep -rnwE --include='*.rs' 'env::var(_os)?' src crates/*/src |
+  grep -v '^crates/sccf-bench/' | grep -vE '^[^:]+:[0-9]+:\s*//'; then
+  echo 'error: an environment read in a library or the CLI; make it a Flags flag (see the lines above)' >&2
   exit 1
 fi
 

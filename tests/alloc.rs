@@ -1,5 +1,6 @@
-//! The zero-allocation hot-path invariant, counted (ROADMAP item 1, the
-//! engine half): after warm-up, `apply_event` and `recommend_query`
+//! The zero-allocation hot-path invariant, counted (ROADMAP item 1).
+//!
+//! The engine half: after warm-up, `apply_event` and `recommend_query`
 //! allocate a *fixed* number of times per call — the same number at two
 //! population sizes and two catalog sizes, on the plain engine and on a
 //! shard view with a frozen tier installed. Nothing on either path may
@@ -7,15 +8,24 @@
 //! left is request-sized (one representation, the result lists, the
 //! integrator's forward pass).
 //!
+//! The router half: on the calling thread, a `FleetRouter` recommend and
+//! a fixed-shape ingest batch against a 2-member loopback fleet of real
+//! `sccf serve-shard` processes allocate a fixed number of times per
+//! call, whichever user or events they carry.
+//!
 //! A `#[global_allocator]` counts per thread, so the other tests of
-//! this binary and the harness itself do not disturb a measurement.
+//! this binary, the harness and the shard processes do not disturb a
+//! measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::Path;
 use std::sync::Arc;
 
 use sccf::core::{CandidateSource, Exclusion, RealtimeEngine, Sccf};
 use sccf::models::{Fism, InductiveUiModel};
+use sccf::net::{FleetRouter, Supervisor, WorldSpec};
+use sccf::serving::{RecQuery, ServingApi};
 use sccf_bench::harness::{event_at, sccf_config, serving_world, WorldShape};
 
 thread_local! {
@@ -178,4 +188,85 @@ fn hot_path_allocations_are_fixed_per_call_at_any_population_and_catalog() {
             &format!("shard view {n_users}x{n_items}"),
         );
     }
+}
+
+/// `(allocs, reallocs)` on the calling thread per steady-state router
+/// call. `try_recommend` (k = 10): the request's frame (payload encoded
+/// in place) and the decoded slate. `ingest_batch` of 64 events split
+/// 32 / 32 over the two members: the grouping (the group list, and per
+/// member its events and their positions, grown to 32), one frame per
+/// member and the list holding them, and the fan-out's bookkeeping.
+const ROUTER_RECOMMEND: (usize, usize) = (2, 0);
+const ROUTER_INGEST_64: (usize, usize) = (9, 19);
+
+#[test]
+fn router_allocations_are_fixed_per_call_for_any_user_and_batch_content() {
+    let spec = WorldSpec {
+        n_users: 48,
+        n_items: 32,
+        seed: 2026,
+        epochs: 2,
+        ..WorldSpec::default()
+    };
+    let dir = std::env::temp_dir().join(format!("sccf_alloc_router_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let model = dir.join("model.fism");
+    std::fs::write(&model, spec.train_model()).expect("write model");
+    let exe = Path::new(env!("CARGO_BIN_EXE_sccf"));
+    let sup =
+        Supervisor::launch_uniform(exe, 2, 1, 0, &spec, &model, None).expect("fleet launches");
+    let mut router = FleetRouter::connect(sup.topology().expect("tiling")).expect("handshake");
+
+    let owned: [Vec<u32>; 2] = [0, 1].map(|m| {
+        (0..spec.n_users as u32)
+            .filter(|&u| router.owner_of(u) == m)
+            .collect()
+    });
+    let users = [owned[0][0], owned[1][1]];
+    // 64 events alternating between the members; `shift` changes every
+    // user and item but not the split.
+    let batch = |shift: usize| -> Vec<(u32, u32)> {
+        (0..64)
+            .map(|i| {
+                let mine = &owned[i % 2];
+                let item = (i * 5 + shift * 11) % spec.n_items;
+                (mine[(i / 2 + shift) % mine.len()], item as u32)
+            })
+            .collect()
+    };
+    let batches = [batch(0), batch(3)];
+    let query = RecQuery::top(10);
+
+    let recommend = |router: &mut FleetRouter, user: u32| {
+        counted(|| {
+            let slate = router.try_recommend(user, &query).expect("fleet recommend");
+            assert_eq!(slate.items.len(), 10, "a full slate");
+        })
+    };
+    // Warm-up: every connection's receive buffer has seen both replies.
+    for _ in 0..3 {
+        for &user in &users {
+            recommend(&mut router, user);
+        }
+        for events in &batches {
+            router.ingest_batch(events).expect("fleet ingest");
+        }
+    }
+    for &user in &users {
+        assert_eq!(
+            recommend(&mut router, user),
+            ROUTER_RECOMMEND,
+            "try_recommend user {user}"
+        );
+    }
+    for (b, events) in batches.iter().enumerate() {
+        let counts = counted(|| {
+            assert_eq!(router.ingest_batch(events).expect("fleet ingest"), 64);
+        });
+        assert_eq!(counts, ROUTER_INGEST_64, "ingest_batch content {b}");
+    }
+
+    router.shutdown_all().expect("graceful shutdown");
+    sup.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -235,16 +235,15 @@ fn fleet_matches_single_process_bit_for_bit_across_kill_and_restart() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The pipelined≡sequential pin: depth-4 multi-batch ingest (several
-/// requests in flight per connection) lands bit-identically to the
-/// single-process baseline fed the same concatenated stream, and the
-/// pipelined read path returns the same slate bits as the legacy
-/// depth-1 transport against the same fleet state. The stream revisits
-/// every user across many small batches, so this is also the per-user
-/// FIFO ordering pin under depth-k pipelining — one reordered event
-/// would move that user's history ring and change the bits.
+/// The pipelined-ingest pin: multi-batch ingest (several requests in
+/// flight per connection) lands bit-identically — snapshot bytes and
+/// slate float bits — to the single-process baseline fed the same
+/// concatenated stream. The stream revisits every user across many
+/// small batches, so this is also the per-user FIFO ordering pin under
+/// pipelining — one reordered event would move that user's history ring
+/// and change the bits.
 #[test]
-fn pipelined_ingest_matches_sequential_bit_for_bit() {
+fn pipelined_ingest_matches_the_single_process_baseline_bit_for_bit() {
     let spec = spec();
     let root = scratch_dir("pipeline");
     let model_path = root.join("model.fism");
@@ -252,7 +251,6 @@ fn pipelined_ingest_matches_sequential_bit_for_bit() {
 
     let sup = launch_fleet(&spec, &root, &model_path);
     let mut router = connect_router(&sup);
-    router.set_pipeline_depth(4);
 
     let world = spec
         .build(Some(&std::fs::read(&model_path).unwrap()))
@@ -269,8 +267,8 @@ fn pipelined_ingest_matches_sequential_bit_for_bit() {
     .expect("baseline fleet");
 
     // 40 batches × 15 events: every user appears in many different
-    // batches, so depth-4 pipelining keeps several of each user's
-    // events in flight at once.
+    // batches, so pipelining keeps several of each user's events in
+    // flight at once.
     let batches: Vec<Vec<(u32, u32)>> = (0..40)
         .map(|b| (0..15).map(|i| event_at(&spec, b * 15 + i)).collect())
         .collect();
@@ -286,26 +284,9 @@ fn pipelined_ingest_matches_sequential_bit_for_bit() {
     baseline.flush().expect("baseline flush");
     assert_fleet_matches_baseline(&spec, &mut router, &mut baseline, "after pipelined stream");
 
-    // Same fleet state read through both transports: pipelined
-    // two-phase fan-out vs legacy sequential — identical slate bits.
-    let users: Vec<u32> = (0..spec.n_users as u32).collect();
-    let pipelined = router
-        .recommend_many(&users, &RecQuery::top(5))
-        .expect("pipelined slates");
-    router.set_pipeline_depth(1);
-    let sequential = router
-        .recommend_many(&users, &RecQuery::top(5))
-        .expect("sequential slates");
-    for (u, (p, s)) in users.iter().zip(pipelined.iter().zip(&sequential)) {
-        let pb: Vec<(u32, u32)> = p.items.iter().map(|x| (x.id, x.score.to_bits())).collect();
-        let sb: Vec<(u32, u32)> = s.items.iter().map(|x| (x.id, x.score.to_bits())).collect();
-        assert_eq!(pb, sb, "user {u}: pipelined and sequential reads diverge");
-    }
-
-    // The servers actually pipelined: with depth-4 multi-batch ingest,
-    // some frames must have been waiting in a member's read-ahead queue
+    // The servers actually pipelined: with multi-batch ingest, some
+    // frames must have been waiting in a member's read-ahead queue
     // while its engine worked on an earlier one.
-    router.set_pipeline_depth(4);
     let stats = router.serving_stats().expect("fleet stats");
     assert!(
         stats.transport.requests > 0,
@@ -659,6 +640,65 @@ fn ingest_spanning_a_poisoned_member_sends_nothing() {
         "member 1 must not have applied part of a refused batch"
     );
 
+    sup.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Regression (frame atomicity): a batch whose share for one member is
+/// too large for one frame is refused typed and applied on *no* member,
+/// through both ingest entry points. The router used to queue member
+/// by member, so the members before the oversized share were sent their
+/// part and applied it while the call returned an error.
+#[test]
+fn a_batch_that_cannot_be_framed_is_applied_on_no_member() {
+    use sccf::util::framing::MAX_FRAME_LEN;
+
+    let spec = spec();
+    let root = scratch_dir("framing");
+    let model_path = root.join("model.fism");
+    std::fs::write(&model_path, spec.train_model()).expect("write model");
+
+    let sup = launch_fleet(&spec, &root, &model_path);
+    let mut router = connect_router(&sup);
+    let owned_by = |m: usize| {
+        (0..spec.n_users as u32)
+            .find(|&u| router.owner_of(u) == m)
+            .expect("every member owns a user")
+    };
+    // One event for member 0, then member 1's share: 8 wire bytes per
+    // event, one frame's worth and more.
+    let mut batch = vec![(owned_by(0), 0)];
+    batch.resize(1 + MAX_FRAME_LEN / 8 + 1, (owned_by(1), 1));
+
+    let refused = |result: Result<u64, ServingError>, entry: &str| match result {
+        Err(ServingError::Wire(msg)) => {
+            assert!(
+                msg.contains("frame limit"),
+                "{entry}: names the limit: {msg}"
+            )
+        }
+        other => panic!("{entry}: expected a typed Wire error, got {other:?}"),
+    };
+    refused(router.ingest_batch(&batch), "ingest_batch");
+    assert_eq!(
+        router.serving_stats().expect("stats").events,
+        0,
+        "ingest_batch applied part"
+    );
+    refused(router.ingest_batches(&[batch]), "ingest_batches");
+    assert_eq!(
+        router.serving_stats().expect("stats").events,
+        0,
+        "ingest_batches applied part"
+    );
+
+    // Nothing is owed and nothing is poisoned: the next batch goes through.
+    assert_eq!(router.in_flight(), 0);
+    let ok: Vec<(u32, u32)> = (0..60).map(|k| event_at(&spec, k)).collect();
+    assert_eq!(router.ingest_batch(&ok).expect("router still serves"), 60);
+    assert_eq!(router.serving_stats().expect("stats").events, 60);
+
+    router.shutdown_all().expect("graceful shutdown");
     sup.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -369,7 +369,6 @@ pub fn run_chaos(world: &ChaosWorld, cfg: &ChaosConfig) -> ChaosReport {
                     pressure: stall_ratio.max(occupancy),
                     staleness: stats.neighborhood.events_since_refresh,
                     tier_present: stats.neighborhood.two_tier,
-                    delta_ready: stats.neighborhood.delta_ready,
                     epoch_in_flight: engine.is_migrating() || engine.is_refreshing(),
                 };
                 match policy.decide(&obs) {
@@ -383,20 +382,11 @@ pub fn run_chaos(world: &ChaosWorld, cfg: &ChaosConfig) -> ChaosReport {
                         report.reshards_begun += 1;
                         report.policy_scales += 1;
                     }
-                    Decision::RefreshFull => {
+                    Decision::Refresh => {
                         engine
                             .begin_refresh(8 + rng.below(16) as usize)
                             .unwrap_or_else(|e| {
                                 panic!("[chaos seed {seed}] step {step} policy refresh: {e}")
-                            });
-                        report.refreshes_begun += 1;
-                        report.policy_refreshes += 1;
-                    }
-                    Decision::RefreshDelta => {
-                        engine
-                            .begin_delta_refresh(8 + rng.below(16) as usize)
-                            .unwrap_or_else(|e| {
-                                panic!("[chaos seed {seed}] step {step} policy delta: {e}")
                             });
                         report.refreshes_begun += 1;
                         report.policy_refreshes += 1;

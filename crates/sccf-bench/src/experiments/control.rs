@@ -85,8 +85,9 @@ impl Probes {
 /// closed loop divides the backlog by the shard count.
 ///
 /// The second half isolates the delta-refresh claim: after a full
-/// refresh cleans every user, touch k users and measure what
-/// `refresh_global_tier_delta` exports — `k`, not the population.
+/// refresh (forced by clearing the tier first) cleans every user, touch
+/// k users and measure what `refresh_global_tier` exports — `k`, not
+/// the population.
 pub fn bench_control(h: &HarnessConfig) -> BenchArtifact {
     let (n_users, n_items, ticks, base_events) = match h.scale {
         Scale::Quick => (400usize, 160usize, 96usize, 128usize),
@@ -234,8 +235,10 @@ pub fn bench_control(h: &HarnessConfig) -> BenchArtifact {
 
     // --- delta-refresh cost vs dirty-set size --------------------------
     // A full refresh cleans every user; each round then touches k
-    // distinct users and the delta must export exactly those k.
+    // distinct users and the delta must export exactly those k. Clearing
+    // the tier first is how an operator forces the full rebuild.
     let engine = driver.engine_mut();
+    engine.clear_global_tier().expect("no epoch in flight");
     let full_rep = engine.refresh_global_tier().expect("full refresh");
     // (dirty users touched, users the delta exported, delta ms)
     let mut delta_cost: Vec<(u64, u64, f64)> = Vec::new();
@@ -244,7 +247,7 @@ pub fn bench_control(h: &HarnessConfig) -> BenchArtifact {
         let touches: Vec<(u32, u32)> = (0..k as u32).map(|u| (u, u % n_items as u32)).collect();
         engine.ingest_batch(&touches).expect("touch users");
         engine.flush().expect("drain touches");
-        let rep = engine.refresh_global_tier_delta().expect("delta refresh");
+        let rep = engine.refresh_global_tier().expect("delta refresh");
         delta_cost.push((k as u64, rep.users, rep.duration_ms));
     }
     let exports_dirty_set = delta_cost.iter().all(|p| p.1 == p.0);

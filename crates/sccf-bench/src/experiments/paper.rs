@@ -278,7 +278,7 @@ pub fn table3(h: &HarnessConfig) -> Vec<Table> {
 /// embedding *values*.
 fn table3_scaling(h: &HarnessConfig) -> Table {
     use rand::Rng;
-    use sccf_index::{FlatIndex, Metric};
+    use sccf_index::FlatIndex;
 
     let mut t = Table::new(
         "Table III (scaling) — identifying time vs platform size (β=100, d=32)",
@@ -308,7 +308,7 @@ fn table3_scaling(h: &HarnessConfig) -> Table {
             })
             .collect();
         let userknn = UserKnn::fit(n_items, &sets, h.beta, UserSim::Cosine);
-        let mut flat = FlatIndex::new(dim, Metric::Cosine);
+        let mut flat = FlatIndex::new(dim);
         for _ in 0..n_users {
             let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
             flat.add(&v);

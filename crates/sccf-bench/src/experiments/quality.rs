@@ -40,7 +40,7 @@ struct QualityPoint {
 /// Clustered synthetic tastes (64 centres + noise): realistic ANN
 /// difficulty, and every row non-zero so the whole population is
 /// covered by the tier.
-fn tier_world(n: usize, dim: usize, seed: u64) -> sccf_index::FrozenUserIndex {
+fn tier_world(n: usize, dim: usize, seed: u64) -> sccf_index::FlatIndex {
     use rand::Rng;
     let mut rng = sccf_util::rng::rng_for(seed, 9001);
     const CENTERS: usize = 64;
@@ -56,7 +56,7 @@ fn tier_world(n: usize, dim: usize, seed: u64) -> sccf_index::FrozenUserIndex {
             (u, v)
         })
         .collect();
-    sccf_index::FrozenUserIndex::from_rows(n, dim, rows)
+    sccf_index::FlatIndex::from_rows(n, dim, rows)
 }
 
 /// Sublinear-tier scaling measurement: at ≥100k synthetic users, time
@@ -97,7 +97,7 @@ fn frozen_tier(h: &HarnessConfig) -> (Json, Table, Vec<String>) {
     // Exact ground truth, then the timed flat baseline.
     let truth: Vec<Vec<Scored>> = queries
         .iter()
-        .map(|q| frozen.search(q, beta, &no_skip))
+        .map(|q| frozen.search(q, beta, None))
         .collect();
     let flat_ns = {
         let mut out = Vec::with_capacity(beta);
@@ -167,7 +167,7 @@ fn frozen_tier(h: &HarnessConfig) -> (Json, Table, Vec<String>) {
         let mut got = Vec::new();
         (0..32).all(|_| {
             let q: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-            let exact = small.search(&q, beta_small, &no_skip);
+            let exact = small.search(&q, beta_small, None);
             got.clear();
             accel.search_append(&small, &q, beta_small, &no_skip, &mut scratch, &mut got);
             exact.len() == got.len()
@@ -344,7 +344,10 @@ pub fn bench_quality(h: &HarnessConfig) -> BenchArtifact {
         if two_tier {
             // Background-refresh stall measurement: ingest bursts
             // interleave with collection batches; the router never
-            // blocks for more than one export batch.
+            // blocks for more than one export batch. Clearing the tier
+            // first makes the refresh export the whole population (the
+            // longest collection), not just the few users dirtied since.
+            engine.clear_global_tier().expect("no epoch in flight");
             engine.begin_refresh(128).expect("begin refresh");
             let mut k = 0usize;
             loop {

@@ -41,7 +41,7 @@ use sccf_util::timer::Stopwatch;
 use sccf_util::topk::Scored;
 
 use crate::integrator::{CandidateFeatures, Integrator, IntegratorConfig};
-use crate::neighbor::{GlobalNeighborSnapshot, NeighborSource};
+use crate::neighbor::GlobalNeighborSnapshot;
 use crate::realtime::EventTiming;
 use crate::user_component::{UserBasedComponent, UserBasedConfig, UuScratch};
 
@@ -390,13 +390,13 @@ pub struct Sccf<M: InductiveUiModel> {
     /// per-event neighbor scans cost O(owned users), not O(all users).
     owned: Option<ShardMap>,
     /// Optional frozen *global tier* for two-tier Eq. 11 search
-    /// ([`Sccf::set_global_tier`]): an immutable whole-population
-    /// snapshot merged with the mutable index above (the fresh local
-    /// delta — its vectors win). `None` (the default, and always the
-    /// state right after a build) keeps the historical behavior
-    /// bit-for-bit: unsharded instances search everyone, shard views
-    /// search their owned users only.
-    global_tier: Option<Arc<dyn NeighborSource>>,
+    /// ([`crate::RealtimeEngine::install_global_tier`]): an immutable
+    /// whole-population snapshot merged with the mutable index above
+    /// (the fresh local delta — its vectors win). `None` (the default,
+    /// and always the state right after a build) keeps the historical
+    /// behavior bit-for-bit: unsharded instances search everyone, shard
+    /// views search their owned users only.
+    global_tier: Option<Arc<GlobalNeighborSnapshot>>,
 }
 
 /// Slot ↔ global user-id translation for a shard view's compact index.
@@ -452,9 +452,10 @@ impl<M: InductiveUiModel> Sccf<M> {
             .collect();
         let reps = infer_all_reps(&model, &train_histories, cfg.threads);
         let dim = model.dim();
-        let flat: Vec<f32> = reps.iter().flatten().copied().collect();
-        let mut user_index = FlatIndex::new(dim, Metric::Cosine);
-        user_index.add_batch(&flat);
+        let mut user_index = FlatIndex::new(dim);
+        for rep in &reps {
+            user_index.add(rep);
+        }
         let item_index = cfg.ui_ann.as_ref().map(|hnsw_cfg| {
             let table = model.item_embeddings();
             let mut idx = HnswIndex::new(dim, Metric::InnerProduct, hnsw_cfg.clone());
@@ -542,22 +543,21 @@ impl<M: InductiveUiModel> Sccf<M> {
 
     /// Install a frozen global neighbor tier: subsequent Eq. 11 queries
     /// merge it with the live local index (see [`crate::neighbor`] for
-    /// the two-tier contract). Typically an
-    /// `Arc<`[`GlobalNeighborSnapshot`]`>` built by the sharded
-    /// engine's refresh epoch; any [`NeighborSource`] plugs in.
-    pub fn set_global_tier(&mut self, tier: Arc<dyn NeighborSource>) {
+    /// the two-tier contract). The caller has checked it fits
+    /// ([`GlobalNeighborSnapshot::check_fits`]).
+    pub(crate) fn set_global_tier(&mut self, tier: Arc<GlobalNeighborSnapshot>) {
         self.global_tier = Some(tier);
     }
 
     /// Remove the global tier: Eq. 11 falls back to the local-only
     /// scan, bit-identical to an instance that never had one.
-    pub fn clear_global_tier(&mut self) {
+    pub(crate) fn clear_global_tier(&mut self) {
         self.global_tier = None;
     }
 
     /// The installed global tier, if any.
-    pub fn global_tier(&self) -> Option<&Arc<dyn NeighborSource>> {
-        self.global_tier.as_ref()
+    pub fn global_tier(&self) -> Option<&GlobalNeighborSnapshot> {
+        self.global_tier.as_deref()
     }
 
     /// Unwrap the UI model (hyper-parameter sweeps rebuild SCCF around
@@ -587,8 +587,9 @@ impl<M: InductiveUiModel> Sccf<M> {
     /// Current neighborhood of a representation (Eq. 11), in *global*
     /// user ids. On a shard view this merges the shard's fresh local
     /// delta with the frozen global tier when one is installed
-    /// ([`Sccf::set_global_tier`]); without one it searches the shard's
-    /// owned users only — the historical behavior, bit-for-bit.
+    /// ([`crate::RealtimeEngine::install_global_tier`]); without one it
+    /// searches the shard's owned users only — the historical behavior,
+    /// bit-for-bit.
     /// One-shot form (allocates its merge buffers); the serving path
     /// goes through [`Sccf::neighbors_with`].
     pub fn neighbors(&self, user: u32, rep: &[f32]) -> Vec<Scored> {
@@ -1051,7 +1052,7 @@ impl<M: InductiveUiModel> Sccf<M> {
                 );
                 let mut shard = Sccf {
                     shared: Arc::clone(&shared),
-                    user_index: FlatIndex::new(dim, Metric::Cosine),
+                    user_index: FlatIndex::new(dim),
                     user_comp,
                     owned: Some(ShardMap { globals, local_of }),
                     global_tier: None,
@@ -1081,7 +1082,7 @@ impl<M: InductiveUiModel> Sccf<M> {
         );
         Self {
             shared: Arc::clone(shared),
-            user_index: FlatIndex::new(shared.model.dim(), Metric::Cosine),
+            user_index: FlatIndex::new(shared.model.dim()),
             user_comp,
             owned: Some(ShardMap {
                 globals: Vec::new(),
@@ -1162,7 +1163,7 @@ impl<M: InductiveUiModel> Sccf<M> {
         }
         let mut perm: Vec<u32> = (0..map.globals.len() as u32).collect();
         perm.sort_by_key(|&s| map.globals[s as usize]);
-        let mut index = FlatIndex::new(self.user_index.dim(), Metric::Cosine);
+        let mut index = FlatIndex::new(self.user_index.dim());
         for &old_slot in &perm {
             index.add(self.user_index.vector(old_slot));
         }

@@ -30,11 +30,10 @@
 //!   behind `Arc`) and the per-user half serving mutates —
 //!   [`Sccf::into_shards`] partitions the latter across workers for the
 //!   sharded engine (`sccf_serving::sharded`, `docs/ARCHITECTURE.md`).
-//! * [`neighbor`] — pluggable Eq. 11 neighbor sources: the
-//!   [`NeighborSource`] trait and the frozen, `Arc`-shareable
+//! * [`neighbor`] — the frozen, `Arc`-shareable
 //!   [`GlobalNeighborSnapshot`] behind two-tier cross-shard
 //!   neighborhoods (shard-local fresh delta ∪ epoch-swapped global
-//!   index).
+//!   index), and the one check that it fits an engine.
 //! * [`realtime`] — [`RealtimeEngine`]: the single-writer event loop
 //!   with the Table III infer/identify timing split.
 //! * [`ranking`] — [`RankingStage`]: the paper's §V direction of
@@ -92,7 +91,7 @@ pub use framework::{
     TIER_BUILD_SEED,
 };
 pub use integrator::{CandidateFeatures, Integrator, IntegratorConfig};
-pub use neighbor::{GlobalNeighborSnapshot, NeighborSource, TierDecodeError};
+pub use neighbor::{GlobalNeighborSnapshot, TierDecodeError, TierMismatch};
 pub use ranking::RankingStage;
 pub use realtime::{
     decode_histories, decode_user_state, encode_histories, encode_user_state, EngineTimings,

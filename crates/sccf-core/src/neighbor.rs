@@ -1,5 +1,5 @@
-//! Pluggable Eq. 11 neighbor sources — the abstraction behind two-tier
-//! cross-shard neighborhoods.
+//! The frozen global tier of two-tier cross-shard Eq. 11
+//! neighborhoods.
 //!
 //! Since the engine was sharded, each shard's mutable user index holds
 //! only the users the shard *owns*, so Eq. 11 neighborhoods silently
@@ -8,22 +8,22 @@
 //! from fresh, full-population user neighbors. This module restores the
 //! full population without giving up shard-local writes:
 //!
-//! * [`NeighborSource`] — the *global tier* interface: top-β candidates
-//!   for a query vector plus each remote user's frozen recent window
-//!   (the Eq. 12 δ input for neighbors whose live rings live on another
-//!   shard). [`crate::Sccf`] merges this tier with its own mutable
-//!   index (the *fresh local delta*): local candidates are collected
-//!   first and marked in a `StampSet`, then the global tier is searched
-//!   with a skip over marked-or-owned users — so a user's **freshest**
-//!   vector always wins — and the union is re-ranked top-β with the
-//!   standard `Scored` ordering.
-//! * [`GlobalNeighborSnapshot`] — the shipped implementation: an
-//!   epoch-stamped, `Arc`-shareable bundle of a
-//!   [`sccf_index::FrozenUserIndex`] (whole-population vectors) and a
-//!   flat CSR table of frozen recent windows. Built once per refresh
-//!   from the shards' own `export_user` state
+//! * [`GlobalNeighborSnapshot`] — an epoch-stamped, `Arc`-shareable
+//!   bundle of a frozen [`sccf_index::FlatIndex`] over every user's
+//!   vector and a flat CSR table of frozen recent windows (the Eq. 12 δ
+//!   input for neighbors whose live rings live on another shard). Built
+//!   once per refresh from the shards' own `export_user` state
 //!   (`sccf_serving::sharded::ShardedEngine::refresh_global_tier`),
 //!   swapped into every worker behind its `Arc` — never mutated.
+//! * [`crate::Sccf`] merges it with its own mutable index (the *fresh
+//!   local delta*): local candidates are collected first and marked in
+//!   a `StampSet`, then the snapshot is searched with a skip over
+//!   marked-or-owned users — so a user's **freshest** vector always
+//!   wins — and the union is re-ranked top-β with the standard `Scored`
+//!   ordering.
+//! * [`GlobalNeighborSnapshot::check_fits`] is the one gate between a
+//!   snapshot and an engine: population, vector dimension and catalog
+//!   must match, or a decodable artifact could panic the next slate.
 //!
 //! With no global tier installed, the merged search degenerates to
 //! exactly the shard-local scan the engine always did (bit-identical —
@@ -37,70 +37,10 @@
 use std::sync::Arc;
 
 use sccf_index::{
-    CodecError, FrozenDecodeError, FrozenTierAccel, FrozenTierMode, FrozenUserIndex, TierScratch,
+    CodecError, FlatIndex, FrozenDecodeError, FrozenTierAccel, FrozenTierMode, TierScratch,
 };
 use sccf_util::codec::{put_blob, put_u32s, put_u64, Reader};
 use sccf_util::topk::Scored;
-
-/// A source of *global-tier* Eq. 11 candidates and frozen Eq. 12
-/// windows, merged by [`crate::Sccf`] with the shard's fresh local
-/// index. Implementations must be cheap to share (`Arc`) across worker
-/// threads and immutable — freshness comes from swapping the whole
-/// source for a newer epoch.
-pub trait NeighborSource: Send + Sync {
-    /// The refresh epoch this source was built at (monotonically
-    /// increasing across refreshes; reported via serving stats).
-    fn epoch(&self) -> u64;
-
-    /// Users this source holds a usable vector for.
-    fn covered_users(&self) -> usize;
-
-    /// Append the source's top-`beta` candidates for `query` to `out`,
-    /// skipping every user for which `skip` returns true (the caller
-    /// masks users its fresh tier already covers, plus the querying
-    /// user). Appended entries are sorted by descending score.
-    fn search_append(
-        &self,
-        query: &[f32],
-        beta: usize,
-        skip: &dyn Fn(u32) -> bool,
-        out: &mut Vec<Scored>,
-    );
-
-    /// The frozen recent window of `user` (global id), oldest first —
-    /// the Eq. 12 δ input for a neighbor owned by another shard. Empty
-    /// when the user is not covered.
-    fn frozen_window(&self, user: u32) -> &[u32];
-
-    /// Scratch-accepting form of
-    /// [`search_append`](NeighborSource::search_append): sources with
-    /// an accelerated frozen tier route the candidate → exact-rerank
-    /// pipeline through `scratch` so steady-state serving allocates
-    /// nothing. The default ignores the scratch and runs the flat
-    /// scan — output semantics are identical either way (appended
-    /// entries sorted descending, `skip`-filtered, exact scores).
-    fn search_append_with(
-        &self,
-        query: &[f32],
-        beta: usize,
-        skip: &dyn Fn(u32) -> bool,
-        scratch: &mut TierScratch,
-        out: &mut Vec<Scored>,
-    ) {
-        let _ = scratch;
-        self.search_append(query, beta, skip, out);
-    }
-
-    /// How this source searches its frozen tier (stats surface).
-    fn tier_mode(&self) -> FrozenTierMode {
-        FrozenTierMode::Flat
-    }
-
-    /// Resident bytes of the acceleration structure, 0 for flat.
-    fn tier_bytes(&self) -> usize {
-        0
-    }
-}
 
 const TIER_MAGIC: &[u8; 8] = b"SCCFGT02";
 
@@ -153,6 +93,39 @@ impl From<CodecError> for TierDecodeError {
     }
 }
 
+/// Why a [`GlobalNeighborSnapshot`] cannot serve an engine
+/// ([`GlobalNeighborSnapshot::check_fits`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TierMismatch {
+    /// The snapshot covers another population.
+    Population { tier: usize, engine: usize },
+    /// The snapshot's vectors have another dimension.
+    Dimension { tier: usize, engine: usize },
+    /// A frozen window names an item outside the engine's catalog.
+    UnknownItem { item: u32, n_items: usize },
+}
+
+impl std::fmt::Display for TierMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Population { tier, engine } => write!(
+                f,
+                "global tier covers {tier} users but this engine serves {engine}"
+            ),
+            Self::Dimension { tier, engine } => write!(
+                f,
+                "global tier vectors are {tier}-dimensional but this engine indexes {engine}"
+            ),
+            Self::UnknownItem { item, n_items } => write!(
+                f,
+                "global tier window item {item} outside the catalog of {n_items}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for TierMismatch {}
+
 /// An epoch-stamped, immutable, whole-population neighbor snapshot:
 /// frozen user vectors for Eq. 11 plus frozen recent windows for
 /// Eq. 12. See the [module docs](self) for how it is built, swapped
@@ -160,7 +133,7 @@ impl From<CodecError> for TierDecodeError {
 #[derive(Clone)]
 pub struct GlobalNeighborSnapshot {
     epoch: u64,
-    index: FrozenUserIndex,
+    index: FlatIndex,
     /// CSR offsets into `win_items`: user `u`'s frozen window is
     /// `win_items[win_offsets[u] .. win_offsets[u + 1]]`, oldest first.
     win_offsets: Vec<u32>,
@@ -201,7 +174,7 @@ impl GlobalNeighborSnapshot {
             windows[user as usize] = window;
             (user, vec)
         });
-        let index = FrozenUserIndex::from_rows(n_users, index_dim, rows);
+        let index = FlatIndex::from_rows(n_users, index_dim, rows);
         let mut win_offsets = Vec::with_capacity(n_users + 1);
         let mut win_items = Vec::new();
         win_offsets.push(0u32);
@@ -285,23 +258,114 @@ impl GlobalNeighborSnapshot {
         }
     }
 
+    /// The refresh epoch this snapshot was built at (monotonically
+    /// increasing across refreshes; reported via serving stats).
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
     /// Population size (covered or not).
     pub fn n_users(&self) -> usize {
         self.index.len()
     }
 
-    /// The largest item id any frozen window references, `None` when
-    /// every window is empty. Installers validate this against their
-    /// catalog: windows feed Eq. 12 accumulators indexed by item id,
-    /// and a corrupt-but-decodable persisted snapshot must be rejected
-    /// at install, not panic a worker at query time.
-    pub fn max_window_item(&self) -> Option<u32> {
-        self.win_items.iter().copied().max()
+    /// Users this snapshot holds a usable vector for.
+    pub fn covered_users(&self) -> usize {
+        self.index.covered()
     }
 
     /// The embedded frozen vector index.
-    pub fn index(&self) -> &FrozenUserIndex {
+    pub fn index(&self) -> &FlatIndex {
         &self.index
+    }
+
+    /// Whether this snapshot can serve an engine of `n_users` users,
+    /// `dim`-dimensional vectors and `n_items` items. Every installer
+    /// asks before the tier goes live: a decodable artifact that fails
+    /// here would panic the next slate — a dimension mismatch in the
+    /// frozen scan, a window item past the Eq. 12 accumulator, or a user
+    /// id past the engine's population in the merge's skip set.
+    pub fn check_fits(
+        &self,
+        n_users: usize,
+        dim: usize,
+        n_items: usize,
+    ) -> Result<(), TierMismatch> {
+        if self.n_users() != n_users {
+            return Err(TierMismatch::Population {
+                tier: self.n_users(),
+                engine: n_users,
+            });
+        }
+        if self.index.dim() != dim {
+            return Err(TierMismatch::Dimension {
+                tier: self.index.dim(),
+                engine: dim,
+            });
+        }
+        match self.win_items.iter().copied().max() {
+            Some(item) if item as usize >= n_items => {
+                Err(TierMismatch::UnknownItem { item, n_items })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The frozen recent window of `user` (global id), oldest first —
+    /// the Eq. 12 δ input for a neighbor owned by another shard. Empty
+    /// when the user is not covered.
+    pub fn frozen_window(&self, user: u32) -> &[u32] {
+        let u = user as usize;
+        if u + 1 >= self.win_offsets.len() {
+            return &[];
+        }
+        &self.win_items[self.win_offsets[u] as usize..self.win_offsets[u + 1] as usize]
+    }
+
+    /// Append the exact flat-scan top-`beta` users for `query` to `out`,
+    /// skipping every user for which `skip` returns true (the caller
+    /// masks users its fresh tier already covers, plus the querying
+    /// user). Appended entries are sorted by descending score.
+    pub fn search_append(
+        &self,
+        query: &[f32],
+        beta: usize,
+        skip: &dyn Fn(u32) -> bool,
+        out: &mut Vec<Scored>,
+    ) {
+        self.index.search_append(query, beta, skip, out);
+    }
+
+    /// The serving form of [`GlobalNeighborSnapshot::search_append`]:
+    /// an accelerated tier runs its candidate → exact-rerank pipeline
+    /// out of `scratch`, so steady-state serving allocates nothing; a
+    /// flat tier ignores the scratch. Output semantics are identical
+    /// either way (appended entries sorted descending, `skip`-filtered,
+    /// exact scores).
+    pub fn search_append_with(
+        &self,
+        query: &[f32],
+        beta: usize,
+        skip: &dyn Fn(u32) -> bool,
+        scratch: &mut TierScratch,
+        out: &mut Vec<Scored>,
+    ) {
+        match &self.accel {
+            Some(a) => a.search_append(&self.index, query, beta, skip, scratch, out),
+            None => self.index.search_append(query, beta, skip, out),
+        }
+    }
+
+    /// How this snapshot searches its frozen tier (stats surface).
+    pub fn tier_mode(&self) -> FrozenTierMode {
+        self.accel
+            .as_ref()
+            .map_or(FrozenTierMode::Flat, |a| a.mode())
+    }
+
+    /// Resident bytes of the acceleration structure, 0 for flat.
+    pub fn tier_bytes(&self) -> usize {
+        self.accel.as_ref().map_or(0, |a| a.bytes())
     }
 
     /// Serialize: magic, epoch, the window CSR (offset table + items),
@@ -347,7 +411,7 @@ impl GlobalNeighborSnapshot {
         }
         let items_len = *win_offsets.last().expect("n + 1 ≥ 1 offsets") as usize;
         let win_items = r.u32s(items_len)?;
-        let index = FrozenUserIndex::decode(r.blob()?).map_err(TierDecodeError::Index)?;
+        let index = FlatIndex::decode(r.blob()?).map_err(TierDecodeError::Index)?;
         if index.len() != n {
             return Err(TierDecodeError::PopulationMismatch {
                 index: index.len(),
@@ -372,58 +436,6 @@ impl GlobalNeighborSnapshot {
             win_items,
             accel,
         })
-    }
-}
-
-impl NeighborSource for GlobalNeighborSnapshot {
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn covered_users(&self) -> usize {
-        self.index.covered()
-    }
-
-    fn search_append(
-        &self,
-        query: &[f32],
-        beta: usize,
-        skip: &dyn Fn(u32) -> bool,
-        out: &mut Vec<Scored>,
-    ) {
-        self.index.search_append(query, beta, skip, out);
-    }
-
-    fn frozen_window(&self, user: u32) -> &[u32] {
-        let u = user as usize;
-        if u + 1 >= self.win_offsets.len() {
-            return &[];
-        }
-        &self.win_items[self.win_offsets[u] as usize..self.win_offsets[u + 1] as usize]
-    }
-
-    fn search_append_with(
-        &self,
-        query: &[f32],
-        beta: usize,
-        skip: &dyn Fn(u32) -> bool,
-        scratch: &mut TierScratch,
-        out: &mut Vec<Scored>,
-    ) {
-        match &self.accel {
-            Some(a) => a.search_append(&self.index, query, beta, skip, scratch, out),
-            None => self.index.search_append(query, beta, skip, out),
-        }
-    }
-
-    fn tier_mode(&self) -> FrozenTierMode {
-        self.accel
-            .as_ref()
-            .map_or(FrozenTierMode::Flat, |a| a.mode())
-    }
-
-    fn tier_bytes(&self) -> usize {
-        self.accel.as_ref().map_or(0, |a| a.bytes())
     }
 }
 

@@ -26,7 +26,7 @@ use sccf_util::timer::{Stopwatch, TimingStats};
 use sccf_util::topk::Scored;
 
 use crate::framework::{CandidateSource, Exclusion, QueryError, QueryScratch, Sccf};
-use crate::neighbor::NeighborSource;
+use crate::neighbor::{GlobalNeighborSnapshot, TierMismatch};
 
 /// Timing breakdown of one event or one slate, in milliseconds.
 #[derive(Debug, Clone, Copy)]
@@ -183,9 +183,19 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
     /// tier is inert (the live index already covers the whole
     /// population, and the merge skips the frozen scan entirely) —
     /// only shard views gain neighbors from it.
-    pub fn install_global_tier(&mut self, tier: Arc<dyn NeighborSource>) {
+    ///
+    /// Rejects — installing nothing — a tier that does not fit this
+    /// engine's population, vector dimension or catalog
+    /// ([`GlobalNeighborSnapshot::check_fits`]).
+    pub fn install_global_tier(
+        &mut self,
+        tier: Arc<GlobalNeighborSnapshot>,
+    ) -> Result<(), TierMismatch> {
+        let model = self.sccf.model();
+        tier.check_fits(self.sccf.user_count(), model.dim(), model.n_items())?;
         self.tier_events_at_install = self.timings.infer.count();
         self.sccf.set_global_tier(tier);
+        Ok(())
     }
 
     /// Remove the global tier: neighborhoods return to the purely
@@ -195,27 +205,10 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         self.sccf.clear_global_tier();
     }
 
-    /// `(epoch, covered users, events ingested since install)` of the
-    /// installed global tier — `None` without one. Feeds the
-    /// `neighborhood` section of the serving stats.
-    pub fn global_tier_status(&self) -> Option<(u64, usize, u64)> {
-        self.sccf.global_tier().map(|t| {
-            (
-                t.epoch(),
-                t.covered_users(),
-                self.timings.infer.count() - self.tier_events_at_install,
-            )
-        })
-    }
-
-    /// `(tier mode, resident accel bytes)` of the installed global
-    /// tier — `None` without one. Flat tiers report zero bytes: the
-    /// frozen vectors belong to the snapshot, not to an acceleration
-    /// structure.
-    pub fn global_tier_profile(&self) -> Option<(sccf_index::FrozenTierMode, usize)> {
-        self.sccf
-            .global_tier()
-            .map(|t| (t.tier_mode(), t.tier_bytes()))
+    /// Events ingested since the installed global tier was installed —
+    /// its staleness (the installed tier is [`Sccf::global_tier`]).
+    pub fn events_since_tier_install(&self) -> u64 {
+        self.timings.infer.count() - self.tier_events_at_install
     }
 
     /// The user's current Eq. 11 neighborhood (global ids), computed
@@ -418,11 +411,6 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
     pub fn mark_dirty(&mut self, user: u32) {
         self.dirty.insert(user);
         self.tier_dirty.insert(user);
-    }
-
-    /// Users currently pending a checkpoint export.
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
     }
 
     /// Users whose state changed since their last acknowledged tier

@@ -115,10 +115,6 @@ impl Dataset {
         self.item_category[item as usize]
     }
 
-    pub fn item_categories(&self) -> &[u32] {
-        &self.item_category
-    }
-
     /// The interacted-item set `R⁺_u` as a hash set.
     pub fn positive_set(&self, user: u32) -> FxHashSet<u32> {
         self.sequences[user as usize].iter().copied().collect()

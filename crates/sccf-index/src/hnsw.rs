@@ -580,16 +580,19 @@ mod tests {
     use super::*;
     use crate::flat::FlatIndex;
     use sccf_util::hash::FxHashSet;
+    use sccf_util::topk::topk_of_pairs;
 
     fn random_slab(n: usize, dim: usize, seed: u64) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
     }
 
+    /// The graph under `metric`, and the exact cosine reference over the
+    /// same rows.
     fn build(n: usize, dim: usize, metric: Metric) -> (HnswIndex, FlatIndex) {
         let slab = random_slab(n, dim, 7);
         let mut hnsw = HnswIndex::new(dim, metric, HnswConfig::default());
-        let mut flat = FlatIndex::new(dim, metric);
+        let mut flat = FlatIndex::new(dim);
         for v in slab.chunks_exact(dim) {
             hnsw.add(v);
             flat.add(v);
@@ -631,7 +634,8 @@ mod tests {
 
     #[test]
     fn higher_ef_does_not_reduce_recall() {
-        let (hnsw, flat) = build(1000, 8, Metric::InnerProduct);
+        let (hnsw, _) = build(1000, 8, Metric::InnerProduct);
+        let slab = random_slab(1000, 8, 7);
         let mut rng = StdRng::seed_from_u64(5);
         let mut recall_at = |ef: usize| {
             let mut hits = 0usize;
@@ -639,7 +643,14 @@ mod tests {
             for qi in 0..20 {
                 let _ = qi;
                 let q: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-                let exact: FxHashSet<u32> = flat.search(&q, 5, None).iter().map(|s| s.id).collect();
+                let scored = slab.chunks_exact(8).enumerate();
+                let exact: FxHashSet<u32> = topk_of_pairs(
+                    scored.map(|(id, v)| (id as u32, Metric::InnerProduct.score(&q, v))),
+                    5,
+                )
+                .iter()
+                .map(|s| s.id)
+                .collect();
                 hits += hnsw
                     .search_with_ef(&q, 5, None, ef)
                     .iter()
@@ -707,7 +718,7 @@ mod tests {
             slab.extend(c.iter().map(|&v| v + rng.gen_range(-0.25f32..0.25)));
         }
         let mut hnsw = HnswIndex::new(dim, Metric::Cosine, HnswConfig::default());
-        let mut flat = FlatIndex::new(dim, Metric::Cosine);
+        let mut flat = FlatIndex::new(dim);
         for v in slab.chunks_exact(dim) {
             hnsw.add(v);
             flat.add(v);

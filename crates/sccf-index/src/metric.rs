@@ -1,9 +1,10 @@
-//! Similarity metrics for vector search.
+//! Similarity metrics for graph search ([`crate::HnswIndex`]).
 //!
 //! The paper's user-based component ranks neighbors by cosine similarity
 //! of user representations (Eq. 11) and the UI component ranks items by
-//! inner product (Eq. 10); both are served by the same index machinery.
-//! Scores are "larger is better" for both metrics.
+//! inner product (Eq. 10). The exact user index ([`crate::FlatIndex`])
+//! is cosine-only; the HNSW graph serves either. Scores are "larger is
+//! better" for both metrics.
 
 use sccf_tensor::mat::{dot, norm};
 
@@ -32,12 +33,6 @@ impl Metric {
                 }
             }
         }
-    }
-
-    /// Whether stored vectors should be pre-normalized so the hot path can
-    /// use a plain dot product (cosine against a normalized query).
-    pub fn normalizes_storage(&self) -> bool {
-        matches!(self, Metric::Cosine)
     }
 }
 

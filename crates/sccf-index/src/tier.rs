@@ -1,6 +1,6 @@
-//! Frozen-tier acceleration: a sublinear HNSW search layered over a
-//! [`FrozenUserIndex`], behind a config enum so the flat scan stays
-//! the provable reference.
+//! Frozen-tier acceleration: a sublinear HNSW search layered over the
+//! frozen tier's [`FlatIndex`], behind a config enum so the flat scan
+//! stays the provable reference.
 //!
 //! The serving pipeline is **candidate → exact rerank → delta-wins
 //! merge**: the graph over-fetches a candidate set, the candidates are
@@ -20,7 +20,7 @@
 use sccf_util::codec::{put_u32s, put_u64, Reader};
 use sccf_util::topk::{Scored, TopK};
 
-use crate::frozen::FrozenUserIndex;
+use crate::flat::FlatIndex;
 use crate::hnsw::{HnswConfig, HnswIndex, HnswScratch};
 use crate::metric::Metric;
 use crate::CodecError;
@@ -108,7 +108,7 @@ impl FrozenTierAccel {
     /// Returns `None` for [`FrozenTierMode::Flat`] (no structure — the
     /// scan is the search) and for an empty covered set. Runs at
     /// refresh time, off the serving hot path.
-    pub fn build(mode: FrozenTierMode, frozen: &FrozenUserIndex, seed: u64) -> Option<Self> {
+    pub fn build(mode: FrozenTierMode, frozen: &FlatIndex, seed: u64) -> Option<Self> {
         let FrozenTierMode::Hnsw { ef } = mode else {
             return None;
         };
@@ -200,12 +200,12 @@ impl FrozenTierAccel {
 
     /// Candidate → exact-rerank search: appends the top `beta`
     /// non-skipped users by exact cosine (identical float expression
-    /// and tie-breaks to [`FrozenUserIndex::search_append`]), sorted
+    /// and tie-breaks to [`FlatIndex::search_append`]), sorted
     /// descending. Over-fetches [`HNSW_OVERFETCH`]`×β` candidates from
     /// the graph first. Zero allocations at steady state.
     pub fn search_append(
         &self,
-        frozen: &FrozenUserIndex,
+        frozen: &FlatIndex,
         query: &[f32],
         beta: usize,
         skip: &dyn Fn(u32) -> bool,
@@ -244,7 +244,7 @@ impl FrozenTierAccel {
     /// the frozen vectors by these ids unchecked, so the rows must
     /// name distinct users of that index (strictly ascending, all in
     /// range, one per graph row) in that index's dimension.
-    pub fn decode_from(r: &mut Reader<'_>, frozen: &FrozenUserIndex) -> Result<Self, CodecError> {
+    pub fn decode_from(r: &mut Reader<'_>, frozen: &FlatIndex) -> Result<Self, CodecError> {
         r.magic(ACCEL_MAGIC)?;
         if r.u8()? != HNSW_TAG {
             return Err(CodecError::Invalid("accel mode tag"));
@@ -277,12 +277,12 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
-    fn frozen_population(n: usize, dim: usize, seed: u64) -> FrozenUserIndex {
+    fn frozen_population(n: usize, dim: usize, seed: u64) -> FlatIndex {
         let mut rng = StdRng::seed_from_u64(seed);
         let rows: Vec<(u32, Vec<f32>)> = (0..n as u32)
             .map(|id| (id, (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect()))
             .collect();
-        FrozenUserIndex::from_rows(n, dim, rows)
+        FlatIndex::from_rows(n, dim, rows)
     }
 
     fn queries(count: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -313,7 +313,7 @@ mod tests {
         let mut scratch = TierScratch::new();
         for q in queries(10, 8, 3) {
             for beta in [1usize, 10, 40] {
-                let flat = frozen.search(&q, beta, &|_| false);
+                let flat = frozen.search(&q, beta, None);
                 let mut fast = Vec::new();
                 accel.search_append(&frozen, &q, beta, &|_| false, &mut scratch, &mut fast);
                 assert_bitwise_eq(&flat, &fast);
@@ -333,7 +333,8 @@ mod tests {
             assert!(out.iter().all(|s| s.id % 3 != 0));
             // and equals the flat scan under the same skip (the beam
             // is exhaustive here)
-            let flat = frozen.search(&q, 20, &|id| id % 3 == 0);
+            let mut flat = Vec::new();
+            frozen.search_append(&q, 20, &|id| id % 3 == 0, &mut flat);
             assert_bitwise_eq(&flat, &out);
         }
     }
@@ -371,7 +372,7 @@ mod tests {
         let accel = FrozenTierAccel::build(FrozenTierMode::Hnsw { ef: 8 }, &frozen, 13).unwrap();
         let mut bytes = Vec::new();
         accel.encode_into(&mut bytes);
-        let decode = |bytes: &[u8], frozen: &FrozenUserIndex| {
+        let decode = |bytes: &[u8], frozen: &FlatIndex| {
             FrozenTierAccel::decode_from(&mut Reader::new(bytes), frozen).err()
         };
         assert_eq!(decode(&bytes, &frozen), None);

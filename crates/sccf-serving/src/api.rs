@@ -74,8 +74,8 @@
 use std::sync::Mutex;
 
 use sccf_core::{
-    CandidateSource, EngineTimings, EventTiming, Exclusion, FrozenTierMode, QueryError,
-    RealtimeEngine, SnapshotDecodeError,
+    CandidateSource, EngineTimings, EventTiming, Exclusion, FrozenTierMode, GlobalNeighborSnapshot,
+    QueryError, RealtimeEngine, SnapshotDecodeError, TierMismatch,
 };
 use sccf_models::InductiveUiModel;
 use sccf_util::topk::Scored;
@@ -196,6 +196,20 @@ impl From<QueryError> for ServingError {
     }
 }
 
+impl From<TierMismatch> for ServingError {
+    /// A tier that does not fit: a wrong population or dimension is a
+    /// configuration error, a window item past the catalog an unknown
+    /// item.
+    fn from(e: TierMismatch) -> Self {
+        match e {
+            TierMismatch::UnknownItem { item, n_items } => Self::UnknownItem { item, n_items },
+            TierMismatch::Population { .. } | TierMismatch::Dimension { .. } => {
+                Self::InvalidConfig(e.to_string())
+            }
+        }
+    }
+}
+
 impl From<SnapshotDecodeError> for ServingError {
     fn from(e: SnapshotDecodeError) -> Self {
         Self::Snapshot(e)
@@ -305,12 +319,34 @@ pub struct NeighborhoodStats {
     /// the first refresh; the ratio to the population is the delta
     /// path's cost saving.
     pub last_refresh_users: u64,
-    /// A *delta* refresh is currently valid: the installed tier was
-    /// built by this fleet's own refresh pipeline, so the per-shard
-    /// dirty sets name exactly the rows that differ from it. False
-    /// after an external `install_global_tier` or a restore — run one
-    /// full refresh to re-arm.
+    /// The next refresh splices: the installed tier was built by this
+    /// fleet's own refresh pipeline, so the per-shard dirty sets name
+    /// exactly the rows that differ from it. False with no tier, after
+    /// an external `install_global_tier`, after `clear_global_tier` or a
+    /// restore — the next refresh then exports everyone and builds
+    /// fresh.
     pub delta_ready: bool,
+}
+
+impl NeighborhoodStats {
+    /// The tier half, filled the same way by every engine: what the
+    /// installed snapshot is, and `events_since_refresh` — the events
+    /// it has not seen. Without a tier, everything is zero. The refresh
+    /// half stays at its defaults: only the sharded engine refreshes.
+    pub(crate) fn of_tier(
+        tier: Option<&GlobalNeighborSnapshot>,
+        events_since_refresh: u64,
+    ) -> Self {
+        tier.map_or_else(Self::default, |t| Self {
+            two_tier: true,
+            epoch: t.epoch(),
+            users_covered: t.covered_users() as u64,
+            events_since_refresh,
+            tier_mode: t.tier_mode(),
+            tier_bytes: t.tier_bytes() as u64,
+            ..Self::default()
+        })
+    }
 }
 
 /// Router-side queue backpressure, part of [`ServingStats`]. The
@@ -594,28 +630,10 @@ impl<M: InductiveUiModel> ServingApi for RealtimeEngine<M> {
     }
 
     fn serving_stats(&mut self) -> Result<ServingStats, ServingError> {
-        let neighborhood = match self.global_tier_status() {
-            None => NeighborhoodStats::default(),
-            Some((epoch, covered, staleness)) => {
-                let (tier_mode, tier_bytes) = self.global_tier_profile().unwrap_or_default();
-                NeighborhoodStats {
-                    two_tier: true,
-                    epoch,
-                    users_covered: covered as u64,
-                    events_since_refresh: staleness,
-                    last_refresh_ms: 0.0,
-                    refresh_in_progress: false,
-                    tier_mode,
-                    tier_bytes: tier_bytes as u64,
-                    // The tier is inert on the unsharded engine (its
-                    // live index covers everyone), so there is no
-                    // frozen search to time.
-                    tier_search_ns: 0.0,
-                    last_refresh_users: 0,
-                    delta_ready: false,
-                }
-            }
-        };
+        // The tier is inert on the unsharded engine (its live index
+        // covers everyone), so there is no frozen search to time.
+        let neighborhood =
+            NeighborhoodStats::of_tier(self.sccf().global_tier(), self.events_since_tier_install());
         Ok(ServingStats {
             events: self.timings().infer.count(),
             recommends: self.recommends(),

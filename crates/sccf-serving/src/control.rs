@@ -31,11 +31,12 @@
 //! matches the arrival rate and nothing ever quite blocks.
 //!
 //! Freshness is `events_since_refresh` from [`NeighborhoodStats`].
-//! When the threshold trips, the policy prefers a **delta** refresh
-//! ([`ShardedEngine::begin_delta_refresh`]) whenever the installed
-//! tier came from this fleet's own refresh pipeline, falling back to
-//! a full rebuild otherwise — so steady-state refresh cost tracks the
-//! write rate, not the population.
+//! When the threshold trips, the policy asks for a refresh and
+//! [`ShardedEngine::begin_refresh`] picks the kind: a **delta** that
+//! splices only the dirty users whenever the installed tier came from
+//! this fleet's own refresh pipeline, a full rebuild otherwise — so
+//! steady-state refresh cost tracks the write rate, not the
+//! population.
 //!
 //! See `docs/OPERATIONS.md` for the tuning runbook and
 //! `docs/ARCHITECTURE.md` for the control-loop diagram.
@@ -156,9 +157,6 @@ pub struct Observation {
     pub staleness: u64,
     /// A frozen tier is currently installed.
     pub tier_present: bool,
-    /// The installed tier came from this fleet's own refresh
-    /// pipeline, so a delta refresh is valid.
-    pub delta_ready: bool,
     /// A reshard or refresh epoch is mid-flight; the policy must hold
     /// (epochs are mutually exclusive).
     pub epoch_in_flight: bool,
@@ -172,10 +170,8 @@ pub enum Decision {
     Hold,
     /// Begin a live reshard to this shard count.
     ScaleTo(usize),
-    /// Begin a full-population tier refresh.
-    RefreshFull,
-    /// Begin a dirty-users-only tier refresh.
-    RefreshDelta,
+    /// Begin a tier refresh (the engine picks full or delta).
+    Refresh,
 }
 
 /// The pure policy state machine. Feed it one [`Observation`] per
@@ -253,7 +249,6 @@ impl PolicyState {
         }
 
         // Freshness: bootstrap a missing tier, or refresh a stale one.
-        // Delta only when the installed tier is the fleet's own.
         // A refresh runs only on a *calm* tick (`cold_streak > 0`,
         // i.e. the current tick's pressure sat at or below the
         // scale-in edge): a refresh epoch would occupy the epoch slot
@@ -268,11 +263,7 @@ impl PolicyState {
             && (!obs.tier_present || obs.staleness >= self.cfg.refresh_staleness)
         {
             self.refresh_cooldown_left = self.cfg.refresh_cooldown;
-            return if obs.tier_present && obs.delta_ready {
-                Decision::RefreshDelta
-            } else {
-                Decision::RefreshFull
-            };
+            return Decision::Refresh;
         }
 
         Decision::Hold
@@ -377,7 +368,6 @@ impl<M: InductiveUiModel + 'static> ControlDriver<M> {
             pressure: stall_ratio.max(occupancy),
             staleness: stats.neighborhood.events_since_refresh,
             tier_present: stats.neighborhood.two_tier,
-            delta_ready: stats.neighborhood.delta_ready,
             epoch_in_flight: self.epoch_in_flight(),
         };
         let decision = self.policy.decide(&obs);
@@ -397,13 +387,13 @@ impl<M: InductiveUiModel + 'static> ControlDriver<M> {
                 self.engine.begin_reshard(cfg, self.handoff_batch)?;
                 ActuatorStep::BeginReshard(m)
             }
-            Decision::RefreshFull => {
+            Decision::Refresh => {
                 self.engine.begin_refresh(self.refresh_batch)?;
-                ActuatorStep::BeginRefresh { delta: false }
-            }
-            Decision::RefreshDelta => {
-                self.engine.begin_delta_refresh(self.refresh_batch)?;
-                ActuatorStep::BeginRefresh { delta: true }
+                // The sampled `delta_ready` is the kind the engine just
+                // picked: nothing touched the tier since the sample.
+                ActuatorStep::BeginRefresh {
+                    delta: stats.neighborhood.delta_ready,
+                }
             }
         };
         let report = TickReport {
@@ -471,7 +461,6 @@ mod tests {
             pressure,
             staleness: 0,
             tier_present: true,
-            delta_ready: true,
             epoch_in_flight: false,
         }
     }
@@ -546,20 +535,14 @@ mod tests {
     }
 
     #[test]
-    fn staleness_triggers_delta_when_ready_full_otherwise() {
+    fn staleness_triggers_a_refresh() {
         let mut p = policy();
         let mut o = obs(0, 2, 0.0);
         o.staleness = 500;
         // cold ticks also accumulate toward scale-in; keep above floor
         // off the table by using n_shards = min_shards.
         o.n_shards = 1;
-        assert_eq!(p.decide(&o), Decision::RefreshDelta);
-
-        let mut p = policy();
-        let mut o = obs(0, 1, 0.0);
-        o.staleness = 500;
-        o.delta_ready = false;
-        assert_eq!(p.decide(&o), Decision::RefreshFull);
+        assert_eq!(p.decide(&o), Decision::Refresh);
     }
 
     #[test]
@@ -567,8 +550,7 @@ mod tests {
         let mut p = policy();
         let mut o = obs(0, 1, 0.0);
         o.tier_present = false;
-        o.delta_ready = false;
-        assert_eq!(p.decide(&o), Decision::RefreshFull);
+        assert_eq!(p.decide(&o), Decision::Refresh);
         // Cooldown spaces the bootstrap retries.
         for t in 1..5 {
             let mut o = obs(t, 1, 0.0);

@@ -4,7 +4,7 @@
 //! the engine-side driver.
 
 use std::ops::Range;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use sccf_core::{decode_user_state, Sccf};
 use sccf_models::InductiveUiModel;
@@ -188,11 +188,6 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
             events_at_checkpoint: watermark,
         });
         Ok(())
-    }
-
-    /// Whether durability is armed, and where.
-    pub fn durability_dir(&self) -> Option<&Path> {
-        self.durability.as_ref().map(|st| st.cfg.dir.as_path())
     }
 
     /// The armed durability state, or the typed "not enabled" error.

@@ -1,6 +1,6 @@
 //! The epoch slot: at most one incremental, batch-driven operation —
-//! a live reshard or a global-tier refresh (full or delta) — is in
-//! flight at a time, in [`ShardedEngine`]'s single `in_flight` field.
+//! a live reshard or a global-tier refresh — is in flight at a time,
+//! in [`ShardedEngine`]'s single `in_flight` field.
 //! Both kinds share one plan/cursor/batch walk ([`ShardedEngine::advance`])
 //! over the same FIFO worker queues events use; they differ only in
 //! what a batch does (hand users off vs. collect their exports) and in
@@ -11,9 +11,7 @@
 
 use std::sync::Arc;
 
-use sccf_core::{
-    decode_user_state, GlobalNeighborSnapshot, NeighborSource, RealtimeEngine, Sccf, TierScratch,
-};
+use sccf_core::{decode_user_state, GlobalNeighborSnapshot, RealtimeEngine, Sccf, TierScratch};
 use sccf_models::InductiveUiModel;
 use sccf_util::timer::Stopwatch;
 use sccf_util::FxHashSet;
@@ -42,8 +40,9 @@ pub(super) enum Blocks {
 /// The occupant of the epoch slot.
 pub(super) struct InFlight {
     /// The users this epoch still has to walk, ascending: everyone
-    /// whose shard changes (reshard), the whole population (full
-    /// refresh) or the fleet's tier-dirty sets (delta refresh).
+    /// whose shard changes (reshard), the fleet's tier-dirty sets (a
+    /// refresh splicing into the installed tier) or the whole
+    /// population (a refresh building fresh).
     plan: Vec<u32>,
     /// Next unprocessed index into `plan`.
     cursor: usize,
@@ -63,8 +62,9 @@ enum EpochKind {
         pending: FxHashSet<u32>,
     },
     Refresh {
-        /// Splice into the installed snapshot instead of rebuilding.
-        delta: bool,
+        /// The installed snapshot the exports splice into; `None`
+        /// builds fresh from a whole-population export.
+        base: Option<Arc<GlobalNeighborSnapshot>>,
         /// Decoded `(user, representation, history)` exports so far.
         entries: Vec<(u32, Vec<f32>, Vec<u32>)>,
         batches: u64,
@@ -171,26 +171,25 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
         match fl.kind {
             EpochKind::Reshard { new, .. } => self.quiesce_to(new),
             EpochKind::Refresh {
-                delta,
+                base,
                 entries,
                 batches,
                 started,
             } => {
                 self.tier_epoch += 1;
-                let snapshot = if delta {
+                let snapshot = match &base {
                     // Splice the dirty rows into the installed snapshot
                     // — bit-identical to the full rebuild at this
                     // watermark, because every unexported user's state
                     // is unchanged since the previous export.
-                    let prev = self
-                        .current_tier
-                        .as_ref()
-                        .expect("begin_delta_refresh requires an installed tier");
-                    self.shared
-                        .build_neighbor_snapshot_delta(prev, self.tier_epoch, entries)
-                } else {
-                    self.shared
-                        .build_neighbor_snapshot(self.tier_epoch, self.n_users, entries)
+                    Some(prev) => {
+                        self.shared
+                            .build_neighbor_snapshot_delta(prev, self.tier_epoch, entries)
+                    }
+                    None => {
+                        self.shared
+                            .build_neighbor_snapshot(self.tier_epoch, self.n_users, entries)
+                    }
                 };
                 self.set_tier(Some(Arc::new(snapshot)), true);
                 self.last_refresh = Some(RefreshReport {
@@ -198,7 +197,7 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
                     users: fl.plan.len() as u64,
                     batches,
                     duration_ms: started.elapsed_ms(),
-                    delta,
+                    delta: base.is_some(),
                 });
             }
         }
@@ -465,13 +464,14 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
     // ------------------------------------------------------------------
     // Two-tier neighborhoods: the global-snapshot refresh epoch
 
-    /// Rebuild the frozen global neighbor tier and swap it into every
+    /// Refresh the frozen global neighbor tier and swap it into every
     /// worker, blocking until done (with [`DEFAULT_REFRESH_BATCH`]
     /// users per export batch). This is what turns the fleet's Eq. 11
     /// neighborhoods from *in-shard approximations* into *two-tier
     /// full-population* neighborhoods: each worker keeps writing only
     /// its own users (the fresh local delta), and merges this snapshot
-    /// for everyone else.
+    /// for everyone else. [`ShardedEngine::begin_refresh`] picks the
+    /// kind; [`RefreshReport::delta`] says which ran.
     ///
     /// The collection rides the same worker queues as events
     /// ([`RealtimeEngine::export_user`] blobs, no evictions), one
@@ -493,30 +493,6 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
     /// (`docs/OPERATIONS.md`).
     pub fn refresh_global_tier(&mut self) -> Result<RefreshReport, ServingError> {
         self.begin_refresh(DEFAULT_REFRESH_BATCH)?;
-        self.finish_refresh()
-    }
-
-    /// Rebuild the global tier by *delta*: re-export only the users
-    /// dirtied since their last tier export and splice their rows into
-    /// the installed snapshot, leaving every clean user's row
-    /// byte-identical. Blocks until done (the
-    /// [`ShardedEngine::begin_delta_refresh`] /
-    /// [`ShardedEngine::refresh_step`] loop, like
-    /// [`ShardedEngine::refresh_global_tier`]). The result is
-    /// **bit-identical** to a full refresh at the same watermark
-    /// (pinned by `tests/serving_api.rs`) — clean users would re-export
-    /// identical state — but the expensive per-user export + inference
-    /// work is O(dirty), not O(population): refresh cost tracks the
-    /// write rate, which is what makes a staleness-driven refresh
-    /// policy affordable under diurnal load
-    /// (`sccf_serving::control`, `docs/OPERATIONS.md`).
-    pub fn refresh_global_tier_delta(&mut self) -> Result<RefreshReport, ServingError> {
-        self.begin_delta_refresh(DEFAULT_REFRESH_BATCH)?;
-        self.finish_refresh()
-    }
-
-    /// Drive the refresh just begun to completion and report it.
-    fn finish_refresh(&mut self) -> Result<RefreshReport, ServingError> {
         while self.is_refreshing() {
             self.refresh_step()?;
         }
@@ -529,6 +505,22 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
     /// `batch`-user export round trip at most, so — like the reshard
     /// handoff — the batch size bounds the worst-case ingestion pause.
     ///
+    /// The engine picks the kind. If this fleet's own refresh built the
+    /// installed tier ([`crate::api::NeighborhoodStats::delta_ready`]),
+    /// the per-shard tier-dirty sets name exactly the rows that differ
+    /// from it: the plan is those users (collected over the FIFO
+    /// queues, so it reflects every event routed before this call) and
+    /// their exports splice into the installed tier — bit-identical to
+    /// a full rebuild at the same watermark (pinned by
+    /// `tests/control.rs`), at O(dirty) export cost. An empty dirty set
+    /// still completes an epoch (one no-op step) and installs a
+    /// snapshot differing from the previous one only in its epoch
+    /// stamp. Otherwise — no tier, or one from
+    /// [`ShardedEngine::install_global_tier`] whose provenance is
+    /// unknown, or after [`ShardedEngine::clear_global_tier`] or a
+    /// restore — everyone is exported and the tier is built fresh. To
+    /// force a full rebuild, clear the tier first.
+    ///
     /// Errors — leaving the fleet untouched — on `batch == 0`, or with
     /// [`ServingError::EpochInFlight`] if the epoch slot is taken: a
     /// second collection would double-acknowledge exports, and under a
@@ -536,48 +528,12 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
     /// collection (symmetrically, [`ShardedEngine::begin_reshard`]
     /// rejects while a refresh is collecting).
     pub fn begin_refresh(&mut self, batch: usize) -> Result<(), ServingError> {
-        self.begin_refresh_over("begin_refresh", batch, false)
-    }
-
-    /// Start an incremental *delta* tier refresh: collect every
-    /// shard's tier-dirty set (riding the FIFO queues, so it reflects
-    /// every event routed before this call) as the export plan, then
-    /// drive [`ShardedEngine::refresh_step`] exactly like a full
-    /// refresh. An empty dirty set still completes an epoch (one
-    /// no-op step) and installs a snapshot differing from the previous
-    /// one only in its epoch stamp — keeping the bit-identity with a
-    /// full refresh at the same watermark, which also bumps the epoch.
-    ///
-    /// On top of [`ShardedEngine::begin_refresh`]'s guards, errors if
-    /// no tier is installed or the installed tier did not come from
-    /// this fleet's own refresh pipeline
-    /// ([`crate::api::NeighborhoodStats::delta_ready`] is false — e.g.
-    /// right after [`ShardedEngine::install_global_tier`] of a
-    /// persisted artifact, whose staleness relative to the live dirty
-    /// sets is unknowable): run one full refresh first.
-    pub fn begin_delta_refresh(&mut self, batch: usize) -> Result<(), ServingError> {
-        if self.current_tier.is_none() || !self.tier_delta_ok {
-            return Err(ServingError::InvalidConfig(
-                "delta refresh needs a tier built by this fleet's own refresh pipeline; \
-                 run refresh_global_tier (full) first"
-                    .to_string(),
-            ));
-        }
-        self.begin_refresh_over("begin_delta_refresh", batch, true)
-    }
-
-    fn begin_refresh_over(
-        &mut self,
-        requested: &'static str,
-        batch: usize,
-        delta: bool,
-    ) -> Result<(), ServingError> {
         if batch == 0 {
             return Err(ServingError::InvalidConfig(
                 "refresh batch must be ≥ 1".to_string(),
             ));
         }
-        self.idle_for(requested, Blocks::AnyEpoch)?;
+        self.idle_for("begin_refresh", Blocks::AnyEpoch)?;
         if self.ring.is_slice() {
             return Err(ServingError::InvalidConfig(
                 "a slice engine owns only its window of the population; the whole-population \
@@ -587,7 +543,8 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
             ));
         }
         let started = Stopwatch::start();
-        let plan: Vec<u32> = if delta {
+        let base = self.current_tier.clone().filter(|_| self.tier_delta_ok);
+        let plan: Vec<u32> = if base.is_some() {
             // The peek rides the queues behind every routed event; each
             // user's mark is cleared later, when its export is collected.
             let mut dirty: Vec<u32> = self
@@ -603,7 +560,7 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
         };
         self.in_flight = Some(InFlight {
             kind: EpochKind::Refresh {
-                delta,
+                base,
                 entries: Vec::with_capacity(plan.len()),
                 batches: 0,
                 started,
@@ -689,46 +646,25 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
     /// counts from here); its epoch also fast-forwards this fleet's
     /// epoch counter so a later refresh strictly increases it.
     ///
-    /// Rejects — without touching any worker — a snapshot whose
-    /// population or vector dimension does not match this fleet, or
-    /// (with [`ServingError::EpochInFlight`]) an install while a
-    /// refresh is collecting. A live reshard does not block it.
+    /// Rejects — without touching any worker — a snapshot that does not
+    /// fit this fleet's population, vector dimension or catalog
+    /// ([`GlobalNeighborSnapshot::check_fits`]: an
+    /// [`ServingError::InvalidConfig`] or an
+    /// [`ServingError::UnknownItem`]), or (with
+    /// [`ServingError::EpochInFlight`]) an install while a refresh is
+    /// collecting. A live reshard does not block it.
     pub fn install_global_tier(
         &mut self,
         snapshot: GlobalNeighborSnapshot,
     ) -> Result<(), ServingError> {
         self.idle_for("install_global_tier", Blocks::Refresh)?;
-        if snapshot.n_users() != self.n_users {
-            return Err(ServingError::InvalidConfig(format!(
-                "global tier covers {} users but this fleet serves {}",
-                snapshot.n_users(),
-                self.n_users
-            )));
-        }
-        let dim = self.shared.model().dim();
-        if snapshot.index().dim() != dim {
-            return Err(ServingError::InvalidConfig(format!(
-                "global tier vectors are {}-dimensional but this fleet indexes {dim}",
-                snapshot.index().dim()
-            )));
-        }
-        // Frozen windows feed Eq. 12 accumulators indexed by item id —
-        // a corrupt-but-decodable artifact must be rejected here, not
-        // panic a worker at query time (same discipline as
-        // `RealtimeEngine::import_user`'s history validation).
-        if let Some(item) = snapshot.max_window_item() {
-            if item as usize >= self.n_items {
-                return Err(ServingError::UnknownItem {
-                    item,
-                    n_items: self.n_items,
-                });
-            }
-        }
-        self.tier_epoch = self.tier_epoch.max(NeighborSource::epoch(&snapshot));
+        // Checked before the broadcast, so nothing installs partially.
+        snapshot.check_fits(self.n_users, self.shared.model().dim(), self.n_items)?;
+        self.tier_epoch = self.tier_epoch.max(snapshot.epoch());
         // The artifact's provenance is unknown: the fleet's tier-dirty
         // sets say which users changed since *their* last export, not
-        // since this snapshot was built. A delta on top of it could
-        // ship stale rows, so require one full refresh first.
+        // since this snapshot was built. Splicing into it could ship
+        // stale rows, so the next refresh builds fresh.
         self.set_tier(Some(Arc::new(snapshot)), false);
         Ok(())
     }
@@ -757,7 +693,8 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
     /// store per worker), remember it for workers a later scale-out
     /// spawns, and restart the staleness clock. `delta_ok` says the
     /// per-shard tier-dirty sets name exactly the rows differing from
-    /// it — true only for snapshots this fleet's own refresh built.
+    /// it — true only for snapshots this fleet's own refresh built, and
+    /// what makes the next refresh splice.
     fn set_tier(&mut self, tier: Option<Arc<GlobalNeighborSnapshot>>, delta_ok: bool) {
         for s in 0..self.txs.len() {
             self.send(s, ShardMsg::TierInstall { tier: tier.clone() });

@@ -99,8 +99,8 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, Sender, TrySendError};
 use sccf_core::{
-    decode_histories, encode_histories, CandidateSource, EngineTimings, Exclusion, FrozenTierMode,
-    GlobalNeighborSnapshot, NeighborSource, RealtimeEngine, Sccf, SccfShared,
+    decode_histories, encode_histories, CandidateSource, EngineTimings, Exclusion,
+    GlobalNeighborSnapshot, RealtimeEngine, Sccf, SccfShared,
 };
 use sccf_models::InductiveUiModel;
 use sccf_util::timer::Stopwatch;
@@ -250,8 +250,8 @@ pub struct ShardReport {
     /// the spawn-time one.
     pub queue_capacity: usize,
     /// Users on this shard dirtied since their last tier export — the
-    /// shard's share of the next *delta* refresh
-    /// ([`ShardedEngine::refresh_global_tier_delta`]).
+    /// shard's share of the next refresh that splices into the
+    /// installed tier ([`ShardedEngine::begin_refresh`]).
     pub tier_dirty: u64,
 }
 
@@ -284,16 +284,17 @@ pub const DEFAULT_REFRESH_BATCH: usize = 256;
 pub struct RefreshReport {
     /// The epoch of the snapshot now installed in every worker.
     pub epoch: u64,
-    /// Users exported into the snapshot: the whole population on a
-    /// full refresh, only the dirty set on a delta refresh.
+    /// Users exported into the snapshot: the whole population when it
+    /// was built fresh, only the dirty set when it was spliced.
     pub users: u64,
     /// Export batches the collection took.
     pub batches: u64,
     /// Wall time from `begin_refresh` to the install broadcast, ms.
     pub duration_ms: f64,
-    /// This was a delta refresh
-    /// ([`ShardedEngine::refresh_global_tier_delta`]): unexported users
-    /// kept their previous tier rows verbatim.
+    /// The refresh spliced the dirty users into the tier this fleet's
+    /// own refresh built ([`ShardedEngine::begin_refresh`] picks):
+    /// unexported users kept their previous tier rows verbatim. False
+    /// when it exported everyone and built fresh.
     pub delta: bool,
 }
 
@@ -383,9 +384,10 @@ pub struct ShardedEngine<M: InductiveUiModel + 'static> {
     last_refresh: Option<RefreshReport>,
     /// The installed tier was built by this fleet's own refresh
     /// pipeline, so the per-shard tier-dirty sets name exactly the rows
-    /// differing from it — the precondition of a delta refresh. False
-    /// after `install_global_tier` (the artifact's provenance is
-    /// unknown) until the next full refresh completes.
+    /// differing from it, and the next refresh splices into it. False
+    /// with no tier and after `install_global_tier` (the artifact's
+    /// provenance is unknown), until the next refresh — then a full
+    /// one — completes.
     tier_delta_ok: bool,
     /// Mean ns of one frozen-tier search, probed at tier install
     /// (reported via `ServingStats`; 0 with no tier).
@@ -854,19 +856,16 @@ impl<M: InductiveUiModel + 'static> ServingApi for ShardedEngine<M> {
                 .map_or(0, |epoch| epoch.remaining() as u64),
             batches: self.migration_batches,
         };
-        let tier = self.current_tier.as_deref();
         stats.neighborhood = NeighborhoodStats {
-            two_tier: tier.is_some(),
-            epoch: tier.map_or(0, NeighborSource::epoch),
-            users_covered: tier.map_or(0, |t| t.covered_users() as u64),
-            events_since_refresh: tier.map_or(0, |_| self.events_routed - self.events_at_refresh),
             last_refresh_ms: self.last_refresh.map_or(0.0, |r| r.duration_ms),
             refresh_in_progress: self.is_refreshing(),
-            tier_mode: tier.map_or(FrozenTierMode::Flat, |t| t.tier_mode()),
-            tier_bytes: tier.map_or(0, |t| t.tier_bytes() as u64),
             tier_search_ns: self.tier_search_ns,
             last_refresh_users: self.last_refresh.map_or(0, |r| r.users),
             delta_ready: self.tier_delta_ok,
+            ..NeighborhoodStats::of_tier(
+                self.current_tier.as_deref(),
+                self.events_routed - self.events_at_refresh,
+            )
         };
         stats.pressure = PressureStats {
             sends: self.sends,

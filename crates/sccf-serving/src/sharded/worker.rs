@@ -286,7 +286,11 @@ fn shard_worker<M: InductiveUiModel>(
                 queue_capacity = capacity;
             }
             ShardMsg::TierInstall { tier } => match tier {
-                Some(t) => engine.install_global_tier(t),
+                // The router checked the tier against the fleet before
+                // the broadcast, so this install cannot be refused.
+                Some(t) => {
+                    let _ = engine.install_global_tier(t);
+                }
                 None => engine.clear_global_tier(),
             },
             ShardMsg::Neighbors { user, reply } => {

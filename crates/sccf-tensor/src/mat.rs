@@ -103,10 +103,6 @@ impl Mat {
         &mut self.data
     }
 
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f32 {
         debug_assert!(r < self.rows && c < self.cols);
@@ -274,11 +270,6 @@ impl Mat {
             .map(|&x| (x as f64) * (x as f64))
             .sum::<f64>())
         .sqrt() as f32
-    }
-
-    /// Set all entries to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
     }
 
     /// True if any entry is NaN or infinite — used by training sanity checks.

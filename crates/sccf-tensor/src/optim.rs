@@ -57,10 +57,6 @@ impl Adam {
         Self { cfg, step: 0 }
     }
 
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
     /// Current (possibly decayed) learning rate.
     pub fn current_lr(&self) -> f32 {
         match self.cfg.decay_steps {

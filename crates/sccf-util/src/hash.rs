@@ -85,11 +85,6 @@ pub fn fx_map<K, V>() -> FxHashMap<K, V> {
     FxHashMap::default()
 }
 
-/// Convenience constructor for an [`FxHashMap`] with a capacity hint.
-pub fn fx_map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(cap, BuildHasherDefault::default())
-}
-
 /// Convenience constructor for an empty [`FxHashSet`].
 pub fn fx_set<T>() -> FxHashSet<T> {
     FxHashSet::default()

@@ -46,10 +46,6 @@ impl Table {
         self.add_row(cells.iter().map(|c| c.to_string()).collect());
     }
 
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render as GitHub-flavored markdown.
     pub fn to_markdown(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();

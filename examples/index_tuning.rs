@@ -49,8 +49,10 @@ fn main() {
         .collect();
 
     // ground truth + flat timing
-    let mut flat = FlatIndex::new(d, Metric::Cosine);
-    flat.add_batch(&data);
+    let mut flat = FlatIndex::new(d);
+    for v in data.chunks_exact(d) {
+        flat.add(v);
+    }
     let sw = Stopwatch::start();
     let exact: Vec<Vec<u32>> = queries
         .iter()

@@ -43,6 +43,11 @@
 # decides). Also exits 1 if `criterion` or `parking_lot` is
 # named in any Cargo.toml or a `benches/` directory exists under
 # crates/ — the perf records are BENCHMARK.json and the BENCH_*.json.
+#
+# Exits 1 if a `pub trait` under crates/*/src or src/ has fewer than
+# two `impl … for` blocks across crates/, src/, tests/, examples/ and
+# benchmark/src: a trait with one implementor is a seam nothing uses —
+# call the type. A test fake counts as an implementor.
 set -euo pipefail
 
 code_lines() { xargs -r cat | grep -cvE '^\s*(//|$)' || true; }
@@ -120,6 +125,20 @@ for lib in crates/*/src/lib.rs; do
   done < <(tr '\n' ' ' <"$lib" | grep -oE 'pub use [a-z_]+::[^;]+;')
 done
 [ "$orphans" -eq 0 ] || exit 1
+
+# A `pub trait` earns its seam with a second implementor; a test fake
+# counts as one.
+lonely=0
+for t in $(grep -rhoE --include='*.rs' '^\s*pub trait [A-Za-z_][A-Za-z0-9_]*' crates/*/src src |
+  awk '{print $3}'); do
+  impls=$(grep -rnE --include='*.rs' "^\s*impl\b.*\b$t(<.*>)?\s+for\s" \
+    crates src tests examples benchmark/src | wc -l)
+  if [ "$impls" -lt 2 ]; then
+    echo "error: pub trait $t has $impls implementor(s); use the type, or add the second implementor" >&2
+    lonely=1
+  fi
+done
+[ "$lonely" -eq 0 ] || exit 1
 
 if grep -nE 'criterion|parking_lot' Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml benchmark/Cargo.toml; then
   echo 'error: a deleted shim is named in a manifest (see the lines above)' >&2

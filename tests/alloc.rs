@@ -119,7 +119,9 @@ fn plain_and_shard_view(n_users: usize, n_items: usize) -> [RealtimeEngine<Fism>
         .shared()
         .build_neighbor_snapshot(1, histories.len(), entries);
     let mut shard = RealtimeEngine::new(view, histories);
-    shard.install_global_tier(Arc::new(tier));
+    shard
+        .install_global_tier(Arc::new(tier))
+        .expect("the tier fits the view");
     [plain, shard]
 }
 

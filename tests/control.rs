@@ -45,7 +45,6 @@ fn obs(tick: u64, n_shards: usize, pressure: f64) -> Observation {
         pressure,
         staleness: 0,
         tier_present: true,
-        delta_ready: true,
         epoch_in_flight: false,
     }
 }
@@ -119,40 +118,32 @@ fn sustained_backpressure_scales_up_exactly_once_per_level() {
 }
 
 /// Freshness: staleness crossing the threshold on a calm fleet fires
-/// exactly one refresh — delta when the installed tier is the
-/// fleet's own, full otherwise — and the refresh cooldown spaces the
-/// next one.
+/// exactly one refresh (the engine picks full or delta), and the
+/// refresh cooldown spaces the next one.
 #[test]
 fn staleness_threshold_fires_refresh_once() {
     let c = cfg();
-    for delta_ready in [true, false] {
-        let mut p = PolicyState::new(c).unwrap();
-        let mut fired: Vec<(u64, Decision)> = Vec::new();
-        for tick in 0..40u64 {
-            let mut o = obs(tick, 1, 0.0);
-            o.staleness = tick * 100; // crosses 1_000 at tick 10
-            o.delta_ready = delta_ready;
-            let d = p.decide(&o);
-            if d != Decision::Hold {
-                fired.push((tick, d));
-            }
+    let mut p = PolicyState::new(c).unwrap();
+    let mut fired: Vec<(u64, Decision)> = Vec::new();
+    for tick in 0..40u64 {
+        let mut o = obs(tick, 1, 0.0);
+        o.staleness = tick * 100; // crosses 1_000 at tick 10
+        let d = p.decide(&o);
+        if d != Decision::Hold {
+            fired.push((tick, d));
         }
-        let want = if delta_ready {
-            Decision::RefreshDelta
-        } else {
-            Decision::RefreshFull
-        };
+    }
+    let want = Decision::Refresh;
+    assert!(
+        !fired.is_empty() && fired[0] == (10, want),
+        "first firing was {fired:?}"
+    );
+    for w in fired.windows(2) {
+        assert_eq!(w[1].1, want);
         assert!(
-            !fired.is_empty() && fired[0] == (10, want),
-            "delta_ready={delta_ready}: first firing was {fired:?}"
+            w[1].0 - w[0].0 >= c.refresh_cooldown as u64,
+            "refreshes {w:?} closer than the cooldown"
         );
-        for w in fired.windows(2) {
-            assert_eq!(w[1].1, want);
-            assert!(
-                w[1].0 - w[0].0 >= c.refresh_cooldown as u64,
-                "refreshes {w:?} closer than the cooldown"
-            );
-        }
     }
 }
 
@@ -178,7 +169,6 @@ fn cooldowns_and_bounds_hold_under_random_load() {
                 pressure: (r.below(1_000) as f64) / 1_000.0,
                 staleness: r.below(3_000),
                 tier_present: r.chance(90),
-                delta_ready: r.chance(70),
                 epoch_in_flight: r.chance(20),
             };
             let d = p.decide(&o);
@@ -205,7 +195,7 @@ fn cooldowns_and_bounds_hold_under_random_load() {
                     last_reshard = Some(tick);
                     n_shards = m;
                 }
-                Decision::RefreshFull | Decision::RefreshDelta => {
+                Decision::Refresh => {
                     if let Some(t0) = last_refresh {
                         assert!(
                             tick - t0 >= c.refresh_cooldown as u64,
@@ -236,7 +226,6 @@ fn failing_seeds_replay_identical_decision_traces() {
                 pressure: (r.below(1_000) as f64) / 1_000.0,
                 staleness: r.below(3_000),
                 tier_present: r.chance(90),
-                delta_ready: r.chance(70),
                 epoch_in_flight: r.chance(20),
             })
         };
@@ -344,15 +333,17 @@ fn delta_refresh_is_bit_identical_to_full_rebuild() {
         "identical fleets built different base tiers"
     );
 
-    // Same delta stream; then full rebuild vs dirty-only delta.
+    // Same delta stream; then full rebuild vs dirty-only delta. Clearing
+    // the tier is how an operator forces the full rebuild.
     let tail = event_stream(&world, 11, 120);
     let touched: std::collections::BTreeSet<u32> = tail.iter().map(|&(u, _)| u).collect();
     full.ingest_batch(&tail).unwrap();
     delta.ingest_batch(&tail).unwrap();
     full.flush().unwrap();
     delta.flush().unwrap();
+    full.clear_global_tier().unwrap();
     let rf = full.refresh_global_tier().unwrap();
-    let rd = delta.refresh_global_tier_delta().unwrap();
+    let rd = delta.refresh_global_tier().unwrap();
     assert!(!rf.delta && rd.delta);
     assert_eq!(
         rf.users, world.n_users as u64,
@@ -375,10 +366,10 @@ fn delta_refresh_is_bit_identical_to_full_rebuild() {
     // Empty delta: nothing dirty, nothing exported. The installed
     // snapshot differs from the previous one only in its epoch stamp
     // (bytes 8..16 of the encoding) — documented on
-    // `begin_delta_refresh`; a full refresh at the same watermark
-    // bumps the epoch identically.
+    // `begin_refresh`; a full refresh at the same watermark bumps the
+    // epoch identically.
     let before = delta.global_tier().unwrap().encode();
-    let re = delta.refresh_global_tier_delta().unwrap();
+    let re = delta.refresh_global_tier().unwrap();
     assert!(re.delta);
     assert_eq!(re.users, 0, "empty delta exported users");
     let after = delta.global_tier().unwrap().encode();
@@ -393,6 +384,51 @@ fn delta_refresh_is_bit_identical_to_full_rebuild() {
 
     full.shutdown();
     delta.shutdown();
+}
+
+/// The engine picks the refresh kind: it splices only when its own
+/// refresh built the installed tier, and exports everyone otherwise —
+/// on a fresh fleet, after an external install and after a clear.
+#[test]
+fn the_engine_picks_the_refresh_kind() {
+    let world = ChaosWorld::build(42);
+    let mut fleet = fleet(&world, 3);
+    let population = world.n_users as u64;
+    let delta_ready = |f: &mut ShardedEngine<sccf::models::Fism>| {
+        f.serving_stats().unwrap().neighborhood.delta_ready
+    };
+    assert!(!delta_ready(&mut fleet), "no tier: nothing to splice into");
+
+    let first = fleet.refresh_global_tier().unwrap();
+    assert!(!first.delta, "a fresh fleet builds its first tier");
+    assert_eq!(first.users, population);
+    assert!(delta_ready(&mut fleet));
+
+    let events = event_stream(&world, 5, 40);
+    let dirty: std::collections::BTreeSet<u32> = events.iter().map(|&(u, _)| u).collect();
+    fleet.ingest_batch(&events).unwrap();
+    fleet.flush().unwrap();
+    let spliced = fleet.refresh_global_tier().unwrap();
+    assert!(spliced.delta, "its own tier is spliced");
+    assert_eq!(spliced.users, dirty.len() as u64);
+
+    let artifact = fleet.global_tier().unwrap().encode();
+    let tier = sccf::core::GlobalNeighborSnapshot::decode(&artifact).unwrap();
+    fleet.install_global_tier(tier).unwrap();
+    assert!(
+        !delta_ready(&mut fleet),
+        "an installed artifact is not the fleet's own"
+    );
+    let after_install = fleet.refresh_global_tier().unwrap();
+    assert!(!after_install.delta, "an installed artifact is rebuilt");
+    assert_eq!(after_install.users, population);
+
+    fleet.clear_global_tier().unwrap();
+    assert!(!delta_ready(&mut fleet));
+    let after_clear = fleet.refresh_global_tier().unwrap();
+    assert!(!after_clear.delta, "a cleared fleet builds fresh");
+    assert_eq!(after_clear.users, population);
+    fleet.shutdown();
 }
 
 /// End-to-end actuator smoke: a real `ControlDriver` on a real fleet,

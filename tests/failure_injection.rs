@@ -495,15 +495,13 @@ fn epoch_exclusion_matrix_holds_cell_by_cell() {
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Slot {
         Reshard,
-        FullRefresh,
-        DeltaRefresh,
+        Refresh,
     }
     // (operation — also the `requested` name of its rejection —
     //  blocked by a reshard, blocked by a refresh)
-    const OPS: [(&str, bool, bool); 11] = [
+    const OPS: [(&str, bool, bool); 10] = [
         ("begin_reshard", true, true),
         ("begin_refresh", true, true),
-        ("begin_delta_refresh", true, true),
         ("install_global_tier", false, true),
         ("clear_global_tier", false, true),
         ("snapshot", true, true),
@@ -519,7 +517,7 @@ fn epoch_exclusion_matrix_holds_cell_by_cell() {
         queue_capacity: 4,
         router: RouterKind::Consistent { vnodes: 16 },
     };
-    for slot in [Slot::Reshard, Slot::FullRefresh, Slot::DeltaRefresh] {
+    for slot in [Slot::Reshard, Slot::Refresh] {
         for (op, by_reshard, by_refresh) in OPS {
             let cell = format!("{op} during {slot:?}");
             let dir = std::env::temp_dir().join(format!(
@@ -533,8 +531,8 @@ fn epoch_exclusion_matrix_holds_cell_by_cell() {
                     .try_ingest(k % 16, (k * 3) % 16)
                     .expect("ids in range");
             }
-            // A tier from the fleet's own pipeline: delta requests get
-            // past their precondition and reach the epoch guard.
+            // A tier from the fleet's own pipeline: the refresh below
+            // splices the users dirtied after it.
             fleet.refresh_global_tier().expect("full refresh");
             let tier = fleet.global_tier().expect("tier installed").encode();
             for k in 0..10u32 {
@@ -554,12 +552,8 @@ fn epoch_exclusion_matrix_holds_cell_by_cell() {
                     fleet.begin_reshard(cfg(4), 1).expect("begin reshard");
                     fleet.reshard_step().expect("first handoff")
                 }
-                Slot::FullRefresh => {
+                Slot::Refresh => {
                     fleet.begin_refresh(BATCH).expect("begin refresh");
-                    fleet.refresh_step().expect("first batch")
-                }
-                Slot::DeltaRefresh => {
-                    fleet.begin_delta_refresh(BATCH).expect("begin delta");
                     fleet.refresh_step().expect("first batch")
                 }
             };
@@ -568,7 +562,6 @@ fn epoch_exclusion_matrix_holds_cell_by_cell() {
             let result: Result<(), ServingError> = match op {
                 "begin_reshard" => fleet.begin_reshard(cfg(3), 2),
                 "begin_refresh" => fleet.begin_refresh(BATCH),
-                "begin_delta_refresh" => fleet.begin_delta_refresh(BATCH),
                 "install_global_tier" => fleet.install_global_tier(
                     GlobalNeighborSnapshot::decode(&tier).expect("own artifact"),
                 ),
@@ -583,7 +576,7 @@ fn epoch_exclusion_matrix_holds_cell_by_cell() {
             };
             let (blocked, in_flight) = match slot {
                 Slot::Reshard => (by_reshard, "reshard"),
-                Slot::FullRefresh | Slot::DeltaRefresh => (by_refresh, "refresh"),
+                Slot::Refresh => (by_refresh, "refresh"),
             };
             if blocked {
                 assert_eq!(

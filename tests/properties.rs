@@ -73,7 +73,7 @@ proptest! {
         vectors in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 4), 1..60),
         query in prop::collection::vec(-10.0f32..10.0, 4),
     ) {
-        let mut idx = FlatIndex::new(4, Metric::InnerProduct);
+        let mut idx = FlatIndex::new(4);
         for v in &vectors {
             idx.add(v);
         }
@@ -81,16 +81,18 @@ proptest! {
         let brute: (u32, f32) = vectors
             .iter()
             .enumerate()
-            .map(|(i, v)| (i as u32, v.iter().zip(&query).map(|(a, b)| a * b).sum::<f32>()))
+            .map(|(i, v)| (i as u32, Metric::Cosine.score(&query, v)))
             .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
             .unwrap();
         prop_assert_eq!(hits[0].id, brute.0);
     }
 
-    /// The frozen global tier with nothing skipped — i.e. the merged
-    /// two-tier search when the fresh delta is empty — must be
-    /// bit-identical to a single flat cosine index over the same
-    /// vectors: same ids, same float bits, same tie-breaks.
+    /// The frozen global tier's form of the index (built by `from_rows`,
+    /// searched by `search_append` with nothing skipped — i.e. the
+    /// merged two-tier search when the fresh delta is empty) must be
+    /// bit-identical to the local tier's form (built by `add`, searched
+    /// by `search`) over the same vectors: same ids, same float bits,
+    /// same tie-breaks.
     #[test]
     fn frozen_tier_with_empty_delta_equals_single_index_search(
         seed in 0u64..1000,
@@ -98,21 +100,23 @@ proptest! {
         k in 1usize..20,
     ) {
         use rand::Rng;
-        use sccf::index::FrozenUserIndex;
         let mut rng = sccf::util::rng::rng_for(seed, 5);
         let dim = 5;
         let data: Vec<f32> = (0..n * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let frozen = FrozenUserIndex::from_rows(
+        let frozen = FlatIndex::from_rows(
             n,
             dim,
             data.chunks_exact(dim)
                 .enumerate()
                 .map(|(i, v)| (i as u32, v.to_vec())),
         );
-        let mut flat = FlatIndex::new(dim, Metric::Cosine);
-        flat.add_batch(&data);
+        let mut flat = FlatIndex::new(dim);
+        for v in data.chunks_exact(dim) {
+            flat.add(v);
+        }
         let q: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let a = frozen.search(&q, k, &|_| false);
+        let mut a = Vec::new();
+        frozen.search_append(&q, k, &|_| false, &mut a);
         let e = flat.search(&q, k, None);
         prop_assert_eq!(a.len(), e.len());
         for (x, y) in a.iter().zip(&e) {
@@ -134,12 +138,11 @@ proptest! {
         n_fresh in 1usize..8,
     ) {
         use rand::Rng;
-        use sccf::index::FrozenUserIndex;
         use sccf::util::sparse::StampSet;
         let mut rng = sccf::util::rng::rng_for(seed, 6);
         let dim = 4;
         let stale: Vec<f32> = (0..n * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let frozen = FrozenUserIndex::from_rows(
+        let frozen = FlatIndex::from_rows(
             n,
             dim,
             stale.chunks_exact(dim)
@@ -149,7 +152,7 @@ proptest! {
         // A fresh delta overriding a subset of users with new vectors.
         let n_fresh = n_fresh.min(n);
         let fresh_ids: Vec<u32> = (0..n_fresh as u32).map(|i| i * (n as u32 / n_fresh as u32)).collect();
-        let mut delta = FlatIndex::new(dim, Metric::Cosine);
+        let mut delta = FlatIndex::new(dim);
         let mut fresh_vecs = Vec::new();
         for _ in &fresh_ids {
             let v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -175,7 +178,7 @@ proptest! {
         merged.truncate(k);
 
         // Reference: one index where every user has her freshest vector.
-        let mut freshest = FlatIndex::new(dim, Metric::Cosine);
+        let mut freshest = FlatIndex::new(dim);
         for (u, v) in stale.chunks_exact(dim).enumerate() {
             match fresh_ids.iter().position(|&f| f == u as u32) {
                 Some(p) => freshest.add(&fresh_vecs[p]),
@@ -575,20 +578,20 @@ proptest! {
     #[test]
     fn tier_hnsw_exhaustive_equals_flat_bitwise(seed in 0u64..500) {
         use rand::{Rng, SeedableRng};
-        use sccf::index::{FrozenTierAccel, FrozenTierMode, FrozenUserIndex, TierScratch};
+        use sccf::index::{FrozenTierAccel, FrozenTierMode, TierScratch};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let dim = 6;
         let n = rng.gen_range(20usize..120);
         let rows: Vec<(u32, Vec<f32>)> = (0..n as u32)
             .map(|u| (u, (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect()))
             .collect();
-        let frozen = FrozenUserIndex::from_rows(n, dim, rows);
+        let frozen = FlatIndex::from_rows(n, dim, rows);
         let accel =
             FrozenTierAccel::build(FrozenTierMode::Hnsw { ef: n }, &frozen, seed).unwrap();
         let mut scratch = TierScratch::new();
         let q: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         let beta = rng.gen_range(1usize..=20);
-        let exact = frozen.search(&q, beta, &|_| false);
+        let exact = frozen.search(&q, beta, None);
         let mut fast = Vec::new();
         accel.search_append(&frozen, &q, beta, &|_| false, &mut scratch, &mut fast);
         prop_assert_eq!(exact.len(), fast.len());
@@ -604,7 +607,7 @@ proptest! {
     #[test]
     fn tier_snapshot_roundtrip_all_modes(seed in 0u64..150, mode_tag in 0u8..2) {
         use rand::{Rng, SeedableRng};
-        use sccf::core::{GlobalNeighborSnapshot, NeighborSource};
+        use sccf::core::GlobalNeighborSnapshot;
         use sccf::index::{FrozenTierMode, TierScratch};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_mul(31));
         let dim = 4;

@@ -277,3 +277,67 @@ fn sharded_two_tier_ingest_equals_the_searching_plain_engine() {
     }
     fleet.shutdown();
 }
+
+/// Regression: a shard view is public API (`Sccf::into_shards` +
+/// `RealtimeEngine::new`), and its `install_global_tier` used to take
+/// any decodable tier — each of these panicked the next slate (the
+/// frozen scan's dimension assert, the Eq. 12 accumulator indexed past
+/// the catalog, the merge's skip set indexed past the population). Now
+/// each is a typed refusal that installs nothing, and the view keeps
+/// serving the slate it served before.
+#[test]
+fn a_shard_view_refuses_a_tier_that_does_not_fit() {
+    use sccf::core::{GlobalNeighborSnapshot, TierMismatch};
+    use std::sync::Arc;
+
+    let (split, engine, _) = build();
+    let n_users = split.n_users();
+    let n_items = split.n_items();
+    let histories: Vec<Vec<u32>> = (0..n_users as u32)
+        .map(|u| engine.history(u).to_vec())
+        .collect();
+    let view = engine
+        .into_sccf()
+        .into_shards(&histories, 2, |u| u as usize % 2)
+        .swap_remove(0);
+    let dim = view.model().dim();
+    // Frozen rows carry user 0's own vector, so they top her merged
+    // neighborhood: rows of users the other shard owns (odd ids) come
+    // from the frozen tier.
+    let rep = view.model().infer_user(&histories[0]);
+    let mut shard = RealtimeEngine::new(view, histories);
+    let before = top10(&mut shard, 0);
+    assert_eq!(before.len(), 10);
+
+    let tier = |n: usize, d: usize, user: u32, v: Vec<f32>, window: Vec<u32>| {
+        Arc::new(GlobalNeighborSnapshot::build(1, n, d, [(user, v, window)]))
+    };
+    let wrong = [
+        (
+            tier(n_users, dim + 1, 1, vec![1.0; dim + 1], vec![]),
+            TierMismatch::Dimension {
+                tier: dim + 1,
+                engine: dim,
+            },
+        ),
+        (
+            tier(n_users, dim, 1, rep.clone(), vec![n_items as u32 + 5]),
+            TierMismatch::UnknownItem {
+                item: n_items as u32 + 5,
+                n_items,
+            },
+        ),
+        (
+            tier(n_users + 8, dim, n_users as u32 + 3, rep, vec![]),
+            TierMismatch::Population {
+                tier: n_users + 8,
+                engine: n_users,
+            },
+        ),
+    ];
+    for (bad, want) in wrong {
+        assert_eq!(shard.install_global_tier(bad), Err(want.clone()));
+        assert!(shard.sccf().global_tier().is_none(), "{want}: installed");
+        assert_same_slate(&top10(&mut shard, 0), &before, &format!("after {want}"));
+    }
+}

@@ -117,7 +117,7 @@ fn global_neighbor_snapshot_roundtrips_search_and_windows() {
     // The two-tier snapshot is an operational artifact (persist a
     // routing-warm tier alongside an engine snapshot): decoding it must
     // reproduce bit-identical searches and frozen windows.
-    use sccf::core::{GlobalNeighborSnapshot, NeighborSource};
+    use sccf::core::GlobalNeighborSnapshot;
     let n_users = 40usize;
     let dim = 6usize;
     let mut rng = sccf::util::rng::rng_for(91, 4);
@@ -160,7 +160,7 @@ fn accelerated_tier_snapshot_roundtrips_and_rebuilds_byte_identically() {
     // because the build seed is carried explicitly — rebuilding from
     // the same entries must too (the determinism the refresh pipeline
     // relies on for reproducible fleets).
-    use sccf::core::{GlobalNeighborSnapshot, NeighborSource};
+    use sccf::core::GlobalNeighborSnapshot;
     use sccf::index::FrozenTierMode;
     let n_users = 50usize;
     let dim = 6usize;
@@ -865,7 +865,7 @@ fn golden_entries(n_users: u32, dim: usize) -> Vec<(u32, Vec<f32>, Vec<u32>)> {
 /// One fixed artifact per byte format, by name.
 fn golden_fixtures() -> Vec<(String, Vec<u8>)> {
     use sccf::core::{EngineTimings, EventTiming, GlobalNeighborSnapshot, TIER_BUILD_SEED};
-    use sccf::index::{FrozenTierMode, FrozenUserIndex, HnswConfig, HnswIndex, Metric};
+    use sccf::index::{FlatIndex, FrozenTierMode, HnswConfig, HnswIndex, Metric};
     use sccf::net::{Request, Response, PROTOCOL_VERSION};
     use sccf::serving::api::{
         DurabilityStats, MigrationStats, NeighborhoodStats, PressureStats, RecQuery, RecResponse,
@@ -895,7 +895,7 @@ fn golden_fixtures() -> Vec<(String, Vec<u8>)> {
         .map(|(u, v, _)| (u, v));
     out.push((
         "frozen_index".into(),
-        FrozenUserIndex::from_rows(n_users as usize, dim, rows).encode(),
+        FlatIndex::from_rows(n_users as usize, dim, rows).encode(),
     ));
     for (name, mode) in [
         ("tier_flat", FrozenTierMode::Flat),

@@ -24,11 +24,14 @@
 //!
 //! The inductive models are the ones the SCCF framework (in `sccf-core`)
 //! can wrap: their user representations are inferred from the history, so
-//! real-time neighborhoods stay fresh without retraining.
+//! real-time neighborhoods stay fresh without retraining. They ship as
+//! one checksummed model file, [`envelope`] (`SCCFMDL2`): the CLI and
+//! every fleet member read the same format.
 
 pub mod avgpool;
 pub mod bprmf;
 pub mod caser;
+pub mod envelope;
 pub mod fism;
 pub mod gru4rec;
 pub mod itemknn;
@@ -42,6 +45,7 @@ pub mod userknn;
 pub use avgpool::{AvgPoolConfig, AvgPoolDnn};
 pub use bprmf::BprMf;
 pub use caser::{Caser, CaserConfig};
+pub use envelope::{AnyModel, Envelope, EnvelopeError, ModelHeader, ModelKind};
 pub use fism::{Fism, FismConfig};
 pub use gru4rec::{Gru4Rec, Gru4RecConfig};
 pub use itemknn::ItemKnn;

@@ -105,7 +105,8 @@ pub struct ServeShardArgs {
     pub checkpoint_every: u64,
     /// The shared world every fleet process rebuilds.
     pub world: WorldSpec,
-    /// Pre-trained model weights (skips in-process training).
+    /// The launcher's `SCCFMDL2` model file. Required — a member never
+    /// trains; `None` only so that `parse(&[])` is the default.
     pub model_file: Option<PathBuf>,
     /// Frames each connection's reader thread may buffer ahead of the
     /// engine. Must be ≥ 1.
@@ -208,16 +209,15 @@ pub fn serve_shard_main(args: &[String]) -> Result<(), String> {
     run_shard_server(ServeShardArgs::parse(args)?)
 }
 
-/// Build the slice engine (recovering if the durability directory has
-/// history) and serve the wire protocol on loopback.
+/// Build the slice engine from the launcher's model file (recovering if
+/// the durability directory has history) and serve the wire protocol on
+/// loopback.
 pub fn run_shard_server(args: ServeShardArgs) -> Result<(), String> {
-    let model_bytes = match &args.model_file {
-        Some(path) => {
-            Some(std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?)
-        }
-        None => None,
-    };
-    let world = args.world.build(model_bytes.as_deref())?;
+    let path = args.model_file.as_ref().ok_or(
+        "serve-shard needs --model-file: a member loads the launcher's model and never trains",
+    )?;
+    let model = std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let world = args.world.build(Some(&model))?;
     let meta = ShardMeta {
         n_users: world.n_users,
         n_items: world.n_items,
@@ -521,5 +521,13 @@ mod tests {
         assert!(typo.is_err_and(|msg| msg.contains("--world-usres")));
         let zero = ServeShardArgs::parse(&["--read-ahead".into(), "0".into()]);
         assert!(zero.is_err_and(|msg| msg.contains("--read-ahead")));
+    }
+
+    /// Regression: a member without the launcher's model file used to
+    /// train the model in place. It is refused before building anything.
+    #[test]
+    fn a_member_without_a_model_file_is_refused() {
+        let err = run_shard_server(ServeShardArgs::default()).unwrap_err();
+        assert!(err.contains("--model-file"), "{err}");
     }
 }

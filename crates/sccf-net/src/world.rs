@@ -10,18 +10,19 @@
 //! from the spec (synthetic dataset → leave-one-out split → FISM →
 //! `Sccf::build`, all seeded, all single-threaded).
 //!
-//! The one step worth sharing as bytes is model training (it is the
-//! slow part): [`WorldSpec::train_model`] once in the launcher, write
-//! the bytes to a file, and pass `--model-file` to every shard server —
-//! [`WorldSpec::build`] then rehydrates the identical floats via
-//! `Fism::load_bytes` instead of retraining. Training is deterministic
-//! too, so this is an optimization, not a correctness requirement.
+//! The one step shared as bytes is model training: the launcher runs
+//! [`WorldSpec::train_model`] once and writes the `SCCFMDL2` model file
+//! (`sccf_models::envelope`, checksummed), and every shard server is
+//! handed it with `--model-file` — a member never trains.
+//! [`WorldSpec::build`] checks the file's header against the spec
+//! (kind FISM, `dim`, `n_items`, `seed`; a mismatch names the field)
+//! before it allocates anything, then loads the identical floats.
 
 use sccf_core::{FrozenTierMode, IntegratorConfig, Sccf, SccfConfig, UserBasedConfig};
 use sccf_data::catalog::{ml1m_sim, Scale};
 use sccf_data::synthetic::generate;
 use sccf_data::LeaveOneOut;
-use sccf_models::{Fism, FismConfig, TrainConfig};
+use sccf_models::{AnyModel, Envelope, Fism, ModelHeader, ModelKind};
 use sccf_util::flags::parse_or;
 
 /// Everything needed to rebuild the fleet's world from scratch. All
@@ -73,15 +74,37 @@ pub struct World {
 }
 
 impl WorldSpec {
-    fn fism_config(&self) -> FismConfig {
-        FismConfig {
-            train: TrainConfig {
-                dim: self.dim,
-                epochs: self.epochs,
-                seed: self.seed,
-                ..Default::default()
-            },
-            ..Default::default()
+    /// The model file's header for this world: FISM has no sequence
+    /// cap.
+    fn model_header(&self) -> ModelHeader {
+        ModelHeader {
+            kind: ModelKind::Fism,
+            dim: self.dim,
+            max_len: 0,
+            n_items: self.n_items,
+            seed: self.seed,
+        }
+    }
+
+    /// Refuse a model file built for another world, naming the first
+    /// header field that differs.
+    fn check_header(&self, got: &ModelHeader) -> Result<(), String> {
+        let want = self.model_header();
+        let fields = [
+            (
+                "kind",
+                format!("{:?}", got.kind),
+                format!("{:?}", want.kind),
+            ),
+            ("dim", got.dim.to_string(), want.dim.to_string()),
+            ("n_items", got.n_items.to_string(), want.n_items.to_string()),
+            ("seed", got.seed.to_string(), want.seed.to_string()),
+        ];
+        match fields.into_iter().find(|(_, got, want)| got != want) {
+            Some((field, got, want)) => Err(format!(
+                "model file does not match the world spec: {field} is {got}, the spec has {want}"
+            )),
+            None => Ok(()),
         }
     }
 
@@ -97,23 +120,34 @@ impl WorldSpec {
         LeaveOneOut::split(&data)
     }
 
-    /// Train the spec's FISM model and return its weight bytes — do
-    /// this once in the fleet launcher and hand the file to every
-    /// shard server so none of them pays the training cost.
+    /// Train the spec's FISM model and return its `SCCFMDL2` model file
+    /// — the launcher does this once and hands the file to every shard
+    /// server.
     pub fn train_model(&self) -> Vec<u8> {
-        Fism::train(&self.split(), &self.fism_config()).save_bytes()
+        let header = self.model_header();
+        let weights = header.train(self.epochs, &self.split()).save_bytes();
+        Envelope {
+            header,
+            weights: &weights,
+        }
+        .encode()
     }
 
-    /// Build the world. With `model_bytes` the model is rehydrated
-    /// (fast path); without, it is trained in place — both yield the
-    /// same floats.
-    pub fn build(&self, model_bytes: Option<&[u8]>) -> Result<World, String> {
+    /// Build the world from the launcher's model file. `None` trains in
+    /// place instead — the reference the file path is pinned equal to;
+    /// serving processes always pass the file.
+    pub fn build(&self, model_file: Option<&[u8]>) -> Result<World, String> {
         let split = self.split();
-        let cfg = self.fism_config();
-        let fism = match model_bytes {
-            Some(bytes) => Fism::load_bytes(split.n_items(), &cfg, bytes)
-                .map_err(|e| format!("model bytes do not match the world spec: {e:?}"))?,
-            None => Fism::train(&split, &cfg),
+        let model = match model_file {
+            Some(bytes) => {
+                let env = Envelope::decode(bytes).map_err(|e| e.to_string())?;
+                self.check_header(&env.header)?;
+                env.load().map_err(|e| e.to_string())?
+            }
+            None => self.model_header().train(self.epochs, &split),
+        };
+        let AnyModel::Fism(fism) = model else {
+            unreachable!("the header check admits FISM only");
         };
         let mut sccf = Sccf::build(
             fism,
@@ -218,27 +252,106 @@ mod tests {
         );
     }
 
-    #[test]
-    fn trained_bytes_rehydrate_the_same_world() {
-        let spec = WorldSpec {
+    fn small() -> WorldSpec {
+        WorldSpec {
             n_users: 24,
             n_items: 16,
             epochs: 1,
             ..WorldSpec::default()
+        }
+    }
+
+    /// Every slate of the world, as `(item, score bits)`.
+    fn slate_bits(w: &World) -> Vec<Vec<(u32, u32)>> {
+        (0..w.n_users as u32)
+            .map(|u| {
+                w.sccf
+                    .recommend(u, &w.histories[u as usize], 5)
+                    .iter()
+                    .map(|s| (s.id, s.score.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The model file rebuilds exactly the world trained in place: the
+    /// same model snapshot bytes and the same slate bits.
+    #[test]
+    fn model_file_world_equals_the_trained_in_place_world() {
+        let spec = small();
+        let file = spec.train_model();
+        assert!(file.starts_with(b"SCCFMDL2"));
+        let loaded = spec.build(Some(&file)).unwrap();
+        let trained = spec.build(None).unwrap();
+        assert_eq!(loaded.n_users, 24);
+        assert_eq!(loaded.histories, trained.histories);
+        assert_eq!(
+            loaded.sccf.model().save_bytes(),
+            trained.sccf.model().save_bytes()
+        );
+        assert_eq!(slate_bits(&loaded), slate_bits(&trained));
+    }
+
+    /// Regression: a flipped weight bit used to load as different floats.
+    #[test]
+    fn a_damaged_model_file_is_a_checksum_error() {
+        let spec = small();
+        let mut file = spec.train_model();
+        let mid = file.len() / 2;
+        file[mid] ^= 0x04;
+        let err = spec.build(Some(&file)).err().expect("refused");
+        assert!(err.contains("checksum"), "{err}");
+    }
+
+    /// Regression: a model trained for another world with identical
+    /// shapes used to load. Each header field the spec fixes is checked
+    /// before the architecture is built, and the error names it.
+    #[test]
+    fn a_model_for_another_world_is_refused_naming_the_field() {
+        let spec = small();
+        let other = WorldSpec {
+            seed: spec.seed + 1,
+            ..spec.clone()
         };
-        let bytes = spec.train_model();
-        let a = spec.build(Some(&bytes)).unwrap();
-        let b = spec.build(Some(&bytes)).unwrap();
-        assert_eq!(a.n_users, 24);
-        assert_eq!(a.histories, b.histories);
-        // Identical worlds produce identical slates.
-        let ra = a.sccf.recommend(0, &a.histories[0], 5);
-        let rb = b.sccf.recommend(0, &b.histories[0], 5);
-        let bits = |v: &[sccf_util::topk::Scored]| {
-            v.iter()
-                .map(|s| (s.id, s.score.to_bits()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(bits(&ra), bits(&rb));
+        let err = spec
+            .build(Some(&other.train_model()))
+            .err()
+            .expect("refused");
+        assert!(err.contains("seed"), "{err}");
+
+        let file = spec.train_model();
+        let env = Envelope::decode(&file).unwrap();
+        let h = env.header;
+        for (field, header) in [
+            (
+                "kind",
+                ModelHeader {
+                    kind: ModelKind::SasRec,
+                    ..h
+                },
+            ),
+            (
+                "dim",
+                ModelHeader {
+                    dim: h.dim / 2,
+                    ..h
+                },
+            ),
+            (
+                "n_items",
+                ModelHeader {
+                    n_items: h.n_items / 2,
+                    ..h
+                },
+            ),
+        ] {
+            let wrong = Envelope {
+                header,
+                weights: env.weights,
+            }
+            .encode();
+            let err = spec.build(Some(&wrong)).err().expect("refused");
+            assert!(err.contains(field), "{field}: {err}");
+        }
     }
 }

@@ -27,6 +27,11 @@
 # and exits 1 if `struct Reader` or `fn put_u32` is defined anywhere but
 # crates/sccf-util/src/codec.rs — one cursor, one set of appenders.
 #
+# Exits 1 if a `const … = b"SCCF…"` under crates/*/src or src/ has no
+# row in the "Byte formats" table of docs/ARCHITECTURE.md, or if two
+# such consts define the same magic, naming the magic: every byte
+# format is documented, and each has one definition.
+#
 # Exits 1 if `env::var` or `env::var_os` appears in a code line under
 # src/ or crates/*/src outside crates/sccf-bench (whose two `*_DEBUG`
 # diagnostics stay): the serving processes read no environment, and
@@ -85,6 +90,24 @@ if grep -rnE --include='*.rs' 'struct Reader\b|fn put_u32\b' crates src vendor |
   echo 'error: a second byte cursor or appender set; use sccf_util::codec (see the lines above)' >&2
   exit 1
 fi
+
+# Every `SCCF…` magic a const defines has a row in the "Byte formats"
+# table of docs/ARCHITECTURE.md, and no magic is defined twice.
+formats=$(sed -n '/^## Byte formats/,/^## [^B]/p' docs/ARCHITECTURE.md | grep '^| `' || true)
+magics=$(grep -rhoE --include='*.rs' 'const [A-Z0-9_]+: [^=]*= b"SCCF[^"]*"' crates/*/src src |
+  grep -oE 'SCCF[^"]*' | sort || true)
+bad_magic=0
+for m in $(uniq -d <<<"$magics"); do
+  echo "error: magic $m is defined by two consts; one format, one definition" >&2
+  bad_magic=1
+done
+for m in $(uniq <<<"$magics"); do
+  if ! grep -qF "| \`$m\`" <<<"$formats"; then
+    echo "error: magic $m has no row in the Byte formats table of docs/ARCHITECTURE.md" >&2
+    bad_magic=1
+  fi
+done
+[ "$bad_magic" -eq 0 ] || exit 1
 
 if grep -rnwE --include='*.rs' 'env::var(_os)?' src crates/*/src |
   grep -v '^crates/sccf-bench/' | grep -vE '^[^:]+:[0-9]+:\s*//'; then

@@ -6,7 +6,7 @@
 //!                 --out model.sccf [--dim D] [--epochs E] [--seed N]
 //! sccf eval       --data data.tsv --model model.sccf [--sccf] [--beta B] [--ks 20,50,100]
 //! sccf recommend  --data data.tsv --model model.sccf --user U [-n N] [--sccf]
-//! sccf serve-shard --base B --count C --total T [--port P] [--dir DIR] ...
+//! sccf serve-shard --base B --count C --total T --model-file FILE [--port P] ...
 //! sccf route      [--procs P] [--shards-per-proc S] [--events N] ...
 //! ```
 //!
@@ -15,10 +15,11 @@
 //! space behind a TCP listener, `route` launches and supervises a
 //! whole loopback fleet and drives it through the fleet router.
 //!
-//! The model file is self-describing: a small envelope (kind, dimension,
-//! sequence cap, catalog size) ahead of the parameter snapshot, so `eval`
-//! and `recommend` rebuild the exact architecture without re-supplying
-//! hyper-parameters.
+//! The model file is `sccf::models::envelope` (`SCCFMDL2`), the format
+//! `serve-shard --model-file` reads too: a header (kind, dimension,
+//! sequence cap, catalog size, seed) ahead of the parameter snapshot and
+//! a trailing CRC-32, so `eval` and `recommend` rebuild the exact
+//! architecture without re-supplying hyper-parameters.
 
 use std::path::PathBuf;
 use std::process::exit;
@@ -30,217 +31,8 @@ use sccf::data::synthetic::generate;
 use sccf::data::writer::write_tsv;
 use sccf::data::{Dataset, LeaveOneOut};
 use sccf::eval::{evaluate, EvalTarget};
-use sccf::models::{
-    AvgPoolConfig, AvgPoolDnn, Caser, CaserConfig, Fism, FismConfig, Gru4Rec, Gru4RecConfig,
-    InductiveUiModel, Recommender, SasRec, SasRecConfig, TrainConfig,
-};
-use sccf::util::codec::{put_u32, put_u64, put_u8, DecodeError, Reader};
+use sccf::models::{AnyModel, Envelope, ModelHeader, ModelKind, Recommender};
 use sccf::util::Flags;
-
-const ENVELOPE_MAGIC: &[u8; 8] = b"SCCFMDL1";
-
-/// Model kinds the CLI can train and reload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ModelKind {
-    Fism,
-    SasRec,
-    Gru4Rec,
-    Caser,
-    AvgPool,
-}
-
-impl ModelKind {
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "fism" => Some(Self::Fism),
-            "sasrec" => Some(Self::SasRec),
-            "gru4rec" => Some(Self::Gru4Rec),
-            "caser" => Some(Self::Caser),
-            "avgpool" => Some(Self::AvgPool),
-            _ => None,
-        }
-    }
-
-    fn tag(self) -> u8 {
-        match self {
-            Self::Fism => 0,
-            Self::SasRec => 1,
-            Self::Gru4Rec => 2,
-            Self::Caser => 3,
-            Self::AvgPool => 4,
-        }
-    }
-
-    fn from_tag(t: u8) -> Option<Self> {
-        match t {
-            0 => Some(Self::Fism),
-            1 => Some(Self::SasRec),
-            2 => Some(Self::Gru4Rec),
-            3 => Some(Self::Caser),
-            4 => Some(Self::AvgPool),
-            _ => None,
-        }
-    }
-}
-
-/// Everything needed to rebuild a trained model from its file.
-struct Envelope {
-    kind: ModelKind,
-    dim: u32,
-    max_len: u32,
-    n_items: u32,
-    seed: u64,
-    weights: Vec<u8>,
-}
-
-impl Envelope {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.weights.len());
-        out.extend_from_slice(ENVELOPE_MAGIC);
-        put_u8(&mut out, self.kind.tag());
-        put_u32(&mut out, self.dim);
-        put_u32(&mut out, self.max_len);
-        put_u32(&mut out, self.n_items);
-        put_u64(&mut out, self.seed);
-        out.extend_from_slice(&self.weights);
-        out
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self, String> {
-        let mut r = Reader::new(bytes);
-        let mut header = || {
-            r.magic(ENVELOPE_MAGIC)?;
-            Ok::<_, DecodeError>((r.u8()?, r.u32()?, r.u32()?, r.u32()?, r.u64()?))
-        };
-        let (tag, dim, max_len, n_items, seed) = header().map_err(|_| "not an sccf model file")?;
-        Ok(Self {
-            kind: ModelKind::from_tag(tag).ok_or("unknown model kind")?,
-            dim,
-            max_len,
-            n_items,
-            seed,
-            weights: r.rest().to_vec(),
-        })
-    }
-}
-
-/// A reloaded model behind one dispatchable type.
-enum AnyModel {
-    Fism(Fism),
-    SasRec(SasRec),
-    Gru4Rec(Gru4Rec),
-    Caser(Caser),
-    AvgPool(AvgPoolDnn),
-}
-
-impl AnyModel {
-    fn load(env: &Envelope) -> Result<Self, String> {
-        let n_items = env.n_items as usize;
-        let tc = TrainConfig {
-            dim: env.dim as usize,
-            seed: env.seed,
-            ..Default::default()
-        };
-        let fail = |e: sccf::tensor::SnapshotError| format!("weights do not match: {e:?}");
-        Ok(match env.kind {
-            ModelKind::Fism => AnyModel::Fism(
-                Fism::load_bytes(
-                    n_items,
-                    &FismConfig {
-                        train: tc,
-                        ..Default::default()
-                    },
-                    &env.weights,
-                )
-                .map_err(fail)?,
-            ),
-            ModelKind::SasRec => AnyModel::SasRec(
-                SasRec::load_bytes(
-                    n_items,
-                    &SasRecConfig {
-                        train: tc,
-                        max_len: env.max_len as usize,
-                        ..Default::default()
-                    },
-                    &env.weights,
-                )
-                .map_err(fail)?,
-            ),
-            ModelKind::Gru4Rec => AnyModel::Gru4Rec(
-                Gru4Rec::load_bytes(
-                    n_items,
-                    &Gru4RecConfig {
-                        train: tc,
-                        max_len: env.max_len as usize,
-                    },
-                    &env.weights,
-                )
-                .map_err(fail)?,
-            ),
-            ModelKind::Caser => AnyModel::Caser(
-                Caser::load_bytes(
-                    n_items,
-                    &CaserConfig {
-                        train: tc,
-                        ..Default::default()
-                    },
-                    &env.weights,
-                )
-                .map_err(fail)?,
-            ),
-            ModelKind::AvgPool => AnyModel::AvgPool(
-                AvgPoolDnn::load_bytes(
-                    n_items,
-                    &AvgPoolConfig {
-                        train: tc,
-                        ..Default::default()
-                    },
-                    &env.weights,
-                )
-                .map_err(fail)?,
-            ),
-        })
-    }
-
-    /// Run `f` with the concrete inductive model.
-    fn with<R>(self, f: impl FnOnce(Box<dyn DynInductive>) -> R) -> R {
-        match self {
-            AnyModel::Fism(m) => f(Box::new(m)),
-            AnyModel::SasRec(m) => f(Box::new(m)),
-            AnyModel::Gru4Rec(m) => f(Box::new(m)),
-            AnyModel::Caser(m) => f(Box::new(m)),
-            AnyModel::AvgPool(m) => f(Box::new(m)),
-        }
-    }
-}
-
-/// Object-safe alias so one code path serves every backend.
-trait DynInductive: InductiveUiModel {}
-impl<T: InductiveUiModel> DynInductive for T {}
-
-impl Recommender for Box<dyn DynInductive> {
-    fn name(&self) -> String {
-        (**self).name()
-    }
-    fn n_items(&self) -> usize {
-        (**self).n_items()
-    }
-    fn score_all(&self, user: u32, history: &[u32]) -> Vec<f32> {
-        (**self).score_all(user, history)
-    }
-}
-
-impl InductiveUiModel for Box<dyn DynInductive> {
-    fn dim(&self) -> usize {
-        (**self).dim()
-    }
-    fn infer_user(&self, history: &[u32]) -> Vec<f32> {
-        (**self).infer_user(history)
-    }
-    fn item_embeddings(&self) -> &sccf::tensor::Mat {
-        (**self).item_embeddings()
-    }
-}
 
 // ------------------------------------------------------------- arg plumbing
 
@@ -251,8 +43,8 @@ fn usage() -> ! {
          [--dim D] [--epochs E] [--max-len L] [--seed N]\n  \
          sccf eval --data FILE --model FILE [--sccf true] [--beta B] [--ks 20,50,100]\n  \
          sccf recommend --data FILE --model FILE --user U [--n N] [--sccf true]\n  \
-         sccf serve-shard --base B --count C --total T [--vnodes V] [--port P]\n        \
-         [--dir DIR] [--model-file FILE] [--world-* ...]\n  \
+         sccf serve-shard --base B --count C --total T --model-file FILE\n        \
+         [--vnodes V] [--port P] [--dir DIR] [--world-* ...]\n  \
          sccf route [--procs P] [--shards-per-proc S] [--vnodes V] [--events N]\n        \
          [--dir DIR] [--world-* ...]\n\n\
          datasets: ml1m-sim ml20m-sim games-sim beauty-sim taobao-sim"
@@ -307,60 +99,20 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     let max_len: usize = flags.parsed("max-len", 50)?;
     let seed: u64 = flags.parsed("seed", 42)?;
     flags.finish()?;
-    let tc = TrainConfig {
+    let header = ModelHeader {
+        kind,
         dim,
-        epochs,
+        max_len,
+        n_items: split.n_items(),
         seed,
-        ..Default::default()
     };
     eprintln!("training {kind:?} (d={dim}, {epochs} epochs) ...");
-    let weights = match kind {
-        ModelKind::Fism => Fism::train(
-            &split,
-            &FismConfig {
-                train: tc,
-                ..Default::default()
-            },
-        )
-        .save_bytes(),
-        ModelKind::SasRec => SasRec::train(
-            &split,
-            &SasRecConfig {
-                train: tc,
-                max_len,
-                ..Default::default()
-            },
-        )
-        .save_bytes(),
-        ModelKind::Gru4Rec => {
-            Gru4Rec::train(&split, &Gru4RecConfig { train: tc, max_len }).save_bytes()
-        }
-        ModelKind::Caser => Caser::train(
-            &split,
-            &CaserConfig {
-                train: tc,
-                ..Default::default()
-            },
-        )
-        .save_bytes(),
-        ModelKind::AvgPool => AvgPoolDnn::train(
-            &split,
-            &AvgPoolConfig {
-                train: tc,
-                ..Default::default()
-            },
-        )
-        .save_bytes(),
-    };
-    let env = Envelope {
-        kind,
-        dim: dim as u32,
-        max_len: max_len as u32,
-        n_items: split.n_items() as u32,
-        seed,
-        weights,
-    };
-    let bytes = env.encode();
+    let weights = header.train(epochs, &split).save_bytes();
+    let bytes = Envelope {
+        header,
+        weights: &weights,
+    }
+    .encode();
     std::fs::write(&out, &bytes).map_err(|e| e.to_string())?;
     println!(
         "saved {kind:?} ({} KiB) → {}",
@@ -370,22 +122,22 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn load_model(flags: &Flags) -> Result<(Envelope, AnyModel), String> {
+fn load_model(flags: &Flags) -> Result<AnyModel, String> {
     let path = flags.required("model")?;
     let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let env = Envelope::decode(&bytes)?;
-    let model = AnyModel::load(&env)?;
-    Ok((env, model))
+    Envelope::decode(&bytes)
+        .and_then(|env| env.load())
+        .map_err(|e| e.to_string())
 }
 
 fn cmd_eval(flags: &Flags) -> Result<(), String> {
     let data = load_dataset(flags)?;
     let split = LeaveOneOut::split(&data);
-    let (env, model) = load_model(flags)?;
-    if env.n_items as usize != split.n_items() {
+    let model = load_model(flags)?;
+    if model.n_items() != split.n_items() {
         return Err(format!(
             "model was trained on {} items, dataset has {}",
-            env.n_items,
+            model.n_items(),
             split.n_items()
         ));
     }
@@ -399,37 +151,35 @@ fn cmd_eval(flags: &Flags) -> Result<(), String> {
     let beta: usize = flags.parsed("beta", 100)?;
     flags.finish()?;
 
-    model.with(|m| {
-        let name = m.name();
-        if wrap_sccf {
-            let mut sccf = Sccf::build(
-                m,
-                &split,
-                SccfConfig {
-                    user_based: UserBasedConfig {
-                        beta,
-                        recent_window: 15,
-                    },
-                    candidate_n: *ks.iter().max().unwrap_or(&100),
-                    ..Default::default()
+    let name = model.name();
+    if wrap_sccf {
+        let mut sccf = Sccf::build(
+            model,
+            &split,
+            SccfConfig {
+                user_based: UserBasedConfig {
+                    beta,
+                    recent_window: 15,
                 },
-            );
-            sccf.refresh_for_test(&split);
-            let res = evaluate(
-                &sccf,
-                &split,
-                EvalTarget::Test,
-                &ks,
-                4,
-                &format!("{name}-SCCF"),
-                "cli",
-            );
-            print_metrics(&res, &ks);
-        } else {
-            let res = evaluate(&m, &split, EvalTarget::Test, &ks, 4, &name, "cli");
-            print_metrics(&res, &ks);
-        }
-    });
+                candidate_n: *ks.iter().max().unwrap_or(&100),
+                ..Default::default()
+            },
+        );
+        sccf.refresh_for_test(&split);
+        let res = evaluate(
+            &sccf,
+            &split,
+            EvalTarget::Test,
+            &ks,
+            4,
+            &format!("{name}-SCCF"),
+            "cli",
+        );
+        print_metrics(&res, &ks);
+    } else {
+        let res = evaluate(&model, &split, EvalTarget::Test, &ks, 4, &name, "cli");
+        print_metrics(&res, &ks);
+    }
     Ok(())
 }
 
@@ -451,8 +201,8 @@ fn print_metrics(res: &sccf::eval::EvalResult, ks: &[usize]) {
 fn cmd_recommend(flags: &Flags) -> Result<(), String> {
     let data = load_dataset(flags)?;
     let split = LeaveOneOut::split(&data);
-    let (env, model) = load_model(flags)?;
-    if env.n_items as usize != split.n_items() {
+    let model = load_model(flags)?;
+    if model.n_items() != split.n_items() {
         return Err("model/dataset catalog mismatch".into());
     }
     let user: u32 = flags
@@ -470,26 +220,24 @@ fn cmd_recommend(flags: &Flags) -> Result<(), String> {
     flags.finish()?;
     let history = split.train_plus_val(user);
 
-    model.with(|m| {
-        if wrap_sccf {
-            let mut sccf = Sccf::build(m, &split, SccfConfig::default());
-            sccf.refresh_for_test(&split);
-            for (rank, s) in sccf.recommend(user, &history, n).iter().enumerate() {
-                println!("{:>3}. item {:<6} score {:.4}", rank + 1, s.id, s.score);
-            }
-        } else {
-            let mut scores = m.score_all(user, &history);
-            for &i in &history {
-                scores[i as usize] = f32::NEG_INFINITY;
-            }
-            for (rank, s) in sccf::util::topk::topk_of_scores(&scores, n)
-                .iter()
-                .enumerate()
-            {
-                println!("{:>3}. item {:<6} score {:.4}", rank + 1, s.id, s.score);
-            }
+    if wrap_sccf {
+        let mut sccf = Sccf::build(model, &split, SccfConfig::default());
+        sccf.refresh_for_test(&split);
+        for (rank, s) in sccf.recommend(user, &history, n).iter().enumerate() {
+            println!("{:>3}. item {:<6} score {:.4}", rank + 1, s.id, s.score);
         }
-    });
+    } else {
+        let mut scores = model.score_all(user, &history);
+        for &i in &history {
+            scores[i as usize] = f32::NEG_INFINITY;
+        }
+        for (rank, s) in sccf::util::topk::topk_of_scores(&scores, n)
+            .iter()
+            .enumerate()
+        {
+            println!("{:>3}. item {:<6} score {:.4}", rank + 1, s.id, s.score);
+        }
+    }
     Ok(())
 }
 

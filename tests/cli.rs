@@ -201,3 +201,66 @@ fn unknown_flags_are_rejected_naming_the_flag() {
     }
     assert!(!data.exists(), "gen wrote its output despite the typo");
 }
+
+/// Regression: a header claiming a catalog its weights cannot hold
+/// used to size the architecture's allocation (0xFFFFFFF0 items × dim
+/// 4096 aborted with exit 134). The checksum is valid — a hostile file
+/// carries one — so only the size check refuses it.
+#[test]
+fn hostile_model_header_is_refused_before_allocating() {
+    use sccf::models::{Envelope, ModelHeader, ModelKind};
+    let data = tmp("hostile.tsv");
+    let fake = tmp("hostile.sccf");
+    bin()
+        .args(["gen", "--dataset", "games-sim"])
+        .args(["--out", data.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let weights = sccf::tensor::save_store(&sccf::tensor::ParamStore::new());
+    let header = ModelHeader {
+        kind: ModelKind::Fism,
+        dim: 4096,
+        max_len: 50,
+        n_items: 0xFFFF_FFF0,
+        seed: 1,
+    };
+    let file = Envelope {
+        header,
+        weights: &weights,
+    }
+    .encode();
+    std::fs::write(&fake, file).unwrap();
+    let out = bin()
+        .args(["eval", "--data", data.to_str().unwrap()])
+        .args(["--model", fake.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(stderr(&out).contains("catalog"), "{}", stderr(&out));
+}
+
+/// `sccf train` and `serve-shard` read one format: a CLI model file for
+/// another world is refused naming the header field that differs.
+#[test]
+fn serve_shard_names_the_field_a_foreign_model_file_differs_in() {
+    let data = tmp("foreign.tsv");
+    let model = tmp("foreign.sccf");
+    bin()
+        .args(["gen", "--dataset", "games-sim"])
+        .args(["--out", data.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let out = bin()
+        .args(["train", "--data", data.to_str().unwrap()])
+        .args(["--model", "fism", "--dim", "4", "--epochs", "1"])
+        .args(["--out", model.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", stderr(&out));
+    let out = bin()
+        .args(["serve-shard", "--model-file", model.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(stderr(&out).contains("dim is 4"), "{}", stderr(&out));
+}

@@ -866,6 +866,7 @@ fn golden_entries(n_users: u32, dim: usize) -> Vec<(u32, Vec<f32>, Vec<u32>)> {
 fn golden_fixtures() -> Vec<(String, Vec<u8>)> {
     use sccf::core::{EngineTimings, EventTiming, GlobalNeighborSnapshot, TIER_BUILD_SEED};
     use sccf::index::{FlatIndex, FrozenTierMode, HnswConfig, HnswIndex, Metric};
+    use sccf::models::{AnyModel, Envelope, ModelHeader, ModelKind};
     use sccf::net::{Request, Response, PROTOCOL_VERSION};
     use sccf::serving::api::{
         DurabilityStats, MigrationStats, NeighborhoodStats, PressureStats, RecQuery, RecResponse,
@@ -949,6 +950,26 @@ fn golden_fixtures() -> Vec<(String, Vec<u8>)> {
     store.param_mut(wid).m = Mat::filled(2, 3, 0.5);
     store.param_mut(wid).v = Mat::filled(2, 3, 0.25);
     out.push(("param_store".into(), sccf::tensor::save_store(&store)));
+
+    // SCCFMDL2: a tiny FISM model file (4 items × dim 2) that loads
+    let mut fism = ParamStore::new();
+    fism.add_sparse("fism.p", Mat::from_vec(4, 2, golden_vec(3, 8)));
+    let weights = sccf::tensor::save_store(&fism);
+    let header = ModelHeader {
+        kind: ModelKind::Fism,
+        dim: 2,
+        max_len: 0,
+        n_items: 4,
+        seed: 9,
+    };
+    let file = Envelope {
+        header,
+        weights: &weights,
+    }
+    .encode();
+    let model = Envelope::decode(&file).and_then(|env| env.load());
+    assert!(matches!(model, Ok(AnyModel::Fism(_))));
+    out.push(("model_file".into(), file));
 
     // wire v3: one of every request and response variant
     let query = RecQuery {
@@ -1156,7 +1177,8 @@ fn golden_fixtures() -> Vec<(String, Vec<u8>)> {
 /// and writers (see CHANGES.md, PR 19) and not regenerated since —
 /// except the three rows wire v3 moved on purpose (CHANGES.md, PR 25):
 /// `req_Hello` / `resp_HelloOk` carry version 3, `resp_Stats` carries
-/// each timing's bucket section.
+/// each timing's bucket section. `model_file` (`SCCFMDL2`) was added
+/// when the model file became one format.
 const GOLDEN_DIGESTS: &[(&str, u32)] = &[
     ("histories", 0x776113a8),
     ("user_state", 0xe13dc961),
@@ -1167,6 +1189,7 @@ const GOLDEN_DIGESTS: &[(&str, u32)] = &[
     ("checkpoint", 0x290ac080),
     ("wal_magic_and_one_frame", 0x5dea18af),
     ("param_store", 0xaac45f28),
+    ("model_file", 0x2144df1c),
     ("req_Hello", 0xd49758f3),
     ("req_Ping", 0xa505df1b),
     ("req_IngestBatch", 0x2ec3c3e8),

@@ -204,8 +204,9 @@ pub struct QueryScratch {
     /// ([`QueryScratch::new`]).
     users_seen: StampSet,
     /// Candidate / rerank buffers for an accelerated frozen tier
-    /// (HNSW beam state, ADC tables, bounded top-k). Unused — and
-    /// empty — under [`FrozenTierMode::Flat`].
+    /// (HNSW beam state, bounded top-k). Unused — and empty — under
+    /// [`FrozenTierMode::Flat`]; the UI-side HNSW item search reuses
+    /// its beam state.
     tier: TierScratch,
     /// UI-side ANN result buffer (`ui_ann` mode); capacity retained.
     ann_hits: Vec<Scored>,
@@ -418,20 +419,21 @@ impl ShardMap {
 }
 
 /// Compute all user representations, sharded across threads.
-fn infer_all_reps<M: InductiveUiModel>(
+fn infer_all_reps<M: InductiveUiModel, H: AsRef<[u32]> + Sync>(
     model: &M,
-    histories: &[Vec<u32>],
+    histories: &[H],
     threads: usize,
 ) -> Vec<Vec<f32>> {
+    let infer = |h: &H| model.infer_user(h.as_ref());
     if threads <= 1 || histories.len() < 2 * threads {
-        return histories.iter().map(|h| model.infer_user(h)).collect();
+        return histories.iter().map(infer).collect();
     }
     let chunk = histories.len().div_ceil(threads);
     let mut out: Vec<Vec<Vec<f32>>> = Vec::new();
     crossbeam::scope(|scope| {
         let handles: Vec<_> = histories
             .chunks(chunk)
-            .map(|shard| scope.spawn(move |_| shard.iter().map(|h| model.infer_user(h)).collect()))
+            .map(|shard| scope.spawn(move |_| shard.iter().map(infer).collect()))
             .collect();
         for h in handles {
             out.push(h.join().expect("inference shard panicked"));
@@ -517,10 +519,36 @@ impl<M: InductiveUiModel> Sccf<M> {
         let histories: Vec<Vec<u32>> = (0..split.n_users() as u32)
             .map(|u| split.train_plus_val(u))
             .collect();
-        let reps = infer_all_reps(&self.shared.model, &histories, self.shared.cfg.threads);
-        for (u, rep) in reps.iter().enumerate() {
-            self.reset_user_state(u as u32, &histories[u], rep);
+        self.derive_user_state(&histories);
+    }
+
+    /// Re-derive every owned user's index row (the representation
+    /// inferred from her history) and recent-item ring from
+    /// whole-population `histories`, indexed by global user id — the
+    /// one derive loop behind [`Sccf::refresh_for_test`] and
+    /// [`crate::RealtimeEngine::restore`]. Only owned users are
+    /// inferred; the rest of `histories` is not read.
+    pub(crate) fn derive_user_state(&mut self, histories: &[Vec<u32>]) {
+        let owned: Vec<&[u32]> = match self.owned_globals() {
+            None => histories.iter().map(Vec::as_slice).collect(),
+            Some(globals) => globals
+                .iter()
+                .map(|&g| &histories[g as usize][..])
+                .collect(),
+        };
+        let reps = infer_all_reps(self.model(), &owned, self.config().threads);
+        for (slot, (history, rep)) in owned.iter().zip(&reps).enumerate() {
+            self.user_index.update(slot as u32, rep);
+            self.user_comp.reset_user(slot as u32, history);
         }
+    }
+
+    /// The index row of the user in `slot`: the representation
+    /// `infer_user` returned for her current history, stored verbatim
+    /// by every write ([`FlatIndex::add`] / [`FlatIndex::update`]) — so
+    /// the realtime engine reads `m_u` here instead of inferring again.
+    pub(crate) fn user_row(&self, slot: usize) -> &[f32] {
+        self.user_index.vector(slot as u32)
     }
 
     /// The vector stored in / queried against the user index for `user`:
@@ -773,18 +801,6 @@ impl<M: InductiveUiModel> Sccf<M> {
         }
     }
 
-    /// Reset one user's derived state (index vector + recent items) from
-    /// a full history — the failover-restore path of the realtime engine.
-    /// On a shard view, unowned users have no slot here and are skipped
-    /// (restore stays whole-population; this shard holds none of their
-    /// state).
-    pub(crate) fn reset_user_state(&mut self, user: u32, history: &[u32], rep: &[f32]) {
-        if let Some(slot) = self.slot_of(user) {
-            self.user_index.update(slot, rep);
-            self.user_comp.reset_user(slot, history);
-        }
-    }
-
     /// Resolve a [`CandidateSource`] request against what this build
     /// actually has.
     fn resolve_source(&self, source: CandidateSource) -> Result<Option<&HnswIndex>, QueryError> {
@@ -866,14 +882,39 @@ impl<M: InductiveUiModel> Sccf<M> {
     /// under an explicit candidate source and exclusion policy, with
     /// the Table III infer/identify timing split measured per stage.
     ///
-    /// This is the mechanism behind `sccf_serving::api::ServingApi`:
-    /// ids are validated up front (no panics on bad input), and with
-    /// the defaults (`CandidateSource::Configured`,
+    /// Infers `m_u` from `history`, then builds the slate from it in
+    /// the private slate core, which validates the ids (no panics on
+    /// bad input). With the defaults (`CandidateSource::Configured`,
     /// [`Exclusion::History`]) the result is bit-identical to
-    /// [`Sccf::recommend_with`] — which is now a thin wrapper over this.
+    /// [`Sccf::recommend_with`] — a thin wrapper over this — and to
+    /// [`crate::RealtimeEngine::recommend_query`], which builds the same
+    /// slate from the user's index row instead of inferring.
     pub fn recommend_query(
         &self,
         user: u32,
+        history: &[u32],
+        k: usize,
+        source: CandidateSource,
+        exclusion: &Exclusion,
+        scratch: &mut QueryScratch,
+    ) -> Result<(Vec<Scored>, EventTiming), QueryError> {
+        let sw = Stopwatch::start();
+        let rep = self.shared.model.infer_user(history);
+        let infer_ms = sw.elapsed_ms();
+        let (slate, timing) = self.slate(user, &rep, history, k, source, exclusion, scratch)?;
+        Ok((slate, EventTiming { infer_ms, ..timing }))
+    }
+
+    /// The slate core, given the user's representation `rep`: validate
+    /// the user id, the candidate source and the extra exclusion ids,
+    /// then Eq. 11 neighbours, the candidate union and the fused top
+    /// `k`. The timing split it returns is all identifying
+    /// (`infer_ms` 0): `rep` is already there.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn slate(
+        &self,
+        user: u32,
+        rep: &[f32],
         history: &[u32],
         k: usize,
         source: CandidateSource,
@@ -891,14 +932,12 @@ impl<M: InductiveUiModel> Sccf<M> {
                 return Err(QueryError::UnknownItem { item: bad, n_items });
             }
         }
-        let mut sw = Stopwatch::start();
-        let rep = self.shared.model.infer_user(history);
-        let infer_ms = sw.lap_ms();
-        self.with_neighbors(user, &rep, scratch, |neighbors, scratch| {
+        let sw = Stopwatch::start();
+        self.with_neighbors(user, rep, scratch, |neighbors, scratch| {
             assemble_candidates_into(
                 &self.shared.model,
                 item_index,
-                &rep,
+                rep,
                 history,
                 self.shared.cfg.candidate_n,
                 exclusion,
@@ -906,24 +945,13 @@ impl<M: InductiveUiModel> Sccf<M> {
                 |uu| self.fill_uu_scores(neighbors, uu),
             )
         });
-        let fused = self
-            .shared
-            .integrator
-            .score(&scratch.cand, self.shared.model.item_embeddings());
-        let mut scored: Vec<Scored> = scratch
-            .cand
-            .items
-            .iter()
-            .zip(&fused)
-            .map(|(&id, &score)| Scored { id, score })
-            .collect();
-        scored.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
-        scored.truncate(k);
-        let identify_ms = sw.lap_ms();
+        let table = self.shared.model.item_embeddings();
+        let slate = self.shared.integrator.rank(&scratch.cand, table, k);
+        let identify_ms = sw.elapsed_ms();
         Ok((
-            scored,
+            slate,
             EventTiming {
-                infer_ms,
+                infer_ms: 0.0,
                 identify_ms,
             },
         ))
@@ -1191,9 +1219,9 @@ impl<M: InductiveUiModel> Sccf<M> {
 /// UI side: exact Eq. 10 (dense scan into the reused buffer) or, when
 /// `item_index` is present, an HNSW search over the item embeddings.
 /// UU side: sparse Eq. 12, produced by the caller-supplied `fill_uu`
-/// (the pluggable neighbor-source seam: local rings during build,
-/// merged live-ring + frozen-window accumulation in serving) — only
-/// ids touched by the neighborhood exist.
+/// (local rings during build, merged live-ring + frozen-window
+/// accumulation in serving) — only ids touched by the neighborhood
+/// exist.
 /// Union: UI list first, then new UU entries, deduped via stamp sets.
 /// `exclusion` decides the mask (history by default; see [`Exclusion`]).
 #[allow(clippy::too_many_arguments)]

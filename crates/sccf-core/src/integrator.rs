@@ -21,6 +21,7 @@ use sccf_tensor::nn::Mlp;
 use sccf_tensor::optim::{Adam, AdamConfig};
 use sccf_tensor::{Initializer, Mat, ParamStore, Tape};
 use sccf_util::rng::{rng_for, streams};
+use sccf_util::topk::Scored;
 use sccf_util::zscore_normalize;
 
 /// Integrator hyper-parameters.
@@ -144,6 +145,23 @@ impl Integrator {
         let x = tape.input(input);
         let logits = self.mlp.forward(&mut tape, x);
         tape.value(logits).data().to_vec()
+    }
+
+    /// The slate tail every fused ranking shares: score the union, order
+    /// it (descending score, ascending id on ties) and keep the top `k` —
+    /// `Sccf`'s slate and [`crate::RankingStage::rank`] (which keeps
+    /// every candidate) both end here.
+    pub(crate) fn rank(&self, cand: &CandidateFeatures, item_table: &Mat, k: usize) -> Vec<Scored> {
+        let fused = self.score(cand, item_table);
+        let mut scored: Vec<Scored> = cand
+            .items
+            .iter()
+            .zip(&fused)
+            .map(|(&id, &score)| Scored { id, score })
+            .collect();
+        scored.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
+        scored.truncate(k);
+        scored
     }
 
     /// Train on `(candidates, positive item)` pairs. Users whose positive

@@ -80,18 +80,8 @@ impl RankingStage {
             sccf.model().dim()
         );
         let cand = sccf.features_for(user, history, items);
-        if cand.is_empty() {
-            return Vec::new();
-        }
-        let fused = self.integrator.score(&cand, sccf.model().item_embeddings());
-        let mut scored: Vec<Scored> = cand
-            .items
-            .iter()
-            .zip(&fused)
-            .map(|(&id, &score)| Scored { id, score })
-            .collect();
-        scored.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
-        scored
+        self.integrator
+            .rank(&cand, sccf.model().item_embeddings(), usize::MAX)
     }
 
     /// Rank of `target` (1-based) in the re-ranked list, or `None` if the

@@ -102,13 +102,13 @@ pub struct RealtimeEngine<M: InductiveUiModel> {
     /// migration import, dropped on evict (the receiving shard marks the
     /// user instead).
     dirty: FxHashSet<u32>,
-    /// Global ids of users whose state changed since the last
-    /// [`RealtimeEngine::drain_tier_dirty_users`] — the *delta-refresh*
-    /// working set of the frozen global tier. Tracked independently of
-    /// `dirty` because checkpoints and tier refreshes drain on their own
-    /// cadences; marked and cleared at exactly the same sites, so after
-    /// a drain the set names precisely the users whose tier row could
-    /// differ from the last refresh watermark.
+    /// Global ids of users whose state changed since their last
+    /// [`RealtimeEngine::ack_tier_export`] — the *delta-refresh* working
+    /// set of the frozen global tier. Tracked independently of `dirty`
+    /// because checkpoints and tier refreshes clear on their own
+    /// cadences; marked at exactly the same sites, so the set names
+    /// precisely the users whose tier row could differ from the last
+    /// refresh watermark.
     tier_dirty: FxHashSet<u32>,
     scratch: QueryScratch,
 }
@@ -118,6 +118,13 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
     /// (whole-population, indexed by global user id). On a shard view
     /// the owned subset is moved into the compact slot layout; unowned
     /// entries are dropped — their state lives on their owning shard.
+    ///
+    /// Precondition: every owned user's index row is the representation
+    /// of her entry in `histories` — the state [`Sccf::refresh_for_test`],
+    /// [`Sccf::into_shards`] and [`RealtimeEngine::restore`] derive from
+    /// the same histories. The engine never infers again for a user
+    /// whose history has not changed: slates, neighbourhoods and
+    /// exports read the row.
     pub fn new(sccf: Sccf<M>, mut histories: Vec<Vec<u32>>) -> Self {
         let histories = match sccf.owned_globals() {
             None => histories,
@@ -211,12 +218,9 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         self.timings.infer.count() - self.tier_events_at_install
     }
 
-    /// The user's current Eq. 11 neighborhood (global ids), computed
-    /// from her stored history without mutating any state — the
-    /// diagnostic twin of the neighborhood
-    /// [`RealtimeEngine::try_process_event`] returns, used by the
-    /// cross-shard equivalence tests and the quality bench.
-    pub fn neighbors_of(&mut self, user: u32) -> Result<Vec<Scored>, QueryError> {
+    /// The slot holding `user`'s state, or the typed reason there is
+    /// none: outside the population, or owned by another shard.
+    fn slot(&self, user: u32) -> Result<usize, QueryError> {
         let n_users = self.sccf.user_count();
         if user as usize >= n_users {
             return Err(QueryError::UnknownUser { user, n_users });
@@ -224,9 +228,18 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         let slot = self
             .sccf
             .slot_of(user)
-            .ok_or(QueryError::NotOwned { user })? as usize;
-        let rep = self.sccf.model().infer_user(&self.histories[slot]);
-        Ok(self.sccf.neighbors_with(user, &rep, &mut self.scratch))
+            .ok_or(QueryError::NotOwned { user })?;
+        Ok(slot as usize)
+    }
+
+    /// The user's current Eq. 11 neighborhood (global ids), searched
+    /// with her index row without mutating any state — the diagnostic
+    /// twin of the neighborhood [`RealtimeEngine::try_process_event`]
+    /// returns, used by the cross-shard equivalence tests and the
+    /// quality bench.
+    pub fn neighbors_of(&mut self, user: u32) -> Result<Vec<Scored>, QueryError> {
+        let rep = self.sccf.user_row(self.slot(user)?);
+        Ok(self.sccf.neighbors_with(user, rep, &mut self.scratch))
     }
 
     /// The state change one interaction requires, shared by
@@ -267,10 +280,11 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
 
     /// Ingest one interaction — the write path: append to the history,
     /// re-infer the user representation, refresh her index row and
-    /// recent-items ring, mark her dirty. No Eq. 11 search: identifying
-    /// the neighborhood belongs to the request for a slate
-    /// ([`RealtimeEngine::recommend_query`] re-infers and re-identifies
-    /// from the state written here), so the cost of an event does not
+    /// recent-items ring, mark her dirty. This is the one place the
+    /// engine runs the model. No Eq. 11 search: identifying the
+    /// neighborhood belongs to the request for a slate
+    /// ([`RealtimeEngine::recommend_query`] reads the index row written
+    /// here and identifies from it), so the cost of an event does not
     /// depend on population or tier size. In the returned split
     /// `identify_ms` is the index maintenance. Invalid ids surface as
     /// [`QueryError`] before any state changes.
@@ -300,10 +314,14 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
     }
 
     /// Typed top-`k` recommendation: explicit candidate source and
-    /// exclusion policy, per-stage timing split, errors instead of
-    /// panics. The defaults are `CandidateSource::Configured` and
-    /// [`Exclusion::History`]. Reuses the engine's scratch: no
-    /// catalog-sized allocation.
+    /// exclusion policy, errors instead of panics. The defaults are
+    /// `CandidateSource::Configured` and [`Exclusion::History`]. Reuses
+    /// the engine's scratch: no catalog-sized allocation.
+    ///
+    /// `m_u` is the user's index row, not a fresh inference, so the
+    /// slate is bit-identical to [`Sccf::recommend_query`] over her
+    /// history and its `infer_ms` is 0: inferring is paid once per
+    /// event, by [`RealtimeEngine::apply_event`].
     pub fn recommend_query(
         &mut self,
         user: u32,
@@ -311,22 +329,12 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         source: CandidateSource,
         exclusion: &Exclusion,
     ) -> Result<(Vec<Scored>, EventTiming), QueryError> {
-        let n_users = self.sccf.user_count();
-        if user as usize >= n_users {
-            return Err(QueryError::UnknownUser { user, n_users });
-        }
-        let slot = self
+        let slot = self.slot(user)?;
+        let rep = self.sccf.user_row(slot);
+        let history = &self.histories[slot];
+        let out = self
             .sccf
-            .slot_of(user)
-            .ok_or(QueryError::NotOwned { user })? as usize;
-        let out = self.sccf.recommend_query(
-            user,
-            &self.histories[slot],
-            k,
-            source,
-            exclusion,
-            &mut self.scratch,
-        )?;
+            .slate(user, rep, history, k, source, exclusion, &mut self.scratch)?;
         self.recommends += 1;
         Ok(out)
     }
@@ -375,14 +383,6 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         }
     }
 
-    /// Serialize one owned user's complete serving state for a live
-    /// migration handoff: global id, freshly inferred representation,
-    /// and full history ([`encode_user_state`]). The recent-item ring
-    /// and the user-index row are both functions of these (ring = the
-    /// history's window tail, row = the representation), so the blob
-    /// carries everything the receiving shard needs to
-    /// [`RealtimeEngine::import_user`] the user bit-identically to an
-    /// offline snapshot restore.
     /// Global ids of every user this engine owns, sorted ascending —
     /// the whole population on the unsharded engine, the owned subset
     /// on a shard view. The durability layer's *full* checkpoint
@@ -444,14 +444,20 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         self.tier_dirty.insert(user);
     }
 
+    /// Serialize one owned user's complete serving state — global id,
+    /// index row and full history ([`encode_user_state`]) — for a live
+    /// migration handoff, a checkpoint or a tier refresh. The row is
+    /// the representation inferred when her history last changed, read
+    /// back rather than inferred again. The recent-item ring and the
+    /// user-index row are both functions of these (ring = the history's
+    /// window tail, row = the representation), so the blob carries
+    /// everything the receiving shard needs to
+    /// [`RealtimeEngine::import_user`] the user bit-identically to an
+    /// offline snapshot restore.
     pub fn export_user(&self, user: u32) -> Result<Vec<u8>, QueryError> {
-        let slot = self
-            .sccf
-            .slot_of(user)
-            .ok_or(QueryError::NotOwned { user })? as usize;
-        let history = &self.histories[slot];
-        let rep = self.sccf.model().infer_user(history);
-        Ok(encode_user_state(user, &rep, history))
+        let slot = self.slot(user)?;
+        let rep = self.sccf.user_row(slot);
+        Ok(encode_user_state(user, rep, &self.histories[slot]))
     }
 
     /// Adopt a user handed off from another shard: decode and validate
@@ -532,16 +538,18 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         }
     }
 
-    /// Rebuild an engine from a snapshot: decode the histories, then
-    /// re-infer every owned user's representation and reset index +
-    /// recent-item state. Timing statistics start fresh (they describe a
-    /// process lifetime, not the logical state).
+    /// Rebuild an engine from a snapshot: decode the histories,
+    /// validate them, re-derive every owned user's index row and
+    /// recent-item ring from them (the derive loop
+    /// [`Sccf::refresh_for_test`] runs), then [`RealtimeEngine::new`].
+    /// Timing statistics start fresh (they describe a process lifetime,
+    /// not the logical state).
     ///
     /// The snapshot is whole-population; a shard view restores (and
     /// keeps) only the users it owns, so the same artifact rehydrates a
     /// plain engine or any shard of a re-partitioned fleet.
     pub fn restore(mut sccf: Sccf<M>, bytes: &[u8]) -> Result<Self, SnapshotDecodeError> {
-        let mut histories = decode_histories(bytes)?;
+        let histories = decode_histories(bytes)?;
         if histories.len() != sccf.user_count() {
             return Err(SnapshotDecodeError::UserCountMismatch {
                 snapshot: histories.len(),
@@ -561,28 +569,8 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
                 });
             }
         }
-        let owned: Vec<u32> = match sccf.owned_globals() {
-            None => (0..histories.len() as u32).collect(),
-            Some(globals) => globals.to_vec(),
-        };
-        let mut compact = Vec::with_capacity(owned.len());
-        for &g in &owned {
-            let h = std::mem::take(&mut histories[g as usize]);
-            let rep = sccf.model().infer_user(&h);
-            sccf.reset_user_state(g, &h, &rep);
-            compact.push(h);
-        }
-        let scratch = sccf.new_scratch();
-        Ok(Self {
-            sccf,
-            histories: compact,
-            timings: EngineTimings::default(),
-            recommends: 0,
-            tier_events_at_install: 0,
-            dirty: FxHashSet::default(),
-            tier_dirty: FxHashSet::default(),
-            scratch,
-        })
+        sccf.derive_user_state(&histories);
+        Ok(Self::new(sccf, histories))
     }
 }
 

@@ -214,7 +214,7 @@ pub fn serve_shard_main(args: &[String]) -> Result<(), String> {
 /// loopback.
 pub fn run_shard_server(args: ServeShardArgs) -> Result<(), String> {
     let path = args.model_file.as_ref().ok_or(
-        "serve-shard needs --model-file: a member loads the launcher's model and never trains",
+        "serve-shard needs --model-file: a member loads the launcher's base model and never trains it",
     )?;
     let model = std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
     let world = args.world.build(Some(&model))?;

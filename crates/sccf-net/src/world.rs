@@ -10,10 +10,13 @@
 //! from the spec (synthetic dataset → leave-one-out split → FISM →
 //! `Sccf::build`, all seeded, all single-threaded).
 //!
-//! The one step shared as bytes is model training: the launcher runs
-//! [`WorldSpec::train_model`] once and writes the `SCCFMDL2` model file
-//! (`sccf_models::envelope`, checksummed), and every shard server is
-//! handed it with `--model-file` — a member never trains.
+//! The one step shared as bytes is base-model training: the launcher
+//! runs [`WorldSpec::train_model`] once and writes the `SCCFMDL2` model
+//! file (`sccf_models::envelope`, checksummed), and every shard server
+//! is handed it with `--model-file` — a member never trains the base
+//! model. It still trains the integrator in place, inside
+//! `Sccf::build`, on every start (seeded, so every process gets the
+//! same weights).
 //! [`WorldSpec::build`] checks the file's header against the spec
 //! (kind FISM, `dim`, `n_items`, `seed`; a mismatch names the field)
 //! before it allocates anything, then loads the identical floats.

@@ -132,7 +132,9 @@ pub struct RecResponse {
     pub items: Vec<Scored>,
     /// Table III split for this query: representation inference vs
     /// neighborhood + candidate + fusion work. Measured on the worker
-    /// thread that actually served the query.
+    /// thread that actually served the query. A served slate reads the
+    /// user's index row, so its `infer_ms` is 0; inferring is paid per
+    /// event.
     pub timing: EventTiming,
 }
 

@@ -581,7 +581,7 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
     }
 
     /// Collect one batch of exports into the in-flight refresh. Shards
-    /// infer in parallel; each export is acknowledged against the
+    /// export in parallel; each export is acknowledged against the
     /// shard's tier-dirty set as it happens — the blob feeds the
     /// snapshot being built, so the user is clean relative to it, and
     /// any event arriving after the export re-marks her for the next

@@ -274,8 +274,8 @@ pub const DEFAULT_HANDOFF_BATCH: usize = 64;
 
 /// Default users-per-batch for [`ShardedEngine::refresh_global_tier`].
 /// Each [`ShardedEngine::refresh_step`] blocks the router for one
-/// batch's export round trip (the inference runs on the worker
-/// threads), so — exactly like the reshard handoff batch — this bounds
+/// batch's export round trip (the workers encode the users' index rows
+/// and histories), so — exactly like the reshard handoff batch — this bounds
 /// the worst-case ingestion pause a background refresh can introduce.
 pub const DEFAULT_REFRESH_BATCH: usize = 256;
 

@@ -126,8 +126,9 @@ fn main() {
         .collect();
     let mut engine = RealtimeEngine::new(sccf, histories);
     let item = fused[0].id;
-    // The event updates history, representation and index row; the
-    // slate that follows re-infers and identifies the neighborhood.
+    // The event updates history, representation and index row (the
+    // one inference); the slate that follows reads that row and
+    // identifies the neighborhood, so its `infer` reads 0.
     engine.try_ingest(user, item).expect("ids are in range");
     let res = engine
         .try_recommend(user, &RecQuery::top(5))

@@ -80,8 +80,8 @@ const K: usize = USERS * ROUNDS;
 /// autograd tape — most of the count) and the returned slate; a shard
 /// view adds the frozen tier's top-β heap.
 const APPLY_ALLOCS: usize = 1;
-const RECOMMEND_ALLOCS_PLAIN: usize = 24;
-const RECOMMEND_ALLOCS_SHARD_VIEW: usize = 25;
+const RECOMMEND_ALLOCS_PLAIN: usize = 23;
+const RECOMMEND_ALLOCS_SHARD_VIEW: usize = 24;
 
 fn plain_and_shard_view(n_users: usize, n_items: usize) -> [RealtimeEngine<Fism>; 2] {
     let shape = WorldShape {

@@ -284,26 +284,91 @@ fn pipelined_ingest_matches_the_single_process_baseline_bit_for_bit() {
     baseline.flush().expect("baseline flush");
     assert_fleet_matches_baseline(&spec, &mut router, &mut baseline, "after pipelined stream");
 
-    // The servers actually pipelined: with multi-batch ingest, some
-    // frames must have been waiting in a member's read-ahead queue
-    // while its engine worked on an earlier one.
-    let stats = router.serving_stats().expect("fleet stats");
-    assert!(
-        stats.transport.requests > 0,
-        "transport counters cross the wire"
-    );
-    assert_eq!(stats.transport.read_ahead_capacity, 4, "default capacity");
-    assert!(
-        stats.transport.read_ahead_hits > 0,
-        "depth-4 ingest should land frames in the read-ahead queue \
-         (requests {}, hits {})",
-        stats.transport.requests,
-        stats.transport.read_ahead_hits
-    );
-
     router.shutdown_all().expect("graceful shutdown");
     sup.shutdown();
     baseline.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The read-ahead pin: a frame that lands while the member's engine is
+/// busy with an earlier one waits in the read-ahead queue, and the
+/// member counts the hit. One write carries a heavy request — a
+/// `RecommendMany` over every user the member owns, many times over —
+/// followed by a `Ping`, so the `Ping` is on the member's socket before
+/// the engine has started the slates. No race with the engine's speed
+/// decides the outcome (a pipelined ingest stream alone lands frames in
+/// the queue only when the engine is slower than the next frame).
+#[test]
+fn a_frame_that_lands_while_the_member_is_busy_is_a_read_ahead_hit() {
+    use sccf::util::framing::{read_frame, write_frame};
+    use std::io::Write;
+
+    let spec = spec();
+    let root = scratch_dir("read_ahead");
+    let model_path = root.join("model.fism");
+    std::fs::write(&model_path, spec.train_model()).expect("write model");
+    let sup = launch_fleet(&spec, &root, &model_path);
+
+    // Member 0's users: the ones it serves a slate for.
+    let mut direct = Connection::connect(sup.addr(0).as_str()).expect("dial member");
+    let owned: Vec<u32> = (0..spec.n_users as u32)
+        .filter(|&user| {
+            let req = Request::Recommend {
+                user,
+                query: RecQuery::top(8),
+            };
+            matches!(direct.request(&req), Ok(Response::Slate(_)))
+        })
+        .collect();
+    assert!(!owned.is_empty(), "member 0 owns users");
+    let before = member_stats(&sup, 0).transport;
+    assert_eq!(before.read_ahead_capacity, 4, "default capacity");
+
+    let heavy = Request::RecommendMany {
+        users: owned.repeat(32),
+        query: RecQuery::top(8),
+    };
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, &heavy.encode()).expect("frame heavy request");
+    write_frame(&mut bytes, &Request::Ping.encode()).expect("frame ping");
+    let mut stream = std::net::TcpStream::connect(sup.addr(0)).expect("dial member");
+    stream.write_all(&bytes).expect("one write, two frames");
+    let mut payload = Vec::new();
+    for expected in ["Slates", "Pong"] {
+        read_frame(&mut stream, &mut payload)
+            .expect("read response")
+            .expect("member answers both frames");
+        let resp = Response::decode(&payload).expect("decode response");
+        match (expected, resp) {
+            ("Slates", Response::Slates(slates)) => {
+                assert_eq!(slates.len(), owned.len() * 32, "one slate per user asked");
+            }
+            ("Pong", Response::Pong) => {}
+            (_, other) => panic!("expected {expected}, got {other:?}"),
+        }
+    }
+
+    let after = member_stats(&sup, 0).transport;
+    assert!(
+        after.requests >= before.requests + 2,
+        "transport counters cross the wire (before {}, after {})",
+        before.requests,
+        after.requests
+    );
+    assert!(
+        after.read_ahead_hits > before.read_ahead_hits,
+        "the Ping waited in the read-ahead queue while the member served \
+         the slates (requests {}, hits {} -> {})",
+        after.requests,
+        before.read_ahead_hits,
+        after.read_ahead_hits
+    );
+
+    drop(stream);
+    drop(direct);
+    let router = connect_router(&sup);
+    router.shutdown_all().expect("graceful shutdown");
+    sup.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -341,3 +341,150 @@ fn a_shard_view_refuses_a_tier_that_does_not_fit() {
         assert_same_slate(&top10(&mut shard, 0), &before, &format!("after {want}"));
     }
 }
+
+// ------------------------------------------------------------------
+// One derivation of `m_u`: the event infers it and stores it as the
+// index row; the slate, the neighbourhood and the export read the row.
+// ------------------------------------------------------------------
+
+/// Every owned user's slate equals the re-infer path
+/// (`Sccf::recommend_query` over her history) float bit for float bit,
+/// and the representation her `export_user` blob carries is
+/// `infer_user(history)` bit for bit.
+fn assert_rows_are_the_inferred_representations(
+    engine: &mut RealtimeEngine<sccf::models::AnyModel>,
+    ctx: &str,
+) {
+    let mut scratch = engine.sccf().new_scratch();
+    for user in engine.owned_users() {
+        let history = engine.history(user).to_vec();
+        let (want, _) = engine
+            .sccf()
+            .recommend_query(
+                user,
+                &history,
+                10,
+                CandidateSource::Configured,
+                &Exclusion::History,
+                &mut scratch,
+            )
+            .expect("valid user");
+        let (got, timing) = engine
+            .recommend_query(user, 10, CandidateSource::Configured, &Exclusion::History)
+            .expect("owned user");
+        assert_same_slate(&got, &want, &format!("{ctx}: slate of user {user}"));
+        assert_eq!(timing.infer_ms, 0.0, "{ctx}: a slate infers nothing");
+
+        let blob = engine.export_user(user).expect("owned user");
+        let (id, rep, exported) = sccf::core::decode_user_state(&blob).expect("valid blob");
+        assert_eq!(
+            (id, exported.as_slice()),
+            (user, history.as_slice()),
+            "{ctx}"
+        );
+        let inferred = engine.sccf().model().infer_user(&history);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(&rep), bits(&inferred), "{ctx}: row of user {user}");
+    }
+}
+
+#[test]
+fn every_model_kind_serves_the_representation_its_event_inferred() {
+    use rand::Rng;
+    use sccf::models::{ModelHeader, ModelKind};
+    use sccf::serving::{RouterKind, ServingApi, ShardedConfig, ShardedEngine};
+
+    let world = SyntheticConfig {
+        name: "kinds".into(),
+        n_users: 60,
+        n_items: 48,
+        n_categories: 6,
+        n_groups: 4,
+        mean_len: 10.0,
+        min_len: 6,
+        ..cfg()
+    };
+    let split = LeaveOneOut::split(&generate(&world, 17).dataset);
+    let (n_users, n_items) = (split.n_users() as u32, split.n_items() as u32);
+    let mut rng = sccf::util::rng::rng_for(23, 7);
+    let stream: Vec<(u32, u32)> = (0..300)
+        .map(|_| (rng.gen_range(0..n_users), rng.gen_range(0..n_items)))
+        .collect();
+    let sharded = |n_shards| ShardedConfig {
+        n_shards,
+        queue_capacity: 64,
+        router: RouterKind::Modulo,
+    };
+
+    for name in ["fism", "sasrec", "gru4rec", "caser", "avgpool"] {
+        let header = ModelHeader {
+            kind: ModelKind::parse(name).expect("known kind"),
+            dim: 8,
+            max_len: 12,
+            n_items: split.n_items(),
+            seed: 5,
+        };
+        // Two builds from one seed are the same floats.
+        let build = || {
+            let mut sccf = Sccf::build(
+                header.train(1, &split),
+                &split,
+                SccfConfig {
+                    user_based: UserBasedConfig {
+                        beta: 6,
+                        recent_window: 5,
+                    },
+                    candidate_n: 12,
+                    integrator: IntegratorConfig {
+                        epochs: 1,
+                        ..Default::default()
+                    },
+                    threads: 1,
+                    ui_ann: None,
+                    frozen_tier: sccf_core::FrozenTierMode::Flat,
+                },
+            );
+            sccf.refresh_for_test(&split);
+            sccf
+        };
+        let histories: Vec<Vec<u32>> = (0..n_users).map(|u| split.train_plus_val(u)).collect();
+
+        let mut plain = RealtimeEngine::new(build(), histories.clone());
+        for &(user, item) in &stream {
+            plain.apply_event(user, item).expect("ids in range");
+        }
+        assert_rows_are_the_inferred_representations(&mut plain, &format!("{name} unsharded"));
+
+        // 2 shards, a live reshard to 3 with traffic flowing, then a
+        // snapshot restored into a fresh 3-shard engine.
+        let mut fleet = ShardedEngine::try_new(build(), histories, sharded(2)).expect("fleet");
+        let (before, during) = stream.split_at(120);
+        fleet.ingest_batch(before).expect("ids in range");
+        fleet.begin_reshard(sharded(3), 4).expect("begin reshard");
+        let mut events = during.iter();
+        while fleet.is_migrating() {
+            for &(user, item) in events.by_ref().take(9) {
+                fleet.try_ingest(user, item).expect("mid-migration ingest");
+            }
+            fleet.reshard_step().expect("handoff batch");
+        }
+        for &(user, item) in events {
+            fleet.try_ingest(user, item).expect("post-migration ingest");
+        }
+        let snapshot = fleet.try_snapshot().expect("snapshot");
+        assert_eq!(snapshot, plain.snapshot(), "{name}: same histories");
+        let restored =
+            ShardedEngine::restore(plain.into_sccf(), &snapshot, sharded(3)).expect("restore");
+
+        for (how, fleet) in [("live-resharded", fleet), ("restored", restored)] {
+            let (mut engines, _) = fleet.shutdown_into_engines();
+            assert_eq!(engines.len(), 3, "{name} {how}");
+            for (s, engine) in engines.iter_mut().enumerate() {
+                assert_rows_are_the_inferred_representations(
+                    engine,
+                    &format!("{name} {how} shard {s}"),
+                );
+            }
+        }
+    }
+}

@@ -200,8 +200,8 @@ pub struct QueryScratch {
     /// User-id dedup for the two-tier merge: the fresh local tier's
     /// users are stamped so the frozen tier never resurfaces a stale
     /// vector for them. Population-sized, O(1) reset; grown on first
-    /// use when the scratch was built without a population
-    /// ([`QueryScratch::new`]).
+    /// use when a scratch sized for a smaller population serves a
+    /// larger one.
     users_seen: StampSet,
     /// Candidate / rerank buffers for an accelerated frozen tier
     /// (HNSW beam state, bounded top-k). Unused — and empty — under
@@ -213,18 +213,10 @@ pub struct QueryScratch {
 }
 
 impl QueryScratch {
-    /// Scratch for a catalog of `n_items`. User-domain buffers start
-    /// empty and grow on the first two-tier query; prefer
-    /// [`QueryScratch::for_population`] (what [`Sccf::new_scratch`]
-    /// uses) to pre-size them.
-    pub fn new(n_items: usize) -> Self {
-        Self::for_population(n_items, 0)
-    }
-
     /// Scratch for a catalog of `n_items` and a population of
     /// `n_users` — sizes the two-tier merge structures up front so the
     /// steady state performs no population-proportional allocation.
-    pub fn for_population(n_items: usize, n_users: usize) -> Self {
+    fn for_population(n_items: usize, n_users: usize) -> Self {
         Self {
             uu: UuScratch::new(n_items),
             ui_scores: vec![0.0; n_items],
@@ -380,27 +372,25 @@ impl<M: InductiveUiModel> SccfShared<M> {
 ///   its own per-user half over the same shared half.
 pub struct Sccf<M: InductiveUiModel> {
     shared: Arc<SccfShared<M>>,
-    /// Cosine index over current user representations (Eq. 11). In a
-    /// shard view this is *compact*: one slot per owned user, addressed
-    /// through `owned`.
+    /// Cosine index over current user representations (Eq. 11):
+    /// *compact*, one slot per owned user, addressed through `owned`.
     user_index: FlatIndex,
     user_comp: UserBasedComponent,
-    /// `None` — the unsharded instance: index slot = global user id.
-    /// `Some` — a shard view from [`Sccf::into_shards`]: the index holds
-    /// only owned users, and this map translates slot ↔ global ids, so
-    /// per-event neighbor scans cost O(owned users), not O(all users).
-    owned: Option<ShardMap>,
+    /// The users this view owns and their slots. Every `Sccf` is a
+    /// view: [`Sccf::build`] owns the whole population in id order,
+    /// [`Sccf::into_shards`] a partition of it, [`Sccf::empty_shard_view`]
+    /// nobody. Per-event neighbor scans cost O(owned users).
+    owned: ShardMap,
     /// Optional frozen *global tier* for two-tier Eq. 11 search
     /// ([`crate::RealtimeEngine::install_global_tier`]): an immutable
     /// whole-population snapshot merged with the mutable index above
-    /// (the fresh local delta — its vectors win). `None` (the default,
-    /// and always the state right after a build) keeps the historical
-    /// behavior bit-for-bit: unsharded instances search everyone, shard
-    /// views search their owned users only.
+    /// (the fresh local delta — its vectors win), so users this view
+    /// does not own can be neighbors. `None` (the default, and always
+    /// the state right after a build) searches the owned users only.
     global_tier: Option<Arc<GlobalNeighborSnapshot>>,
 }
 
-/// Slot ↔ global user-id translation for a shard view's compact index.
+/// Slot ↔ global user-id translation for a view's compact index.
 #[derive(Debug, Clone)]
 struct ShardMap {
     /// Global user id of each local index slot.
@@ -410,10 +400,22 @@ struct ShardMap {
 }
 
 impl ShardMap {
+    /// A map over a population of `n_users` whose slot `l` holds
+    /// `globals[l]`.
+    fn new(n_users: usize, globals: Vec<u32>) -> Self {
+        let mut local_of = vec![u32::MAX; n_users];
+        for (l, &g) in globals.iter().enumerate() {
+            local_of[g as usize] = l as u32;
+        }
+        Self { globals, local_of }
+    }
+
+    /// `user`'s slot; `None` when this view does not own her (ids
+    /// outside the population included).
     fn local(&self, user: u32) -> Option<u32> {
-        match self.local_of[user as usize] {
-            u32::MAX => None,
-            l => Some(l),
+        match self.local_of.get(user as usize) {
+            None | Some(&u32::MAX) => None,
+            Some(&l) => Some(l),
         }
     }
 }
@@ -445,7 +447,8 @@ fn infer_all_reps<M: InductiveUiModel, H: AsRef<[u32]> + Sync>(
 
 impl<M: InductiveUiModel> Sccf<M> {
     /// Build the framework: index training-time representations and train
-    /// the integrator on validation labels.
+    /// the integrator on validation labels. The result is the view that
+    /// owns every user, in id order.
     pub fn build(model: M, split: &LeaveOneOut, cfg: SccfConfig) -> Self {
         let n_users = split.n_users();
         let n_items = split.n_items();
@@ -471,34 +474,8 @@ impl<M: InductiveUiModel> Sccf<M> {
             n_items,
             train_histories.iter().cloned(),
         );
-        let mut integrator = Integrator::new(dim, cfg.integrator.clone());
-
-        // ---- integrator training set (Eq. 17) ----
-        // One scratch serves the whole loop; each user's features are
-        // cloned out of it into the example set.
-        let mut scratch = QueryScratch::new(n_items);
-        let mut examples: Vec<(CandidateFeatures, u32)> = Vec::new();
-        for u in split.val_users() {
-            let val = split.val_item(u).expect("val user");
-            let rep = &reps[u as usize];
-            let neighbors = user_index.search(rep, cfg.user_based.beta, Some(u));
-            assemble_candidates_into(
-                &model,
-                item_index.as_ref(),
-                rep,
-                &train_histories[u as usize],
-                cfg.candidate_n,
-                &Exclusion::History,
-                &mut scratch,
-                |uu| user_comp.scores_into(&neighbors, uu),
-            );
-            if !scratch.cand.is_empty() {
-                examples.push((scratch.cand.clone(), val));
-            }
-        }
-        integrator.train(&examples, model.item_embeddings());
-
-        Self {
+        let integrator = Integrator::new(dim, cfg.integrator.clone());
+        let mut sccf = Self {
             shared: Arc::new(SccfShared {
                 model,
                 cfg,
@@ -507,9 +484,35 @@ impl<M: InductiveUiModel> Sccf<M> {
             }),
             user_index,
             user_comp,
-            owned: None,
+            owned: ShardMap::new(n_users, (0..n_users as u32).collect()),
             global_tier: None,
+        };
+
+        // ---- integrator training set (Eq. 17) ----
+        // One scratch serves the whole loop; each user's features are
+        // cloned out of it into the example set.
+        let mut scratch = sccf.new_scratch();
+        let item_index = sccf.shared.item_index.as_ref();
+        let mut examples: Vec<(CandidateFeatures, u32)> = Vec::new();
+        for u in split.val_users() {
+            let val = split.val_item(u).expect("val user");
+            sccf.candidates_into(
+                u,
+                &reps[u as usize],
+                &train_histories[u as usize],
+                item_index,
+                &Exclusion::History,
+                &mut scratch,
+            );
+            if !scratch.cand.is_empty() {
+                examples.push((scratch.cand.clone(), val));
+            }
         }
+        let shared = Arc::get_mut(&mut sccf.shared).expect("a fresh build owns its shared half");
+        shared
+            .integrator
+            .train(&examples, shared.model.item_embeddings());
+        sccf
     }
 
     /// Advance every user's state from `train` to `train + val` — the
@@ -529,13 +532,11 @@ impl<M: InductiveUiModel> Sccf<M> {
     /// [`crate::RealtimeEngine::restore`]. Only owned users are
     /// inferred; the rest of `histories` is not read.
     pub(crate) fn derive_user_state(&mut self, histories: &[Vec<u32>]) {
-        let owned: Vec<&[u32]> = match self.owned_globals() {
-            None => histories.iter().map(Vec::as_slice).collect(),
-            Some(globals) => globals
-                .iter()
-                .map(|&g| &histories[g as usize][..])
-                .collect(),
-        };
+        let owned: Vec<&[u32]> = self
+            .owned_globals()
+            .iter()
+            .map(|&g| &histories[g as usize][..])
+            .collect();
         let reps = infer_all_reps(self.model(), &owned, self.config().threads);
         for (slot, (history, rep)) in owned.iter().zip(&reps).enumerate() {
             self.user_index.update(slot as u32, rep);
@@ -583,7 +584,9 @@ impl<M: InductiveUiModel> Sccf<M> {
         self.global_tier = None;
     }
 
-    /// The installed global tier, if any.
+    /// The installed global tier, if any. It supplies the neighbors
+    /// this view does not own, so a view that owns everyone never
+    /// scans it.
     pub fn global_tier(&self) -> Option<&GlobalNeighborSnapshot> {
         self.global_tier.as_deref()
     }
@@ -613,11 +616,10 @@ impl<M: InductiveUiModel> Sccf<M> {
     }
 
     /// Current neighborhood of a representation (Eq. 11), in *global*
-    /// user ids. On a shard view this merges the shard's fresh local
-    /// delta with the frozen global tier when one is installed
-    /// ([`crate::RealtimeEngine::install_global_tier`]); without one it
-    /// searches the shard's owned users only — the historical behavior,
-    /// bit-for-bit.
+    /// user ids: the view's fresh owned users merged with the frozen
+    /// global tier when one is installed
+    /// ([`crate::RealtimeEngine::install_global_tier`]), the owned users
+    /// only without one.
     /// One-shot form (allocates its merge buffers); the serving path
     /// goes through [`Sccf::neighbors_with`].
     pub fn neighbors(&self, user: u32, rep: &[f32]) -> Vec<Scored> {
@@ -691,53 +693,45 @@ impl<M: InductiveUiModel> Sccf<M> {
         out.clear();
         let beta = self.shared.cfg.user_based.beta;
         let local = self.user_index.search(query, beta, self.slot_of(user));
-        match &self.owned {
-            None => out.extend(local),
-            Some(map) => out.extend(local.into_iter().map(|mut h| {
-                h.id = map.globals[h.id as usize];
-                h
-            })),
-        }
+        let globals = &self.owned.globals;
+        out.extend(local.into_iter().map(|mut h| {
+            h.id = globals[h.id as usize];
+            h
+        }));
         let Some(tier) = &self.global_tier else {
             return;
         };
-        // An unsharded view owns the whole population: its fresh local
-        // tier covers everyone, so the frozen tier could never
-        // contribute — skip the O(population) scan instead of paying
-        // it to append nothing.
-        if self.owned.is_none() {
-            return;
-        }
+        // A view that owns everyone has a fresh local tier covering the
+        // whole population, so the frozen tier could only append
+        // nothing: skip its O(population) scan.
         let n_users = self.user_count();
-        if users_seen.slots() < n_users {
-            *users_seen = StampSet::new(n_users);
+        if globals.len() < n_users {
+            if users_seen.slots() < n_users {
+                *users_seen = StampSet::new(n_users);
+            }
+            users_seen.clear();
+            for h in out.iter() {
+                users_seen.insert(h.id);
+            }
+            let seen: &StampSet = users_seen;
+            let skip = |v: u32| v == user || seen.contains(v) || self.slot_of(v).is_some();
+            tier.search_append_with(query, beta, &skip, tier_scratch, out);
         }
-        users_seen.clear();
-        for h in out.iter() {
-            users_seen.insert(h.id);
-        }
-        let seen: &StampSet = users_seen;
-        let skip = |v: u32| v == user || seen.contains(v) || self.slot_of(v).is_some();
-        tier.search_append_with(query, beta, &skip, tier_scratch, out);
         out.sort_unstable_by(|a, b| b.cmp(a));
         out.truncate(beta);
     }
 
-    /// The per-user-state slot owning `user`: identity unsharded,
-    /// map lookup on a shard view (`None` = not owned by this shard).
+    /// The slot holding `user`'s per-user state, or `None` when this
+    /// view does not own her.
     pub(crate) fn slot_of(&self, user: u32) -> Option<u32> {
-        match &self.owned {
-            None => Some(user),
-            Some(map) => map.local(user),
-        }
+        self.owned.local(user)
     }
 
-    /// Global user id of every owned slot, in slot order — `None` on the
-    /// unsharded instance (slot = global id). The realtime engine uses
-    /// this to keep its history table *compact* on shard views and to
-    /// re-frame snapshots as whole-population artifacts.
-    pub(crate) fn owned_globals(&self) -> Option<&[u32]> {
-        self.owned.as_ref().map(|m| m.globals.as_slice())
+    /// Global user id of every owned slot, in slot order. The realtime
+    /// engine keeps its history table in the same slot order and maps
+    /// it through this to whole-population artifacts.
+    pub(crate) fn owned_globals(&self) -> &[u32] {
+        &self.owned.globals
     }
 
     /// Eq. 12 over a merged (global-id) neighborhood, into an already
@@ -792,26 +786,63 @@ impl<M: InductiveUiModel> Sccf<M> {
         self.user_comp.record(slot, item);
     }
 
-    /// Number of users this instance knows about (the full population —
-    /// a shard view still counts all users, it just *owns* a subset).
+    /// Number of users this view knows about: the full population,
+    /// whichever subset of it the view owns.
     pub fn user_count(&self) -> usize {
-        match &self.owned {
-            None => self.user_comp.n_users(),
-            Some(map) => map.local_of.len(),
-        }
+        self.owned.local_of.len()
     }
 
-    /// Resolve a [`CandidateSource`] request against what this build
-    /// actually has.
-    fn resolve_source(&self, source: CandidateSource) -> Result<Option<&HnswIndex>, QueryError> {
-        match source {
-            CandidateSource::Configured => Ok(self.shared.item_index.as_ref()),
-            CandidateSource::Exact => Ok(None),
+    /// Validate a query's candidate source and exclusion ids against
+    /// this build, before any work: [`CandidateSource::Ann`] needs
+    /// [`SccfConfig::ui_ann`], and every extra excluded id must be in
+    /// the catalog. Returns the item index the source resolves to
+    /// (`None` = the exact Eq. 10 scan).
+    pub fn check_query(
+        &self,
+        source: CandidateSource,
+        exclusion: &Exclusion,
+    ) -> Result<Option<&HnswIndex>, QueryError> {
+        let item_index = match source {
+            CandidateSource::Configured => self.shared.item_index.as_ref(),
+            CandidateSource::Exact => None,
             CandidateSource::Ann => match self.shared.item_index.as_ref() {
-                Some(idx) => Ok(Some(idx)),
-                None => Err(QueryError::AnnUnavailable),
+                Some(idx) => Some(idx),
+                None => return Err(QueryError::AnnUnavailable),
             },
+        };
+        let n_items = self.shared.model.n_items();
+        if let Exclusion::HistoryAnd(extra) = exclusion {
+            if let Some(&bad) = extra.iter().find(|&&i| i as usize >= n_items) {
+                return Err(QueryError::UnknownItem { item: bad, n_items });
+            }
         }
+        Ok(item_index)
+    }
+
+    /// The candidate step every slate, feature set and training example
+    /// runs: Eq. 11 neighbours of `user` from `rep`, then the Eq. 10 ∪
+    /// Eq. 12 candidate union with raw scores into `scratch.cand`.
+    fn candidates_into(
+        &self,
+        user: u32,
+        rep: &[f32],
+        history: &[u32],
+        item_index: Option<&HnswIndex>,
+        exclusion: &Exclusion,
+        scratch: &mut QueryScratch,
+    ) {
+        self.with_neighbors(user, rep, scratch, |neighbors, scratch| {
+            assemble_candidates_into(
+                &self.shared.model,
+                item_index,
+                rep,
+                history,
+                self.shared.cfg.candidate_n,
+                exclusion,
+                scratch,
+                |uu| self.fill_uu_scores(neighbors, uu),
+            )
+        });
     }
 
     /// Assemble the union candidate set with raw scores into
@@ -819,18 +850,15 @@ impl<M: InductiveUiModel> Sccf<M> {
     /// serving-path form of [`Sccf::candidate_features`].
     pub fn candidate_features_with(&self, user: u32, history: &[u32], scratch: &mut QueryScratch) {
         let rep = self.shared.model.infer_user(history);
-        self.with_neighbors(user, &rep, scratch, |neighbors, scratch| {
-            assemble_candidates_into(
-                &self.shared.model,
-                self.shared.item_index.as_ref(),
-                &rep,
-                history,
-                self.shared.cfg.candidate_n,
-                &Exclusion::History,
-                scratch,
-                |uu| self.fill_uu_scores(neighbors, uu),
-            )
-        });
+        let item_index = self.shared.item_index.as_ref();
+        self.candidates_into(
+            user,
+            &rep,
+            history,
+            item_index,
+            &Exclusion::History,
+            scratch,
+        );
     }
 
     /// The union candidate set with raw scores — the integrator's input.
@@ -882,9 +910,9 @@ impl<M: InductiveUiModel> Sccf<M> {
     /// under an explicit candidate source and exclusion policy, with
     /// the Table III infer/identify timing split measured per stage.
     ///
-    /// Infers `m_u` from `history`, then builds the slate from it in
-    /// the private slate core, which validates the ids (no panics on
-    /// bad input). With the defaults (`CandidateSource::Configured`,
+    /// Validates the user id, infers `m_u` from `history`, then builds
+    /// the slate from it in the private slate core, which validates the
+    /// query (no panics on bad input). With the defaults (`CandidateSource::Configured`,
     /// [`Exclusion::History`]) the result is bit-identical to
     /// [`Sccf::recommend_with`] — a thin wrapper over this — and to
     /// [`crate::RealtimeEngine::recommend_query`], which builds the same
@@ -898,6 +926,10 @@ impl<M: InductiveUiModel> Sccf<M> {
         exclusion: &Exclusion,
         scratch: &mut QueryScratch,
     ) -> Result<(Vec<Scored>, EventTiming), QueryError> {
+        let n_users = self.user_count();
+        if user as usize >= n_users {
+            return Err(QueryError::UnknownUser { user, n_users });
+        }
         let sw = Stopwatch::start();
         let rep = self.shared.model.infer_user(history);
         let infer_ms = sw.elapsed_ms();
@@ -905,11 +937,10 @@ impl<M: InductiveUiModel> Sccf<M> {
         Ok((slate, EventTiming { infer_ms, ..timing }))
     }
 
-    /// The slate core, given the user's representation `rep`: validate
-    /// the user id, the candidate source and the extra exclusion ids,
-    /// then Eq. 11 neighbours, the candidate union and the fused top
-    /// `k`. The timing split it returns is all identifying
-    /// (`infer_ms` 0): `rep` is already there.
+    /// The slate core, given an in-population `user` and her
+    /// representation `rep`: [`Sccf::check_query`], then the candidate
+    /// step and the fused top `k`. The timing split it returns is all
+    /// identifying (`infer_ms` 0): `rep` is already there.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn slate(
         &self,
@@ -921,30 +952,9 @@ impl<M: InductiveUiModel> Sccf<M> {
         exclusion: &Exclusion,
         scratch: &mut QueryScratch,
     ) -> Result<(Vec<Scored>, EventTiming), QueryError> {
-        let n_users = self.user_count();
-        if user as usize >= n_users {
-            return Err(QueryError::UnknownUser { user, n_users });
-        }
-        let item_index = self.resolve_source(source)?;
-        let n_items = self.shared.model.n_items();
-        if let Exclusion::HistoryAnd(extra) = exclusion {
-            if let Some(&bad) = extra.iter().find(|&&i| i as usize >= n_items) {
-                return Err(QueryError::UnknownItem { item: bad, n_items });
-            }
-        }
+        let item_index = self.check_query(source, exclusion)?;
         let sw = Stopwatch::start();
-        self.with_neighbors(user, rep, scratch, |neighbors, scratch| {
-            assemble_candidates_into(
-                &self.shared.model,
-                item_index,
-                rep,
-                history,
-                self.shared.cfg.candidate_n,
-                exclusion,
-                scratch,
-                |uu| self.fill_uu_scores(neighbors, uu),
-            )
-        });
+        self.candidates_into(user, rep, history, item_index, exclusion, scratch);
         let table = self.shared.model.item_embeddings();
         let slate = self.shared.integrator.rank(&scratch.cand, table, k);
         let identify_ms = sw.elapsed_ms();
@@ -1001,9 +1011,9 @@ impl<M: InductiveUiModel> Sccf<M> {
     ///   boundary), so the per-event neighbor scan costs O(owned users)
     ///   and total index + ring memory across shards stays one
     ///   population's worth. (The slot map — 4 bytes per user — is the
-    ///   only per-shard whole-population array *here*; the realtime
-    ///   engine wrapping a shard view still holds a full-length history
-    ///   table so snapshots stay whole-population, see ROADMAP.)
+    ///   only per-view whole-population array; the realtime engine's
+    ///   history table is compact too, and its snapshots are re-framed
+    ///   whole-population through the map.)
     ///
     /// Per-user state is **derived from `histories`** (re-inferring each
     /// owned user's representation), exactly like
@@ -1064,10 +1074,6 @@ impl<M: InductiveUiModel> Sccf<M> {
         shard_members
             .into_iter()
             .map(|globals| {
-                let mut local_of = vec![u32::MAX; n_users];
-                for (l, &g) in globals.iter().enumerate() {
-                    local_of[g as usize] = l as u32;
-                }
                 // Compact rings: row l belongs to global user globals[l].
                 // Only the window tail is copied — the rings keep no more.
                 let user_comp = UserBasedComponent::new(
@@ -1078,18 +1084,17 @@ impl<M: InductiveUiModel> Sccf<M> {
                         h[h.len().saturating_sub(window)..].to_vec()
                     }),
                 );
-                let mut shard = Sccf {
-                    shared: Arc::clone(&shared),
-                    user_index: FlatIndex::new(dim),
-                    user_comp,
-                    owned: Some(ShardMap { globals, local_of }),
-                    global_tier: None,
-                };
-                let map = shard.owned.as_ref().expect("just set");
-                for &g in &map.globals {
-                    shard.user_index.add(&reps[g as usize]);
+                let mut user_index = FlatIndex::new(dim);
+                for &g in &globals {
+                    user_index.add(&reps[g as usize]);
                 }
-                shard
+                Sccf {
+                    shared: Arc::clone(&shared),
+                    user_index,
+                    user_comp,
+                    owned: ShardMap::new(n_users, globals),
+                    global_tier: None,
+                }
             })
             .collect()
     }
@@ -1112,25 +1117,22 @@ impl<M: InductiveUiModel> Sccf<M> {
             shared: Arc::clone(shared),
             user_index: FlatIndex::new(shared.model.dim()),
             user_comp,
-            owned: Some(ShardMap {
-                globals: Vec::new(),
-                local_of: vec![u32::MAX; n_users],
-            }),
+            owned: ShardMap::new(n_users, Vec::new()),
             global_tier: None,
         }
     }
 
-    /// Adopt `user` into this shard view at the next free slot: index
+    /// Adopt `user` into this view at the next free slot: index
     /// row from the supplied representation, recent-item ring from the
     /// history tail — exactly the state [`Sccf::into_shards`] /
     /// [`crate::RealtimeEngine::restore`] would derive. The caller (the
     /// realtime engine's import path) stores the history itself.
     ///
     /// # Panics
-    /// If this is not a shard view or the user is already owned here —
-    /// the migration router must only import unowned users.
+    /// If the user is already owned here — the migration router must
+    /// only import unowned users.
     pub(crate) fn adopt_user(&mut self, user: u32, history: &[u32], rep: &[f32]) {
-        let map = self.owned.as_mut().expect("adopt_user on a shard view");
+        let map = &mut self.owned;
         assert_eq!(
             map.local_of[user as usize],
             u32::MAX,
@@ -1144,16 +1146,16 @@ impl<M: InductiveUiModel> Sccf<M> {
         self.user_comp.push_user(history);
     }
 
-    /// Evict `user` from this shard view, swap-removing its slot (the
+    /// Evict `user` from this view, swap-removing its slot (the
     /// view's last-slot user moves into the freed slot; the map mirrors
     /// the swap). Returns the freed slot so the caller can apply the
     /// same swap to slot-addressed state it owns (the engine's history
     /// table).
     ///
     /// # Panics
-    /// If this is not a shard view or the user is not owned here.
+    /// If the user is not owned here.
     pub(crate) fn evict_user(&mut self, user: u32) -> u32 {
-        let map = self.owned.as_mut().expect("evict_user on a shard view");
+        let map = &mut self.owned;
         let slot = match map.local(user) {
             Some(s) => s,
             None => panic!("evict_user: user {user} is not owned by this shard"),
@@ -1170,7 +1172,7 @@ impl<M: InductiveUiModel> Sccf<M> {
         slot
     }
 
-    /// Re-order a shard view's compact slots into ascending global-id
+    /// Re-order this view's compact slots into ascending global-id
     /// order — the canonical layout [`Sccf::into_shards`] (and therefore
     /// snapshot restore) produces. Incremental adopt/evict leaves slots
     /// in arrival order; after a migration quiesces, canonicalizing
@@ -1182,10 +1184,9 @@ impl<M: InductiveUiModel> Sccf<M> {
     ///
     /// Returns the permutation applied (`perm[new_slot] = old_slot`) so
     /// the caller can permute its own slot-addressed state, or `None` if
-    /// the layout was already canonical (always, on unsharded
-    /// instances).
+    /// the layout was already canonical.
     pub(crate) fn canonicalize_owned(&mut self) -> Option<Vec<u32>> {
-        let map = self.owned.as_ref()?;
+        let map = &self.owned;
         if map.globals.windows(2).all(|w| w[0] < w[1]) {
             return None;
         }
@@ -1201,12 +1202,8 @@ impl<M: InductiveUiModel> Sccf<M> {
             perm.iter()
                 .map(|&s| self.user_comp.recent_items(s).collect()),
         );
-        let map = self.owned.as_mut().expect("checked above");
         let globals: Vec<u32> = perm.iter().map(|&s| map.globals[s as usize]).collect();
-        for (l, &g) in globals.iter().enumerate() {
-            map.local_of[g as usize] = l as u32;
-        }
-        map.globals = globals;
+        self.owned = ShardMap::new(self.user_count(), globals);
         self.user_index = index;
         self.user_comp = comp;
         Some(perm)
@@ -1218,10 +1215,9 @@ impl<M: InductiveUiModel> Sccf<M> {
 ///
 /// UI side: exact Eq. 10 (dense scan into the reused buffer) or, when
 /// `item_index` is present, an HNSW search over the item embeddings.
-/// UU side: sparse Eq. 12, produced by the caller-supplied `fill_uu`
-/// (local rings during build, merged live-ring + frozen-window
-/// accumulation in serving) — only ids touched by the neighborhood
-/// exist.
+/// UU side: sparse Eq. 12, produced by `fill_uu` (live rings and
+/// frozen windows accumulated in one pass) — only ids touched by the
+/// neighborhood exist.
 /// Union: UI list first, then new UU entries, deduped via stamp sets.
 /// `exclusion` decides the mask (history by default; see [`Exclusion`]).
 #[allow(clippy::too_many_arguments)]
@@ -1358,7 +1354,7 @@ impl<M: InductiveUiModel> Recommender for Sccf<M> {
         EVAL_SCRATCH.with(|cell| {
             let mut slot = cell.borrow_mut();
             if !matches!(&*slot, Some(s) if s.n_items() == n_items) {
-                *slot = Some(QueryScratch::new(n_items));
+                *slot = Some(self.new_scratch());
             }
             let scratch = slot.as_mut().expect("scratch just ensured");
             self.candidate_features_with(user, history, scratch);

@@ -71,7 +71,10 @@ impl EngineTimings {
     }
 }
 
-/// Streaming wrapper around a built [`Sccf`] instance.
+/// Streaming wrapper around a built [`Sccf`] view: it holds the state
+/// of the users the view owns — everyone for [`Sccf::build`], one
+/// shard's users for [`Sccf::into_shards`] — and refuses the rest with
+/// [`QueryError::NotOwned`].
 ///
 /// The engine owns one [`QueryScratch`]; every recommendation reuses it,
 /// so steady-state serving performs no heap allocation proportional to
@@ -82,12 +85,11 @@ impl EngineTimings {
 /// serving layer's `ServingApi` rides on them.
 pub struct RealtimeEngine<M: InductiveUiModel> {
     sccf: Sccf<M>,
-    /// Per-user histories, grown as events arrive and addressed by
-    /// *slot*: global user id on the unsharded engine, compact
-    /// owned-user slot on a shard view (the slot↔global map lives in
-    /// the `Sccf`). A shard therefore stores only its own users'
-    /// histories — no O(population) table per shard — while snapshots
-    /// still round-trip whole-population through the map.
+    /// Per-user histories, grown as events arrive and addressed by the
+    /// view's compact owned-user *slot* (the slot↔global map lives in
+    /// the `Sccf`). An engine therefore stores only its own users'
+    /// histories, while snapshots still round-trip whole-population
+    /// through the map.
     histories: Vec<Vec<u32>>,
     timings: EngineTimings,
     /// Recommendation requests served (reported via `ServingStats`).
@@ -115,9 +117,9 @@ pub struct RealtimeEngine<M: InductiveUiModel> {
 
 impl<M: InductiveUiModel> RealtimeEngine<M> {
     /// Wrap a built framework with the users' current histories
-    /// (whole-population, indexed by global user id). On a shard view
-    /// the owned subset is moved into the compact slot layout; unowned
-    /// entries are dropped — their state lives on their owning shard.
+    /// (whole-population, indexed by global user id). The owned users'
+    /// entries move into the compact slot layout; the rest are dropped
+    /// — their state lives on their owning shard.
     ///
     /// Precondition: every owned user's index row is the representation
     /// of her entry in `histories` — the state [`Sccf::refresh_for_test`],
@@ -126,13 +128,11 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
     /// whose history has not changed: slates, neighbourhoods and
     /// exports read the row.
     pub fn new(sccf: Sccf<M>, mut histories: Vec<Vec<u32>>) -> Self {
-        let histories = match sccf.owned_globals() {
-            None => histories,
-            Some(globals) => globals
-                .iter()
-                .map(|&g| std::mem::take(&mut histories[g as usize]))
-                .collect(),
-        };
+        let histories = sccf
+            .owned_globals()
+            .iter()
+            .map(|&g| std::mem::take(&mut histories[g as usize]))
+            .collect();
         let scratch = sccf.new_scratch();
         Self {
             sccf,
@@ -156,8 +156,8 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         self.sccf
     }
 
-    /// The user's current history. On a shard view, users owned by other
-    /// shards report an empty history (their state lives elsewhere).
+    /// The user's current history; users this engine does not own
+    /// report an empty one (their state lives elsewhere).
     pub fn history(&self, user: u32) -> &[u32] {
         match self.sccf.slot_of(user) {
             Some(slot) => &self.histories[slot as usize],
@@ -174,22 +174,19 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         self.recommends
     }
 
-    /// Whether this engine holds `user`'s state: any in-population id on
-    /// the unsharded engine, the owned subset on a shard view. Batch
-    /// entry points pre-validate with this so "atomic" means atomic on
-    /// shard views too.
+    /// Whether this engine holds `user`'s state, i.e. whether
+    /// [`RealtimeEngine::check_user`] admits her.
     pub fn owns(&self, user: u32) -> bool {
-        (user as usize) < self.sccf.user_count() && self.sccf.slot_of(user).is_some()
+        self.check_user(user).is_ok()
     }
 
     /// Install a frozen global neighbor tier: Eq. 11 queries merge it
     /// with this engine's live per-user state from the next event on
-    /// (see [`crate::neighbor`]). On a shard worker this is driven by
-    /// the sharded engine's refresh epoch; the swap is one `Arc` store,
-    /// so it never stalls the event loop. On an *unsharded* engine the
-    /// tier is inert (the live index already covers the whole
-    /// population, and the merge skips the frozen scan entirely) —
-    /// only shard views gain neighbors from it.
+    /// (see [`crate::neighbor`]), so users the engine does not own can
+    /// be neighbors — an engine that owns everyone gains none and skips
+    /// the frozen scan. On a shard worker this is driven by the sharded
+    /// engine's refresh epoch; the swap is one `Arc` store, so it never
+    /// stalls the event loop.
     ///
     /// Rejects — installing nothing — a tier that does not fit this
     /// engine's population, vector dimension or catalog
@@ -218,9 +215,11 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         self.timings.infer.count() - self.tier_events_at_install
     }
 
-    /// The slot holding `user`'s state, or the typed reason there is
-    /// none: outside the population, or owned by another shard.
-    fn slot(&self, user: u32) -> Result<usize, QueryError> {
+    /// The admission check of every per-user entry point: the slot
+    /// holding `user`'s state, or the typed reason there is none —
+    /// outside the population ([`QueryError::UnknownUser`]) or owned by
+    /// another engine ([`QueryError::NotOwned`]).
+    pub fn check_user(&self, user: u32) -> Result<usize, QueryError> {
         let n_users = self.sccf.user_count();
         if user as usize >= n_users {
             return Err(QueryError::UnknownUser { user, n_users });
@@ -238,7 +237,7 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
     /// returns, used by the cross-shard equivalence tests and the
     /// quality bench.
     pub fn neighbors_of(&mut self, user: u32) -> Result<Vec<Scored>, QueryError> {
-        let rep = self.sccf.user_row(self.slot(user)?);
+        let rep = self.sccf.user_row(self.check_user(user)?);
         Ok(self.sccf.neighbors_with(user, rep, &mut self.scratch))
     }
 
@@ -248,18 +247,11 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
     /// goes back so the diagnostic form can search with it. The caller
     /// records the timing once it is complete.
     fn apply(&mut self, user: u32, item: u32) -> Result<(Vec<f32>, EventTiming), QueryError> {
-        let n_users = self.sccf.user_count();
-        if user as usize >= n_users {
-            return Err(QueryError::UnknownUser { user, n_users });
-        }
+        let slot = self.check_user(user)?;
         let n_items = self.sccf.model().n_items();
         if item as usize >= n_items {
             return Err(QueryError::UnknownItem { item, n_items });
         }
-        let slot = self
-            .sccf
-            .slot_of(user)
-            .ok_or(QueryError::NotOwned { user })? as usize;
         self.histories[slot].push(item);
 
         let mut sw = Stopwatch::start();
@@ -329,7 +321,7 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         source: CandidateSource,
         exclusion: &Exclusion,
     ) -> Result<(Vec<Scored>, EventTiming), QueryError> {
-        let slot = self.slot(user)?;
+        let slot = self.check_user(user)?;
         let rep = self.sccf.user_row(slot);
         let history = &self.histories[slot];
         let out = self
@@ -346,52 +338,34 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
     /// models' own `save_bytes`.
     ///
     /// The artifact is always framed whole-population (see
-    /// [`encode_histories`] for the byte format): a shard view writes
-    /// its owned users at their global positions and empty histories
-    /// elsewhere. The sharded engine merges shard exports instead — one
-    /// artifact, any engine shape restores it.
+    /// [`encode_histories`] for the byte format): the owned users at
+    /// their global positions, empty histories elsewhere. The sharded
+    /// engine merges shard exports instead — one artifact, any engine
+    /// shape restores it.
     pub fn snapshot(&self) -> Vec<u8> {
-        match self.sccf.owned_globals() {
-            None => encode_histories(&self.histories),
-            Some(globals) => {
-                let mut full = vec![Vec::new(); self.sccf.user_count()];
-                for (slot, &g) in globals.iter().enumerate() {
-                    full[g as usize] = self.histories[slot].clone();
-                }
-                encode_histories(&full)
-            }
+        let mut full: Vec<&[u32]> = vec![&[]; self.sccf.user_count()];
+        for (&g, h) in self.sccf.owned_globals().iter().zip(&self.histories) {
+            full[g as usize] = h;
         }
+        encode_histories(&full)
     }
 
-    /// The `(global user id, history)` pairs this engine owns — every
-    /// user on the unsharded engine, the owned subset on a shard view.
-    /// The sharded engine's snapshot path merges these across shards
-    /// into one whole-population artifact.
+    /// The `(global user id, history)` pairs this engine owns, in slot
+    /// order. The sharded engine's snapshot path merges these across
+    /// shards into one whole-population artifact.
     pub fn export_histories(&self) -> Vec<(u32, Vec<u32>)> {
-        match self.sccf.owned_globals() {
-            None => self
-                .histories
-                .iter()
-                .enumerate()
-                .map(|(u, h)| (u as u32, h.clone()))
-                .collect(),
-            Some(globals) => globals
-                .iter()
-                .zip(&self.histories)
-                .map(|(&g, h)| (g, h.clone()))
-                .collect(),
-        }
+        self.sccf
+            .owned_globals()
+            .iter()
+            .zip(&self.histories)
+            .map(|(&g, h)| (g, h.clone()))
+            .collect()
     }
 
-    /// Global ids of every user this engine owns, sorted ascending —
-    /// the whole population on the unsharded engine, the owned subset
-    /// on a shard view. The durability layer's *full* checkpoint
-    /// exports exactly these users.
+    /// Global ids of every user this engine owns, sorted ascending. The
+    /// durability layer's *full* checkpoint exports exactly these users.
     pub fn owned_users(&self) -> Vec<u32> {
-        let mut users: Vec<u32> = match self.sccf.owned_globals() {
-            None => (0..self.sccf.user_count() as u32).collect(),
-            Some(globals) => globals.to_vec(),
-        };
+        let mut users = self.sccf.owned_globals().to_vec();
         users.sort_unstable();
         users
     }
@@ -455,7 +429,7 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
     /// [`RealtimeEngine::import_user`] the user bit-identically to an
     /// offline snapshot restore.
     pub fn export_user(&self, user: u32) -> Result<Vec<u8>, QueryError> {
-        let slot = self.slot(user)?;
+        let slot = self.check_user(user)?;
         let rep = self.sccf.user_row(slot);
         Ok(encode_user_state(user, rep, &self.histories[slot]))
     }
@@ -464,11 +438,9 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
     /// an [`RealtimeEngine::export_user`] blob, then install the history
     /// and the derived state (index row from the carried representation,
     /// ring from the history tail). Returns the adopted user's global
-    /// id. Rejects corrupt blobs, out-of-range ids and users this view
-    /// already owns with a typed error before touching any state — on
-    /// an unsharded engine every import therefore returns
-    /// [`SnapshotDecodeError::AlreadyOwned`] (it owns everyone), so
-    /// only shard views can meaningfully import.
+    /// id. Rejects corrupt blobs, out-of-range ids and users this
+    /// engine already owns ([`SnapshotDecodeError::AlreadyOwned`]) with
+    /// a typed error before touching any state.
     pub fn import_user(&mut self, bytes: &[u8]) -> Result<u32, SnapshotDecodeError> {
         let (user, rep, history) = decode_user_state(bytes)?;
         let n_users = self.sccf.user_count();
@@ -504,17 +476,8 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
     /// history row and the derived per-user state. Call after
     /// [`RealtimeEngine::export_user`] — the order matters, export
     /// reads the state evict destroys.
-    ///
-    /// # Panics
-    /// If the engine is not a shard view — only migration between shard
-    /// views evicts users.
     pub fn evict_user(&mut self, user: u32) -> Result<(), QueryError> {
-        if self.sccf.owned_globals().is_none() {
-            panic!("evict_user: only shard views hand users off");
-        }
-        if self.sccf.slot_of(user).is_none() {
-            return Err(QueryError::NotOwned { user });
-        }
+        self.check_user(user)?;
         let slot = self.sccf.evict_user(user);
         self.histories.swap_remove(slot as usize);
         self.dirty.remove(&user);
@@ -522,12 +485,11 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         Ok(())
     }
 
-    /// Re-order this shard view's compact slots into the canonical
+    /// Re-order this engine's compact slots into the canonical
     /// ascending-global-id layout (see `Sccf::canonicalize_owned`).
     /// After a live migration quiesces, this makes the engine's state
     /// bit-identical to an offline `snapshot` + `restore` of the same
-    /// histories. No-op (and free) when the layout is already canonical,
-    /// including on unsharded engines.
+    /// histories. No-op (and free) when the layout is already canonical.
     pub fn canonicalize_owned(&mut self) {
         if let Some(perm) = self.sccf.canonicalize_owned() {
             let mut old = std::mem::take(&mut self.histories);
@@ -545,9 +507,9 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
     /// Timing statistics start fresh (they describe a process lifetime,
     /// not the logical state).
     ///
-    /// The snapshot is whole-population; a shard view restores (and
-    /// keeps) only the users it owns, so the same artifact rehydrates a
-    /// plain engine or any shard of a re-partitioned fleet.
+    /// The snapshot is whole-population; the engine restores (and
+    /// keeps) only the users its view owns, so the same artifact
+    /// rehydrates a plain engine or any shard of a re-partitioned fleet.
     pub fn restore(mut sccf: Sccf<M>, bytes: &[u8]) -> Result<Self, SnapshotDecodeError> {
         let histories = decode_histories(bytes)?;
         if histories.len() != sccf.user_count() {
@@ -617,11 +579,12 @@ pub fn decode_user_state(bytes: &[u8]) -> Result<(u32, Vec<f32>, Vec<u32>), Snap
 /// and `ShardedEngine::try_snapshot`, consumed by [`RealtimeEngine::restore`]
 /// and `ShardedEngine::restore` at *any* shard count (offline
 /// resharding N→M re-partitions at load time).
-pub fn encode_histories(histories: &[Vec<u32>]) -> Vec<u8> {
+pub fn encode_histories<H: AsRef<[u32]>>(histories: &[H]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + histories.len() * 8);
     out.extend_from_slice(SNAPSHOT_MAGIC);
     put_u64(&mut out, histories.len() as u64);
     for h in histories {
+        let h = h.as_ref();
         put_u32(&mut out, h.len() as u32);
         put_u32s(&mut out, h);
     }

@@ -424,11 +424,6 @@ impl FleetRouter {
         self.fan_out_done("install-tier", &Request::InstallTier(bytes.to_vec()))
     }
 
-    /// Drop the frozen tier on every member.
-    pub fn clear_tier(&mut self) -> Result<(), ServingError> {
-        self.fan_out_done("clear-tier", &Request::ClearTier)
-    }
-
     /// Validate every event, then split the batch into one
     /// [`Request::IngestBatch`] per owning member. Validation comes
     /// first so a batch is atomic for validation failures even though

@@ -314,7 +314,7 @@ pub struct NeighborhoodStats {
     pub tier_bytes: u64,
     /// Mean wall-clock nanoseconds of one frozen-tier search, measured
     /// by probe queries when the snapshot was installed (0 before the
-    /// first install, and on the plain engine where the tier is inert).
+    /// first install, and on the plain engine, which runs no probe).
     pub tier_search_ns: f64,
     /// Users the last completed refresh exported — the whole population
     /// on a full refresh, the dirty set on a delta refresh. 0 before
@@ -546,43 +546,11 @@ pub trait ServingApi {
     fn snapshot_state(&mut self) -> Result<Vec<u8>, ServingError>;
 }
 
-/// Shared pre-validation for the plain engine's batch entry points:
-/// user ids in range *and owned* (a shard view obtained from
-/// `ShardedEngine::shutdown_into_engines` owns a subset), so "atomic"
-/// holds there too — mirroring the sharded router's checks exactly.
-fn check_plain_user<M: InductiveUiModel>(
-    engine: &RealtimeEngine<M>,
-    user: u32,
-) -> Result<(), ServingError> {
-    let n_users = engine.sccf().user_count();
-    if user as usize >= n_users {
-        return Err(ServingError::UnknownUser { user, n_users });
-    }
-    if !engine.owns(user) {
-        return Err(ServingError::NotOwned { user });
-    }
-    Ok(())
-}
-
-/// Query pre-validation matching `ShardedEngine`'s router checks (ANN
-/// availability, exclusion-id ranges), so the two implementations agree
-/// on edge cases like an unsatisfiable query over an empty user list.
-fn check_plain_query<M: InductiveUiModel>(
-    engine: &RealtimeEngine<M>,
-    query: &RecQuery,
-) -> Result<(), ServingError> {
-    if query.source == CandidateSource::Ann && engine.sccf().config().ui_ann.is_none() {
-        return Err(ServingError::AnnUnavailable);
-    }
-    if let Exclusion::HistoryAnd(extra) = &query.exclude {
-        let n_items = engine.sccf().model().n_items();
-        if let Some(&item) = extra.iter().find(|&&i| i as usize >= n_items) {
-            return Err(ServingError::UnknownItem { item, n_items });
-        }
-    }
-    Ok(())
-}
-
+// Batches are validated up front with the engine's own admission
+// checks (`RealtimeEngine::check_user`, `Sccf::check_query`) — in range
+// *and owned* — so "atomic" holds on an engine that owns a subset too,
+// and both implementations agree on edge cases like an unsatisfiable
+// query over an empty user list.
 impl<M: InductiveUiModel> ServingApi for RealtimeEngine<M> {
     fn try_ingest(&mut self, user: u32, item: u32) -> Result<Option<EventTiming>, ServingError> {
         self.apply_event(user, item)
@@ -595,7 +563,7 @@ impl<M: InductiveUiModel> ServingApi for RealtimeEngine<M> {
         // failure, same contract as the sharded engine.
         let n_items = self.sccf().model().n_items();
         for &(user, item) in events {
-            check_plain_user(self, user)?;
+            self.check_user(user)?;
             if item as usize >= n_items {
                 return Err(ServingError::UnknownItem { item, n_items });
             }
@@ -618,9 +586,9 @@ impl<M: InductiveUiModel> ServingApi for RealtimeEngine<M> {
         query: &RecQuery,
     ) -> Result<Vec<RecResponse>, ServingError> {
         for &user in users {
-            check_plain_user(self, user)?;
+            self.check_user(user)?;
         }
-        check_plain_query(self, query)?;
+        self.sccf().check_query(query.source, &query.exclude)?;
         users
             .iter()
             .map(|&u| self.try_recommend(u, query))
@@ -632,8 +600,8 @@ impl<M: InductiveUiModel> ServingApi for RealtimeEngine<M> {
     }
 
     fn serving_stats(&mut self) -> Result<ServingStats, ServingError> {
-        // The tier is inert on the unsharded engine (its live index
-        // covers everyone), so there is no frozen search to time.
+        // `tier_search_ns` stays 0: the install-time probe that measures
+        // it belongs to the sharded engine's refresh.
         let neighborhood =
             NeighborhoodStats::of_tier(self.sccf().global_tier(), self.events_since_tier_install());
         Ok(ServingStats {

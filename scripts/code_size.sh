@@ -53,6 +53,11 @@
 # two `impl … for` blocks across crates/, src/, tests/, examples/ and
 # benchmark/src: a trait with one implementor is a seam nothing uses —
 # call the type. A test fake counts as an implementor.
+#
+# Exits 1 if a `pub fn` under crates/*/src or src/ is named by no
+# non-comment line under crates/, src/, tests/, examples/ or
+# benchmark/src other than a `fn <name>` definition, naming it: every
+# public function has a caller, and a test counts as one.
 set -euo pipefail
 
 code_lines() { xargs -r cat | grep -cvE '^\s*(//|$)' || true; }
@@ -162,6 +167,20 @@ for t in $(grep -rhoE --include='*.rs' '^\s*pub trait [A-Za-z_][A-Za-z0-9_]*' cr
   fi
 done
 [ "$lonely" -eq 0 ] || exit 1
+
+# Every `pub fn` has a caller. One pass: the identifiers of every
+# non-comment line, with `fn <name>` definitions blanked out, against
+# the names the `pub fn`s define.
+pub_fns=$(grep -rhoE --include='*.rs' '^\s*pub fn [A-Za-z_][A-Za-z0-9_]*' crates/*/src src |
+  awk '{print $3}' | sort -u)
+named=$(find crates src tests examples benchmark/src -name '*.rs' | xargs -r cat |
+  grep -vE '^\s*//' | sed -E 's/\bfn [A-Za-z_][A-Za-z0-9_]*//g' |
+  grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
+uncalled=$(comm -23 <(echo "$pub_fns") <(echo "$named"))
+if [ -n "$uncalled" ]; then
+  echo "error: pub fn with no caller (tests count, comments do not): $(echo $uncalled)" >&2
+  exit 1
+fi
 
 if grep -nE 'criterion|parking_lot' Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml benchmark/Cargo.toml; then
   echo 'error: a deleted shim is named in a manifest (see the lines above)' >&2

@@ -278,6 +278,54 @@ fn sharded_two_tier_ingest_equals_the_searching_plain_engine() {
     fleet.shutdown();
 }
 
+/// `Sccf::build` is the view that owns everyone, so its engine hands a
+/// user off like any shard: export, evict, import into an engine over
+/// an empty view of the same shared half. With a frozen tier holding
+/// everyone else, the moved user's slate keeps its bits, and the two
+/// engines' histories merge back into the original snapshot bytes.
+#[test]
+fn an_engine_that_owns_everyone_hands_a_user_off() {
+    use sccf::core::{decode_user_state, encode_histories};
+    use std::sync::Arc;
+
+    let (split, mut source, _) = build();
+    let n_users = split.n_users();
+    let moved = 7u32;
+    let slate = top10(&mut source, moved);
+    let snapshot = source.snapshot();
+    let shared = Arc::clone(source.sccf().shared());
+    let tier = shared.build_neighbor_snapshot(
+        1,
+        n_users,
+        (0..n_users as u32).map(|u| {
+            decode_user_state(&source.export_user(u).expect("owned")).expect("well-formed blob")
+        }),
+    );
+
+    let blob = source.export_user(moved).expect("owned");
+    source.evict_user(moved).expect("owned");
+    assert!(!source.owns(moved));
+    let mut target = RealtimeEngine::new(
+        Sccf::empty_shard_view(&shared, n_users),
+        vec![Vec::new(); n_users],
+    );
+    assert_eq!(target.import_user(&blob), Ok(moved));
+    target
+        .install_global_tier(Arc::new(tier))
+        .expect("tier fits");
+    assert_same_slate(&top10(&mut target, moved), &slate, "moved user");
+
+    let mut merged = vec![Vec::new(); n_users];
+    for (user, history) in source
+        .export_histories()
+        .into_iter()
+        .chain(target.export_histories())
+    {
+        merged[user as usize] = history;
+    }
+    assert_eq!(encode_histories(&merged), snapshot);
+}
+
 /// Regression: a shard view is public API (`Sccf::into_shards` +
 /// `RealtimeEngine::new`), and its `install_global_tier` used to take
 /// any decodable tier — each of these panicked the next slate (the

@@ -330,6 +330,63 @@ fn shard_view_engine_batches_are_atomic_for_unowned_users() {
         .is_empty());
 }
 
+/// Regression: one bad event — a user this engine does not host, an
+/// item past the catalog — gets one error whichever entry point it
+/// comes in by. Ownership is checked before the item everywhere, so
+/// the plain engine's `try_ingest` no longer answers `UnknownItem`
+/// where its own `ingest_batch` and the sharded router answer
+/// `NotOwned`.
+#[test]
+fn a_foreign_user_with_a_bad_item_is_not_owned_at_every_entry_point() {
+    let seed = 47u64;
+    let (split, histories) = world(seed);
+    let config = |n_shards, router| ShardedConfig {
+        n_shards,
+        queue_capacity: 16,
+        router,
+    };
+    let fleet = ShardedEngine::try_new(
+        build_sccf(&split, seed),
+        histories.clone(),
+        config(2, RouterKind::Modulo),
+    )
+    .expect("valid config");
+    let (mut engines, _) = fleet.shutdown_into_engines();
+    let mut view = engines.remove(0);
+    // One process's window of a two-shard ring: it hosts shard 0 only.
+    let slice_router = RouterKind::Slice {
+        total: 2,
+        base: 0,
+        vnodes: 0,
+    };
+    let mut slice =
+        ShardedEngine::try_new(build_sccf(&split, seed), histories, config(1, slice_router))
+            .expect("valid config");
+
+    let bad_item = N_ITEMS;
+    let foreign = (0..N_USERS)
+        .find(|&u| !view.owns(u))
+        .expect("2 shards ⇒ shard 0 does not own everyone");
+    let not_owned = ServingError::NotOwned { user: foreign };
+    let err = view.try_ingest(foreign, bad_item).expect_err("bad event");
+    assert_eq!(err, not_owned, "RealtimeEngine::try_ingest");
+    let err = view
+        .ingest_batch(&[(foreign, bad_item)])
+        .expect_err("bad event");
+    assert_eq!(err, not_owned, "RealtimeEngine::ingest_batch");
+
+    let foreign = (0..N_USERS)
+        .find(|&u| slice.neighbors_of(u).is_err())
+        .expect("a one-of-two window does not host everyone");
+    let err = slice.try_ingest(foreign, bad_item).expect_err("bad event");
+    assert_eq!(
+        err,
+        ServingError::NotOwned { user: foreign },
+        "ShardedEngine::try_ingest"
+    );
+    slice.shutdown();
+}
+
 #[test]
 fn forced_exact_source_matches_configured_on_scan_builds() {
     let seed = 5u64;

@@ -1056,7 +1056,17 @@ impl<M: InductiveUiModel> Sccf<M> {
         assert!(n_shards > 0, "need at least one shard");
         let n_users = self.user_count();
         assert_eq!(histories.len(), n_users, "one history per indexed user");
-        let shared = self.shared;
+        // Only the shared half outlives the consumed view: its index,
+        // rings and slot map are freed here, before every user's
+        // representation and every shard's copy are built.
+        let Sccf {
+            shared,
+            user_index,
+            user_comp,
+            owned,
+            global_tier,
+        } = self;
+        drop((user_index, user_comp, owned, global_tier));
         let dim = shared.model.dim();
         let n_items = shared.model.n_items();
         // One threaded pass over the whole population (each user's

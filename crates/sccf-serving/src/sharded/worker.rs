@@ -107,7 +107,8 @@ pub(super) enum ShardMsg {
         reply: Sender<Result<Vec<Scored>, ServingError>>,
     },
     /// Arm durability on this worker: every later `Event` is appended
-    /// to `wal` *before* it is applied. `dirty` re-marks users whose
+    /// to `wal` — grouped with the events queued behind it, one write
+    /// per group — *before* it is applied. `dirty` re-marks users whose
     /// WAL records were replayed by recovery, so the next incremental
     /// checkpoint covers them.
     Durability { wal: WalWriter, dirty: Vec<u32> },
@@ -211,28 +212,55 @@ fn shard_worker<M: InductiveUiModel>(
         queue_capacity,
         tier_dirty: engine.tier_dirty_count() as u64,
     };
+    // The events of one WAL write group, reused from group to group.
+    let mut group: Vec<WalRecord> = Vec::new();
+    // A message taken off the queue while a group was drained that is
+    // not an `Event`: handled before anything else is received, so
+    // FIFO order holds across the drain.
+    let mut held: Option<ShardMsg> = None;
     // Ends when every sender is dropped and the queue is drained — the
     // graceful-shutdown path.
-    while let Ok(msg) = rx.recv() {
+    while let Some(msg) = held.take().or_else(|| rx.recv().ok()) {
         match msg {
             ShardMsg::Event { seq, user, item } => {
-                // Write-ahead: the record must be in the log before the
-                // state changes, or a crash between the two could
-                // acknowledge an event that recovery cannot replay. An
-                // I/O failure here is unrecoverable for the durability
-                // contract — surface it loudly rather than serve
-                // un-logged state.
+                group.clear();
+                group.push(WalRecord { seq, user, item });
                 if let Some(w) = walw.as_mut() {
-                    if let Err(e) = w.append(WalRecord { seq, user, item }) {
+                    // Group commit: the events already queued behind
+                    // this one join it, up to the WAL's next fsync
+                    // point and at most one queue's worth, and the
+                    // whole group is one write. Write-ahead holds for
+                    // each of them: every record is in the log before
+                    // any state changes, or a crash between the two
+                    // could acknowledge an event that recovery cannot
+                    // replay. An I/O failure here is unrecoverable for
+                    // the durability contract — surface it loudly
+                    // rather than serve un-logged state.
+                    let bound = w.until_sync().min(queue_capacity);
+                    while group.len() < bound {
+                        match rx.try_recv() {
+                            Ok(ShardMsg::Event { seq, user, item }) => {
+                                group.push(WalRecord { seq, user, item });
+                            }
+                            Ok(other) => {
+                                held = Some(other);
+                                break;
+                            }
+                            Err(_) => break,
+                        }
+                    }
+                    if let Err(e) = w.append_all(&group) {
                         panic!("shard {shard}: wal append: {e}");
                     }
                 }
-                // The router pre-validates ids, so an error here means a
-                // routing bug — surface it loudly.
-                if let Err(e) = engine.apply_event(user, item) {
-                    panic!("shard {shard}: {e}");
+                for rec in &group {
+                    // The router pre-validates ids, so an error here
+                    // means a routing bug — surface it loudly.
+                    if let Err(e) = engine.apply_event(rec.user, rec.item) {
+                        panic!("shard {shard}: {e}");
+                    }
                 }
-                events += 1;
+                events += group.len() as u64;
             }
             ShardMsg::Recommend { user, query, reply } => {
                 let res = engine

@@ -9,9 +9,13 @@
 //! `[tag: u8 = 1][seq: u64 le][user: u32 le][item: u32 le]`; `seq` is
 //! the router-assigned global event sequence number, which totally
 //! orders events across shard files at replay time. Shard workers
-//! append *before* applying the event and `fsync` every
-//! `fsync_every` records, so the unsynced tail — the only region a
-//! crash can tear — is bounded by the fsync cadence. Checkpoints
+//! log a *group* of queued events with one `write_all`
+//! ([`WalWriter::append_all`]) *before* applying any of them, and
+//! `fsync` every `fsync_every` records; a group never crosses an fsync
+//! point, so the file bytes, every synced prefix and [`WalStatus`] are
+//! those of one append per record, whatever the grouping. The unsynced
+//! tail — the only region a crash can tear — is bounded by the fsync
+//! cadence. Checkpoints
 //! rotate the log ([`WalWriter::rotate`]): the active segment is
 //! sealed by rename to `wal-{shard}-{max_seq:016}.log` once the
 //! checkpoint watermark covers it, and sealed segments below the
@@ -204,11 +208,13 @@ pub struct WalStatus {
 
 /// Append-side handle to one shard's WAL file.
 ///
-/// Appends are `write_all` of a pre-encoded frame (one reusable buffer,
-/// no per-record allocation) followed by an `fsync` every
-/// `fsync_every` records. The writer tracks `synced_len` so the chaos
-/// harness can simulate a crash by truncating the file to exactly what
-/// a real power loss would have preserved.
+/// An append is one `write_all` of a group of records' pre-encoded
+/// frames (one reusable buffer, no per-record allocation), cut at
+/// every fsync point: the `fsync` lands after exactly every
+/// `fsync_every`-th record, as if each record were written alone. The
+/// writer tracks `synced_len` so the chaos harness can simulate a
+/// crash by truncating the file to exactly what a real power loss
+/// would have preserved.
 pub struct WalWriter {
     file: fs::File,
     /// The active segment's path — kept so [`WalWriter::rotate`] can
@@ -224,8 +230,10 @@ pub struct WalWriter {
     /// the seal decision and the sealed segment's name both come from
     /// it.
     max_seq: u64,
+    /// One record's payload, encoded before it is framed.
     buf: Vec<u8>,
-    frame: Vec<u8>,
+    /// One write's frames; grows to the largest group written.
+    frames: Vec<u8>,
 }
 
 impl WalWriter {
@@ -250,7 +258,7 @@ impl WalWriter {
             fsync_every: fsync_every.max(1),
             max_seq: 0,
             buf: Vec::with_capacity(RECORD_PAYLOAD_LEN),
-            frame: Vec::with_capacity(RECORD_FRAME_LEN),
+            frames: Vec::with_capacity(RECORD_FRAME_LEN),
         })
     }
 
@@ -280,25 +288,47 @@ impl WalWriter {
             fsync_every: fsync_every.max(1),
             max_seq,
             buf: Vec::with_capacity(RECORD_PAYLOAD_LEN),
-            frame: Vec::with_capacity(RECORD_FRAME_LEN),
+            frames: Vec::with_capacity(RECORD_FRAME_LEN),
         })
     }
 
     /// Append one record; fsyncs when the batch cadence is reached.
     /// Call *before* applying the event to engine state.
     pub fn append(&mut self, rec: WalRecord) -> Result<(), WalError> {
-        encode_record_into(&mut self.buf, rec);
-        self.frame.clear();
-        write_frame(&mut self.frame, &self.buf)?;
-        self.file.write_all(&self.frame)?;
-        self.len += self.frame.len() as u64;
-        self.appended += 1;
-        self.pending += 1;
-        self.max_seq = self.max_seq.max(rec.seq);
-        if self.pending >= self.fsync_every {
-            self.sync()?;
+        self.append_all(&[rec])
+    }
+
+    /// Append `records` in order — one `write_all` per run of records
+    /// up to the next fsync point, then the fsync when the run reaches
+    /// it, so a group that stops at the fsync point is one write. Call
+    /// *before* applying any of the events to engine state.
+    pub fn append_all(&mut self, records: &[WalRecord]) -> Result<(), WalError> {
+        let mut rest = records;
+        while !rest.is_empty() {
+            let (run, tail) = rest.split_at(rest.len().min(self.until_sync()));
+            self.frames.clear();
+            for &rec in run {
+                encode_record_into(&mut self.buf, rec);
+                write_frame(&mut self.frames, &self.buf)?;
+            }
+            self.file.write_all(&self.frames)?;
+            self.max_seq = run.iter().fold(self.max_seq, |m, r| m.max(r.seq));
+            self.len += self.frames.len() as u64;
+            self.appended += run.len() as u64;
+            // `run` is at most `until_sync()` ≤ `fsync_every` records.
+            self.pending += run.len() as u32;
+            if self.pending >= self.fsync_every {
+                self.sync()?;
+            }
+            rest = tail;
         }
         Ok(())
+    }
+
+    /// Records that can still be appended before the next fsync —
+    /// the largest group [`WalWriter::append_all`] writes at once.
+    pub(crate) fn until_sync(&self) -> usize {
+        (self.fsync_every - self.pending) as usize
     }
 
     /// Segment rotation, called after a checkpoint: seal the active
@@ -612,6 +642,70 @@ mod tests {
         let got: Vec<WalRecord> = scan.records.iter().map(|&(_, r)| r).collect();
         let want: Vec<WalRecord> = (0..10).map(rec).collect();
         assert_eq!(got, want);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Group commit is invisible on disk: a random record stream
+    /// appended in random groups — each no longer than the distance to
+    /// the next fsync point, the worker's bound — leaves the file bytes
+    /// and every status field equal to one `append` per record, checked
+    /// after every group.
+    #[test]
+    fn append_all_pins_bytes_and_status_to_per_record_appends() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let dir = tmp_dir("group_pin");
+        for fsync_every in [1u32, 3, 64] {
+            for seed in 0..8u64 {
+                let mut rng = StdRng::seed_from_u64(seed * 131 + u64::from(fsync_every));
+                let records: Vec<WalRecord> = (1..=rng.gen_range(1..300u64))
+                    .map(|seq| WalRecord {
+                        seq,
+                        user: rng.gen_range(0..u32::MAX),
+                        item: rng.gen_range(0..u32::MAX),
+                    })
+                    .collect();
+                let one_path = dir.join(format!("one-{fsync_every}-{seed}.log"));
+                let all_path = dir.join(format!("all-{fsync_every}-{seed}.log"));
+                let mut one = WalWriter::create(&one_path, fsync_every).unwrap();
+                let mut all = WalWriter::create(&all_path, fsync_every).unwrap();
+                let mut rest = &records[..];
+                while !rest.is_empty() {
+                    let most = all.until_sync().min(rest.len());
+                    let (group, tail) = rest.split_at(rng.gen_range(1..most + 1));
+                    all.append_all(group).unwrap();
+                    for &rec in group {
+                        one.append(rec).unwrap();
+                    }
+                    assert_eq!(all.status(), one.status(), "fsync_every {fsync_every}");
+                    assert_eq!(fs::read(&all_path).unwrap(), fs::read(&one_path).unwrap());
+                    rest = tail;
+                }
+                let st = all.status();
+                assert_eq!(st.appended, records.len() as u64);
+                assert_eq!(st.syncs, records.len() as u64 / u64::from(fsync_every));
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A group longer than the distance to the fsync point is cut
+    /// there: the syncs land where per-record appends put them.
+    #[test]
+    fn append_all_syncs_at_every_fsync_point_inside_a_group() {
+        let dir = tmp_dir("group_cut");
+        let path = wal_path(&dir, 0);
+        let mut w = WalWriter::create(&path, 3).unwrap();
+        w.append(rec(0)).unwrap();
+        w.append_all(&(1..8).map(rec).collect::<Vec<_>>()).unwrap();
+        let st = w.status();
+        assert_eq!((st.appended, st.syncs), (8, 2));
+        assert_eq!(
+            st.len - st.synced_len,
+            2 * RECORD_FRAME_LEN as u64,
+            "records 7 and 8 wait for the third sync"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -727,3 +727,141 @@ fn point_in_time_restore_stops_exactly_at_target() {
     reference.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ------------------------------------------------------- group commit
+
+/// Every file in a durability directory, by name, with its bytes.
+fn dir_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("durability dir lists")
+        .map(|entry| {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).expect("durability file reads"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// A durable fleet behind queues deep enough that a large batch sits
+/// queued while the workers drain it in write groups.
+fn durable_deep_fleet(w: &World, dir: &Path, fsync_every: u32) -> ShardedEngine<Fism> {
+    let cfg = ShardedConfig {
+        queue_capacity: 256,
+        ..shard_cfg(2)
+    };
+    let mut fleet = ShardedEngine::try_new(fresh_sccf(w), w.histories.clone(), cfg)
+        .expect("valid fleet config");
+    fleet
+        .enable_durability(durability(dir, fsync_every))
+        .expect("fresh directory");
+    fleet
+}
+
+/// The shard worker logs the events queued behind one another as one
+/// write group: the same stream fed as large queued batches (groups as
+/// long as the fsync interval allows) and one event per barrier (groups
+/// of one) leaves byte-identical WAL segments and checkpoints, equal
+/// WAL statuses, and bit-identical state.
+#[test]
+fn group_commit_leaves_the_bytes_of_one_write_per_event() {
+    const EVENTS: u64 = 600;
+    const CHECKPOINT_AT: u64 = 350;
+    let w = world();
+    for fsync_every in [1u32, 3, 64] {
+        let dir_batch = scratch_dir(&format!("group_batch_{fsync_every}"));
+        let dir_single = scratch_dir(&format!("group_single_{fsync_every}"));
+        let stream: Vec<(u32, u32)> = (0..EVENTS).map(|k| event_at(w, k)).collect();
+        let (head, tail) = stream.split_at(CHECKPOINT_AT as usize);
+
+        let mut batched = durable_deep_fleet(w, &dir_batch, fsync_every);
+        batched.ingest_batch(head).expect("ids in range");
+        batched.checkpoint().expect("checkpoint");
+        batched.ingest_batch(tail).expect("ids in range");
+
+        let mut single = durable_deep_fleet(w, &dir_single, fsync_every);
+        for (k, &(u, i)) in stream.iter().enumerate() {
+            if k as u64 == CHECKPOINT_AT {
+                single.checkpoint().expect("checkpoint");
+            }
+            single.try_ingest(u, i).expect("ids in range");
+            single.flush().expect("barrier");
+        }
+
+        let context = format!("fsync_every {fsync_every}");
+        assert_eq!(
+            batched.wal_status().expect("durability enabled"),
+            single.wal_status().expect("durability enabled"),
+            "{context}: WAL statuses"
+        );
+        batched.checkpoint().expect("checkpoint");
+        single.checkpoint().expect("checkpoint");
+        assert_fleets_identical(&mut batched, &mut single, &context);
+        batched.shutdown();
+        single.shutdown();
+        let (batch_files, single_files) = (dir_files(&dir_batch), dir_files(&dir_single));
+        let names = |files: &[(String, Vec<u8>)]| -> Vec<String> {
+            files.iter().map(|(name, _)| name.clone()).collect()
+        };
+        assert_eq!(names(&batch_files), names(&single_files), "{context}");
+        assert!(
+            names(&batch_files).iter().any(|n| n.starts_with("wal-0-")),
+            "{context}: a sealed segment exists"
+        );
+        for ((name, a), (_, b)) in batch_files.iter().zip(&single_files) {
+            assert!(a == b, "{context}: {name} diverges");
+        }
+        let _ = std::fs::remove_dir_all(&dir_batch);
+        let _ = std::fs::remove_dir_all(&dir_single);
+    }
+}
+
+/// A request queued behind a batch is not drained into its write
+/// group: with no barrier anywhere, a slate requested between two
+/// batches sees all of the first and none of the second.
+#[test]
+fn group_commit_keeps_fifo_across_the_drain() {
+    const EVENTS: u64 = 400;
+    let w = world();
+    let user = 5u32;
+    // `user` clicks throughout both batches, last in the first one, so
+    // the request is queued right behind an event of hers.
+    let mut stream: Vec<(u32, u32)> = (0..EVENTS).map(|k| event_at(w, k)).collect();
+    for (k, ev) in stream.iter_mut().enumerate().step_by(7) {
+        ev.0 = user;
+        ev.1 = (k % w.n_items) as u32;
+    }
+    let (a, b) = stream.split_at(EVENTS as usize / 2);
+    let mut a = a.to_vec();
+    a.push((user, 3));
+
+    let dir = scratch_dir("group_fifo");
+    let mut fleet = durable_deep_fleet(w, &dir, 64);
+    fleet.ingest_batch(&a).expect("ids in range");
+    let between = fleet
+        .try_recommend(user, &RecQuery::top(5))
+        .expect("valid user");
+    fleet.ingest_batch(b).expect("ids in range");
+
+    let mut reference = fresh_fleet(w, 2);
+    reference.ingest_batch(&a).expect("ids in range");
+    reference.flush().expect("barrier");
+    let after_a = reference
+        .try_recommend(user, &RecQuery::top(5))
+        .expect("valid user");
+    let bits = |r: &sccf::serving::RecResponse| -> Vec<(u32, u32)> {
+        r.items.iter().map(|s| (s.id, s.score.to_bits())).collect()
+    };
+    assert_eq!(
+        bits(&between),
+        bits(&after_a),
+        "the slate between the batches must be the slate after the first alone"
+    );
+    reference.ingest_batch(b).expect("ids in range");
+    reference.flush().expect("barrier");
+    assert_fleets_identical(&mut fleet, &mut reference, "after both batches");
+    fleet.shutdown();
+    reference.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

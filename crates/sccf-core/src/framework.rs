@@ -128,6 +128,102 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
+/// Whether a request may enter at all — the one admission rule every
+/// entry point runs (the engine, the sharded engine, the fleet router),
+/// so they answer one bad request with one [`QueryError`]. The order is
+/// part of the rule: the user's range, then the user's placement, then the
+/// item; a query's source, then its excluded ids.
+///
+/// Placement stays with the caller, as a closure: `None` means the
+/// user is not hosted here ([`QueryError::NotOwned`]); `Some` is
+/// handed back (a slot, a shard, a member). The closure runs only for
+/// in-population users. Nothing here allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Admission {
+    /// Population size: user ids are `0..n_users`.
+    pub n_users: usize,
+    /// Catalog size: item ids are `0..n_items`.
+    pub n_items: usize,
+    /// An HNSW item index is built ([`SccfConfig::ui_ann`]), so
+    /// [`CandidateSource::Ann`] can be served.
+    pub ann: bool,
+}
+
+impl Admission {
+    /// Admit `user`: in the population ([`QueryError::UnknownUser`]),
+    /// then placed by `place` ([`QueryError::NotOwned`] on `None`).
+    pub fn user<P>(
+        &self,
+        user: u32,
+        place: impl FnOnce(u32) -> Option<P>,
+    ) -> Result<P, QueryError> {
+        let n_users = self.n_users;
+        if user as usize >= n_users {
+            return Err(QueryError::UnknownUser { user, n_users });
+        }
+        place(user).ok_or(QueryError::NotOwned { user })
+    }
+
+    /// Admit one item id: in the catalog ([`QueryError::UnknownItem`]).
+    pub fn item(&self, item: u32) -> Result<(), QueryError> {
+        let n_items = self.n_items;
+        if item as usize >= n_items {
+            return Err(QueryError::UnknownItem { item, n_items });
+        }
+        Ok(())
+    }
+
+    /// Admit one `(user, item)` event: [`Admission::user`] first, then
+    /// the item ([`QueryError::UnknownItem`]).
+    pub fn event<P>(
+        &self,
+        user: u32,
+        item: u32,
+        place: impl FnOnce(u32) -> Option<P>,
+    ) -> Result<P, QueryError> {
+        let placed = self.user(user, place)?;
+        self.item(item)?;
+        Ok(placed)
+    }
+
+    /// Admit a query: [`CandidateSource::Ann`] needs the item index
+    /// ([`QueryError::AnnUnavailable`]), and every extra excluded id
+    /// must be in the catalog.
+    pub fn query(&self, source: CandidateSource, exclusion: &Exclusion) -> Result<(), QueryError> {
+        if source == CandidateSource::Ann && !self.ann {
+            return Err(QueryError::AnnUnavailable);
+        }
+        if let Exclusion::HistoryAnd(extra) = exclusion {
+            extra.iter().try_for_each(|&i| self.item(i))?;
+        }
+        Ok(())
+    }
+
+    /// Admit a whole batch of events before any is applied: the first
+    /// failing event's error, or `Ok` for all of them.
+    pub fn events<P>(
+        &self,
+        events: &[(u32, u32)],
+        place: impl Fn(u32) -> Option<P>,
+    ) -> Result<(), QueryError> {
+        events
+            .iter()
+            .try_for_each(|&(user, item)| self.event(user, item, &place).map(drop))
+    }
+
+    /// Admit a whole list of users before any is served: the first
+    /// failing user's error, or `Ok` for all of them.
+    pub fn users<P>(
+        &self,
+        users: &[u32],
+        place: impl Fn(u32) -> Option<P>,
+    ) -> Result<(), QueryError> {
+        users
+            .iter()
+            .try_for_each(|&user| self.user(user, &place).map(drop))
+    }
+}
+
 /// Framework hyper-parameters.
 #[derive(Debug, Clone)]
 pub struct SccfConfig {
@@ -792,31 +888,15 @@ impl<M: InductiveUiModel> Sccf<M> {
         self.owned.local_of.len()
     }
 
-    /// Validate a query's candidate source and exclusion ids against
-    /// this build, before any work: [`CandidateSource::Ann`] needs
-    /// [`SccfConfig::ui_ann`], and every extra excluded id must be in
-    /// the catalog. Returns the item index the source resolves to
-    /// (`None` = the exact Eq. 10 scan).
-    pub fn check_query(
-        &self,
-        source: CandidateSource,
-        exclusion: &Exclusion,
-    ) -> Result<Option<&HnswIndex>, QueryError> {
-        let item_index = match source {
-            CandidateSource::Configured => self.shared.item_index.as_ref(),
-            CandidateSource::Exact => None,
-            CandidateSource::Ann => match self.shared.item_index.as_ref() {
-                Some(idx) => Some(idx),
-                None => return Err(QueryError::AnnUnavailable),
-            },
-        };
-        let n_items = self.shared.model.n_items();
-        if let Exclusion::HistoryAnd(extra) = exclusion {
-            if let Some(&bad) = extra.iter().find(|&&i| i as usize >= n_items) {
-                return Err(QueryError::UnknownItem { item: bad, n_items });
-            }
+    /// The admission rule of this view: its population, its catalog
+    /// and whether it has an item index to serve
+    /// [`CandidateSource::Ann`].
+    pub fn admission(&self) -> Admission {
+        Admission {
+            n_users: self.user_count(),
+            n_items: self.shared.model.n_items(),
+            ann: self.shared.item_index.is_some(),
         }
-        Ok(item_index)
     }
 
     /// The candidate step every slate, feature set and training example
@@ -910,9 +990,10 @@ impl<M: InductiveUiModel> Sccf<M> {
     /// under an explicit candidate source and exclusion policy, with
     /// the Table III infer/identify timing split measured per stage.
     ///
-    /// Validates the user id, infers `m_u` from `history`, then builds
-    /// the slate from it in the private slate core, which validates the
-    /// query (no panics on bad input). With the defaults (`CandidateSource::Configured`,
+    /// Admits the user ([`Admission::user`]), infers `m_u` from
+    /// `history`, then builds the slate from it in the private slate
+    /// core, which admits the query (no panics on bad input). With the
+    /// defaults (`CandidateSource::Configured`,
     /// [`Exclusion::History`]) the result is bit-identical to
     /// [`Sccf::recommend_with`] — a thin wrapper over this — and to
     /// [`crate::RealtimeEngine::recommend_query`], which builds the same
@@ -926,10 +1007,7 @@ impl<M: InductiveUiModel> Sccf<M> {
         exclusion: &Exclusion,
         scratch: &mut QueryScratch,
     ) -> Result<(Vec<Scored>, EventTiming), QueryError> {
-        let n_users = self.user_count();
-        if user as usize >= n_users {
-            return Err(QueryError::UnknownUser { user, n_users });
-        }
+        self.admission().user(user, Some)?;
         let sw = Stopwatch::start();
         let rep = self.shared.model.infer_user(history);
         let infer_ms = sw.elapsed_ms();
@@ -938,7 +1016,7 @@ impl<M: InductiveUiModel> Sccf<M> {
     }
 
     /// The slate core, given an in-population `user` and her
-    /// representation `rep`: [`Sccf::check_query`], then the candidate
+    /// representation `rep`: [`Admission::query`], then the candidate
     /// step and the fused top `k`. The timing split it returns is all
     /// identifying (`infer_ms` 0): `rep` is already there.
     #[allow(clippy::too_many_arguments)]
@@ -952,7 +1030,11 @@ impl<M: InductiveUiModel> Sccf<M> {
         exclusion: &Exclusion,
         scratch: &mut QueryScratch,
     ) -> Result<(Vec<Scored>, EventTiming), QueryError> {
-        let item_index = self.check_query(source, exclusion)?;
+        self.admission().query(source, exclusion)?;
+        let item_index = match source {
+            CandidateSource::Exact => None,
+            CandidateSource::Configured | CandidateSource::Ann => self.shared.item_index.as_ref(),
+        };
         let sw = Stopwatch::start();
         self.candidates_into(user, rep, history, item_index, exclusion, scratch);
         let table = self.shared.model.item_embeddings();

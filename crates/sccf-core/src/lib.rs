@@ -87,7 +87,7 @@ pub mod realtime;
 pub mod user_component;
 
 pub use framework::{
-    CandidateSource, Exclusion, QueryError, QueryScratch, Sccf, SccfConfig, SccfShared,
+    Admission, CandidateSource, Exclusion, QueryError, QueryScratch, Sccf, SccfConfig, SccfShared,
     TIER_BUILD_SEED,
 };
 pub use integrator::{CandidateFeatures, Integrator, IntegratorConfig};

@@ -174,10 +174,10 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         self.recommends
     }
 
-    /// Whether this engine holds `user`'s state, i.e. whether
-    /// [`RealtimeEngine::check_user`] admits her.
+    /// Whether this engine holds `user`'s state — the placement its
+    /// [`crate::Admission`] checks.
     pub fn owns(&self, user: u32) -> bool {
-        self.check_user(user).is_ok()
+        self.sccf.slot_of(user).is_some()
     }
 
     /// Install a frozen global neighbor tier: Eq. 11 queries merge it
@@ -215,19 +215,12 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
         self.timings.infer.count() - self.tier_events_at_install
     }
 
-    /// The admission check of every per-user entry point: the slot
-    /// holding `user`'s state, or the typed reason there is none —
-    /// outside the population ([`QueryError::UnknownUser`]) or owned by
-    /// another engine ([`QueryError::NotOwned`]).
-    pub fn check_user(&self, user: u32) -> Result<usize, QueryError> {
-        let n_users = self.sccf.user_count();
-        if user as usize >= n_users {
-            return Err(QueryError::UnknownUser { user, n_users });
-        }
-        let slot = self
-            .sccf
-            .slot_of(user)
-            .ok_or(QueryError::NotOwned { user })?;
+    /// The slot holding `user`'s state, admitted by the view's
+    /// [`crate::Admission`] with this engine's slots as the placement:
+    /// outside the population is [`QueryError::UnknownUser`], owned by
+    /// another engine [`QueryError::NotOwned`].
+    fn check_user(&self, user: u32) -> Result<usize, QueryError> {
+        let slot = self.sccf.admission().user(user, |u| self.sccf.slot_of(u))?;
         Ok(slot as usize)
     }
 
@@ -247,11 +240,10 @@ impl<M: InductiveUiModel> RealtimeEngine<M> {
     /// goes back so the diagnostic form can search with it. The caller
     /// records the timing once it is complete.
     fn apply(&mut self, user: u32, item: u32) -> Result<(Vec<f32>, EventTiming), QueryError> {
-        let slot = self.check_user(user)?;
-        let n_items = self.sccf.model().n_items();
-        if item as usize >= n_items {
-            return Err(QueryError::UnknownItem { item, n_items });
-        }
+        let slot = self
+            .sccf
+            .admission()
+            .event(user, item, |u| self.sccf.slot_of(u))? as usize;
         self.histories[slot].push(item);
 
         let mut sw = Stopwatch::start();

@@ -28,6 +28,7 @@ use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use sccf_core::Admission;
 use sccf_serving::api::ServingError;
 use sccf_util::framing::build_frame;
 
@@ -199,16 +200,16 @@ impl Connection {
     }
 
     /// The [`Request::Hello`] handshake: verifies the protocol version
-    /// and returns `(n_users, n_items, base, count, total)` — the
-    /// server's identity in the fleet.
-    pub fn hello(&mut self) -> Result<(usize, usize, usize, usize, usize), ServingError> {
+    /// and returns the server's identity in the fleet — its
+    /// [`Admission`] and its window `(base, count, total)` of the
+    /// global ring.
+    pub fn hello(&mut self) -> Result<(Admission, usize, usize, usize), ServingError> {
         match self.call(&Request::Hello {
             protocol: PROTOCOL_VERSION,
         })? {
             Response::HelloOk {
                 protocol,
-                n_users,
-                n_items,
+                admission,
                 base,
                 count,
                 total,
@@ -218,13 +219,7 @@ impl Connection {
                         "server speaks protocol {protocol}, this build speaks {PROTOCOL_VERSION}"
                     )));
                 }
-                Ok((
-                    n_users as usize,
-                    n_items as usize,
-                    base as usize,
-                    count as usize,
-                    total as usize,
-                ))
+                Ok((admission, base as usize, count as usize, total as usize))
             }
             other => Err(other.unexpected("HelloOk")),
         }

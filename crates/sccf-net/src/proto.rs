@@ -32,7 +32,9 @@
 //! Decoding consumes the whole payload: trailing bytes are an error,
 //! so a frame holds exactly one message and framing bugs cannot hide.
 
-use sccf_core::{CandidateSource, EngineTimings, EventTiming, Exclusion, FrozenTierMode};
+use sccf_core::{
+    Admission, CandidateSource, EngineTimings, EventTiming, Exclusion, FrozenTierMode,
+};
 use sccf_serving::api::{
     DurabilityStats, MigrationStats, NeighborhoodStats, PressureStats, RecQuery, RecResponse,
     ServingError, ServingStats, TransportStats,
@@ -49,7 +51,9 @@ use sccf_util::topk::Scored;
 /// Bump on any incompatible payload change.
 /// v2: `TransportStats` block appended to the stats payload.
 /// v3: every timing record carries its non-empty latency buckets.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// v4: [`Response::HelloOk`] carries the member's ANN flag, so a router
+/// admits requests with the members' whole [`Admission`].
+pub const PROTOCOL_VERSION: u32 = 4;
 
 // ----------------------------------------------------------- transport
 
@@ -117,6 +121,15 @@ fn finish(r: Reader<'_>) -> Result<(), WireError> {
     match r.remaining() {
         0 => Ok(()),
         left => Err(WireError::TrailingBytes { left }),
+    }
+}
+
+/// A strict flag byte: 0 or 1, anything else is a typed error.
+fn get_flag(r: &mut Reader<'_>, what: &'static str) -> Result<bool, WireError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        tag => Err(WireError::BadTag { what, tag }),
     }
 }
 
@@ -630,11 +643,12 @@ impl Request {
 #[derive(Debug, Clone)]
 pub enum Response {
     /// Handshake reply: protocol version plus the server's identity —
-    /// population size and the global-ring window it hosts.
+    /// its [`Admission`] (population, catalog, whether it serves
+    /// [`CandidateSource::Ann`]; on the wire `n_users u64`, `n_items
+    /// u64`, `ann u8`) and the global-ring window it hosts.
     HelloOk {
         protocol: u32,
-        n_users: u64,
-        n_items: u64,
+        admission: Admission,
         base: u64,
         count: u64,
         total: u64,
@@ -664,16 +678,16 @@ impl Response {
         match self {
             Response::HelloOk {
                 protocol,
-                n_users,
-                n_items,
+                admission,
                 base,
                 count,
                 total,
             } => {
                 put_u8(&mut out, 0);
                 put_u32(&mut out, *protocol);
-                put_u64(&mut out, *n_users);
-                put_u64(&mut out, *n_items);
+                put_u64(&mut out, admission.n_users as u64);
+                put_u64(&mut out, admission.n_items as u64);
+                put_bool(&mut out, admission.ann);
                 put_u64(&mut out, *base);
                 put_u64(&mut out, *count);
                 put_u64(&mut out, *total);
@@ -727,8 +741,11 @@ impl Response {
         let resp = match r.u8()? {
             0 => Response::HelloOk {
                 protocol: r.u32()?,
-                n_users: r.u64()?,
-                n_items: r.u64()?,
+                admission: Admission {
+                    n_users: r.u64()? as usize,
+                    n_items: r.u64()? as usize,
+                    ann: get_flag(&mut r, "ann flag")?,
+                },
                 base: r.u64()?,
                 count: r.u64()?,
                 total: r.u64()?,
@@ -951,8 +968,11 @@ mod tests {
         for resp in [
             Response::HelloOk {
                 protocol: PROTOCOL_VERSION,
-                n_users: 120,
-                n_items: 60,
+                admission: Admission {
+                    n_users: 120,
+                    n_items: 60,
+                    ann: true,
+                },
                 base: 2,
                 count: 2,
                 total: 4,
@@ -1058,6 +1078,34 @@ mod tests {
         let mut stats = Response::Stats(Box::default()).encode();
         stats[1 + 2 * 8 + 5 * 8..][..8].fill(0xff);
         assert_eq!(Response::decode(&stats).err(), Some(Truncated));
+    }
+
+    /// The handshake's ANN flag is one strict byte: 0 and 1 decode,
+    /// any other byte is a typed `WireError` naming the field — never a
+    /// panic, never read as `true`.
+    #[test]
+    fn hello_ok_ann_flag_is_a_strict_byte() {
+        let hello = |ann| Response::HelloOk {
+            protocol: PROTOCOL_VERSION,
+            admission: Admission {
+                n_users: 48,
+                n_items: 32,
+                ann,
+            },
+            base: 0,
+            count: 2,
+            total: 4,
+        };
+        for tag in [0u8, 1, 2, 7, 0xff] {
+            let mut bytes = hello(false).encode();
+            bytes[1 + 4 + 8 + 8] = tag; // tag, protocol, n_users, n_items, flag
+            let what = "ann flag";
+            let want = match tag {
+                0 | 1 => Ok(hello(tag == 1).encode()),
+                _ => Err(WireError::BadTag { what, tag }),
+            };
+            assert_eq!(Response::decode(&bytes).map(|r| r.encode()), want);
+        }
     }
 
     #[test]

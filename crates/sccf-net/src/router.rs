@@ -9,6 +9,15 @@
 //! per event), and per-user read-your-writes holds because one user
 //! maps to one member and each connection is FIFO.
 //!
+//! **One admission rule.** Every request is admitted before anything
+//! touches the wire, by the members' [`Admission`] — population,
+//! catalog and whether ANN is served — as each member announced it in
+//! its handshake; a member announcing another one is refused at
+//! connect. It is the rule `RealtimeEngine` and `ShardedEngine` run,
+//! with the member ring (which owns every user) as the placement, so a
+//! bad request gets the same typed [`ServingError`] here as in one
+//! process and costs no round trip.
+//!
 //! **One fan-out, two phases.** Every multi-member operation goes
 //! through `FleetRouter::scatter`: *enqueue and write to every* target
 //! (one blocking `write_all` per member, in member order), then
@@ -44,7 +53,7 @@
 //! the supervisor's hook for re-pointing a member at its restarted
 //! process.
 
-use sccf_core::EventTiming;
+use sccf_core::{Admission, EventTiming};
 use sccf_serving::api::{RecQuery, RecResponse, ServingApi, ServingError, ServingStats};
 use sccf_serving::fleet::{merge_fleet_snapshots, merge_fleet_stats, FleetTopology};
 use sccf_serving::ring::{group_by_owner, reassemble, HashRing};
@@ -61,8 +70,10 @@ pub struct FleetRouter {
     topology: FleetTopology,
     ring: HashRing,
     conns: Vec<Connection>,
-    n_users: usize,
-    n_items: usize,
+    /// The members' admission rule, as every member announced it at
+    /// the handshake. Every user is owned on the member ring, so the
+    /// placement is [`FleetRouter::owner_of`].
+    admission: Admission,
     /// Per member: responses abandoned by a reconnect-while-in-flight.
     /// The next collect (or any other operation) reports them as a
     /// typed [`ServingError::Wire`] instead of hanging on a socket
@@ -77,20 +88,20 @@ impl FleetRouter {
     /// Dial member `m` of `topology` at `addr`, handshake, and check
     /// that the process there announces exactly `m`'s window of the
     /// global ring and — once another member has set it — the fleet's
-    /// world. Returns the connection and the `(n_users, n_items)` it
-    /// serves.
+    /// [`Admission`] (population, catalog, ANN). Returns the connection
+    /// and the admission it announced.
     fn dial(
         topology: &FleetTopology,
         m: usize,
         addr: &str,
-        world: Option<(usize, usize)>,
-    ) -> Result<(Connection, (usize, usize)), ServingError> {
+        fleet: Option<Admission>,
+    ) -> Result<(Connection, Admission), ServingError> {
         let member = topology
             .members()
             .get(m)
             .ok_or_else(|| ServingError::Wire(format!("the fleet has no member {m}")))?;
         let mut conn = Connection::connect(addr)?;
-        let (n_users, n_items, base, count, total) = conn.hello()?;
+        let (admission, base, count, total) = conn.hello()?;
         let expect = (member.base, member.count, topology.total_shards());
         if (base, count, total) != expect {
             return Err(ServingError::Wire(format!(
@@ -99,34 +110,34 @@ impl FleetRouter {
                 expect.0, expect.0, expect.1, expect.2
             )));
         }
-        if let Some((u, i)) = world.filter(|&w| w != (n_users, n_items)) {
+        if let Some(fleet) = fleet.filter(|&f| f != admission) {
             return Err(ServingError::Wire(format!(
-                "member {m} at {addr} serves a {n_users}×{n_items} world; the fleet serves {u}×{i}"
+                "member {m} at {addr} admits {admission:?}; the fleet admits {fleet:?}"
             )));
         }
-        Ok((conn, (n_users, n_items)))
+        Ok((conn, admission))
     }
 
     /// Connect to every member of `topology` and handshake. Rejects a
-    /// member whose announced window or population disagrees with the
-    /// topology — a mis-launched fleet fails here, not with silently
-    /// split users.
+    /// member whose announced window disagrees with the topology, or
+    /// whose admission rule disagrees with the other members' — a
+    /// mis-launched fleet fails here, not with silently split users or
+    /// a query only some members can serve.
     pub fn connect(topology: FleetTopology) -> Result<Self, ServingError> {
         let mut conns = Vec::with_capacity(topology.members().len());
-        let mut world = None;
+        let mut fleet = None;
         for (m, member) in topology.members().iter().enumerate() {
-            let (conn, served) = Self::dial(&topology, m, &member.addr, world)?;
-            world = Some(served);
+            let (conn, admission) = Self::dial(&topology, m, &member.addr, fleet)?;
+            fleet = Some(admission);
             conns.push(conn);
         }
-        let (n_users, n_items) = world.expect("topology has ≥ 1 member");
+        let admission = fleet.expect("topology has ≥ 1 member");
         let n_members = conns.len();
         Ok(Self {
             ring: topology.global_ring(),
             topology,
             conns,
-            n_users,
-            n_items,
+            admission,
             lost_in_flight: vec![0; n_members],
             acked_events: 0,
         })
@@ -154,30 +165,9 @@ impl FleetRouter {
     /// with a typed [`ServingError::Wire`] instead of hanging on a
     /// socket that no longer exists.
     pub fn reconnect(&mut self, m: usize, addr: &str) -> Result<(), ServingError> {
-        let world = Some((self.n_users, self.n_items));
-        let (conn, _) = Self::dial(&self.topology, m, addr, world)?;
+        let (conn, _) = Self::dial(&self.topology, m, addr, Some(self.admission))?;
         self.lost_in_flight[m] += self.conns[m].in_flight() as u64;
         self.conns[m] = conn;
-        Ok(())
-    }
-
-    fn check_user(&self, user: u32) -> Result<(), ServingError> {
-        if user as usize >= self.n_users {
-            return Err(ServingError::UnknownUser {
-                user,
-                n_users: self.n_users,
-            });
-        }
-        Ok(())
-    }
-
-    fn check_item(&self, item: u32) -> Result<(), ServingError> {
-        if item as usize >= self.n_items {
-            return Err(ServingError::UnknownItem {
-                item,
-                n_items: self.n_items,
-            });
-        }
         Ok(())
     }
 
@@ -378,9 +368,10 @@ impl FleetRouter {
         self.fan_out_done("shutdown", &Request::Shutdown)
     }
 
-    /// One request per owning member for `users` (`make` builds it from
-    /// the member's share), each reply's per-user list taken with
-    /// `pick` and reassembled in the order of `users`. Strict.
+    /// One request per owning member for `users`, which the caller has
+    /// admitted (`make` builds it from the member's share), each
+    /// reply's per-user list taken with `pick` and reassembled in the
+    /// order of `users`. Strict.
     fn ask_owners<R>(
         &mut self,
         op: &str,
@@ -389,9 +380,6 @@ impl FleetRouter {
         pick: impl Fn(Response) -> Result<Vec<R>, ServingError>,
     ) -> Result<Vec<R>, ServingError> {
         self.ensure_idle(op)?;
-        for &u in users {
-            self.check_user(u)?;
-        }
         let (targets, layout): (Vec<_>, Vec<_>) =
             group_by_owner(users.iter().copied(), |&u| self.owner_of(u))
                 .into_iter()
@@ -409,6 +397,7 @@ impl FleetRouter {
     /// `users`, each from its owning member, in input order — the
     /// cross-process building block for fleet-level tier refreshes.
     pub fn export_user_states(&mut self, users: &[u32]) -> Result<Vec<Vec<u8>>, ServingError> {
+        self.admission.users(users, Some)?;
         self.ask_owners(
             "export-users",
             users,
@@ -424,18 +413,15 @@ impl FleetRouter {
         self.fan_out_done("install-tier", &Request::InstallTier(bytes.to_vec()))
     }
 
-    /// Validate every event, then split the batch into one
-    /// [`Request::IngestBatch`] per owning member. Validation comes
-    /// first so a batch is atomic for validation failures even though
+    /// Admit every event, then split the batch into one
+    /// [`Request::IngestBatch`] per owning member. Admission comes
+    /// first so a batch is atomic for admission failures even though
     /// it spans members: an error means nothing was sent.
     fn group_events(
         &self,
         events: &[(u32, u32)],
     ) -> Result<impl Iterator<Item = (usize, Request)>, ServingError> {
-        for &(user, item) in events {
-            self.check_user(user)?;
-            self.check_item(item)?;
-        }
+        self.admission.events(events, Some)?;
         Ok(
             group_by_owner(events.iter().copied(), |&(user, _)| self.owner_of(user))
                 .into_iter()
@@ -461,10 +447,11 @@ impl FleetRouter {
     /// [`FleetRouter::ingest_collect`], which returns the total event
     /// count and any deferred errors.
     pub fn ingest_send(&mut self, events: &[(u32, u32)]) -> Result<(), ServingError> {
+        let targets = self.group_events(events)?;
         if let Some(err) = self.take_lost() {
             return Err(err);
         }
-        let frames = self.preflight(self.group_events(events)?)?;
+        let frames = self.preflight(targets)?;
         for &(m, _) in &frames {
             while self.conns[m].in_flight() >= DEFAULT_PIPELINE_DEPTH {
                 self.recv_ingest_ack(m)?;
@@ -526,8 +513,8 @@ impl ServingApi for FleetRouter {
     }
 
     fn ingest_batch(&mut self, events: &[(u32, u32)]) -> Result<u64, ServingError> {
-        self.ensure_idle("ingest")?;
         let targets = self.group_events(events)?;
+        self.ensure_idle("ingest")?;
         let mut total = 0u64;
         for resp in self.scatter_strict(targets)? {
             total += take!(resp, Ingested(n) => n)?;
@@ -536,9 +523,9 @@ impl ServingApi for FleetRouter {
     }
 
     fn try_recommend(&mut self, user: u32, query: &RecQuery) -> Result<RecResponse, ServingError> {
+        let m = self.admission.user(user, |u| Some(self.owner_of(u)))?;
+        self.admission.query(query.source, &query.exclude)?;
         self.ensure_idle("recommend")?;
-        self.check_user(user)?;
-        let m = self.owner_of(user);
         let resp = self.conns[m].call(&Request::Recommend {
             user,
             query: query.clone(),
@@ -551,6 +538,8 @@ impl ServingApi for FleetRouter {
         users: &[u32],
         query: &RecQuery,
     ) -> Result<Vec<RecResponse>, ServingError> {
+        self.admission.users(users, Some)?;
+        self.admission.query(query.source, &query.exclude)?;
         let make = |users| Request::RecommendMany {
             users,
             query: query.clone(),

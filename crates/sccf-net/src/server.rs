@@ -37,7 +37,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use sccf_core::GlobalNeighborSnapshot;
+use sccf_core::{Admission, GlobalNeighborSnapshot};
 use sccf_models::Fism;
 use sccf_serving::api::{ServingApi, ServingError, TransportStats};
 use sccf_serving::sharded::{DurabilityConfig, RouterKind, ShardedConfig, ShardedEngine};
@@ -49,8 +49,7 @@ use crate::world::WorldSpec;
 /// The immutable facts a server reports in its Hello.
 #[derive(Debug, Clone, Copy)]
 struct ShardMeta {
-    n_users: usize,
-    n_items: usize,
+    admission: Admission,
     base: usize,
     count: usize,
     total: usize,
@@ -218,15 +217,6 @@ pub fn run_shard_server(args: ServeShardArgs) -> Result<(), String> {
     )?;
     let model = std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
     let world = args.world.build(Some(&model))?;
-    let meta = ShardMeta {
-        n_users: world.n_users,
-        n_items: world.n_items,
-        base: args.base,
-        count: args.count,
-        total: args.total,
-        durable: args.dir.is_some(),
-        read_ahead: args.read_ahead,
-    };
     let cfg = ShardedConfig {
         n_shards: args.count,
         queue_capacity: 256,
@@ -266,6 +256,15 @@ pub fn run_shard_server(args: ServeShardArgs) -> Result<(), String> {
                 engine
             }
         }
+    };
+
+    let meta = ShardMeta {
+        admission: engine.admission(),
+        base: args.base,
+        count: args.count,
+        total: args.total,
+        durable: args.dir.is_some(),
+        read_ahead: args.read_ahead,
     };
 
     let listener = TcpListener::bind(("127.0.0.1", args.port))
@@ -430,8 +429,7 @@ fn handle_request(
             }
             Response::HelloOk {
                 protocol: PROTOCOL_VERSION,
-                n_users: meta.n_users as u64,
-                n_items: meta.n_items as u64,
+                admission: meta.admission,
                 base: meta.base as u64,
                 count: meta.count as u64,
                 total: meta.total as u64,

@@ -546,11 +546,11 @@ pub trait ServingApi {
     fn snapshot_state(&mut self) -> Result<Vec<u8>, ServingError>;
 }
 
-// Batches are validated up front with the engine's own admission
-// checks (`RealtimeEngine::check_user`, `Sccf::check_query`) — in range
-// *and owned* — so "atomic" holds on an engine that owns a subset too,
-// and both implementations agree on edge cases like an unsatisfiable
-// query over an empty user list.
+// Every request is admitted by the view's `Admission`, with the
+// engine's own slots as the placement — in range *and owned* — so a
+// batch is atomic on an engine that owns a subset too, and the engine,
+// `ShardedEngine` and the fleet router answer every bad request alike
+// (even an unsatisfiable query over an empty user list).
 impl<M: InductiveUiModel> ServingApi for RealtimeEngine<M> {
     fn try_ingest(&mut self, user: u32, item: u32) -> Result<Option<EventTiming>, ServingError> {
         self.apply_event(user, item)
@@ -559,15 +559,11 @@ impl<M: InductiveUiModel> ServingApi for RealtimeEngine<M> {
     }
 
     fn ingest_batch(&mut self, events: &[(u32, u32)]) -> Result<u64, ServingError> {
-        // Validate the whole batch before applying anything: atomic
+        // Admit the whole batch before applying anything: atomic
         // failure, same contract as the sharded engine.
-        let n_items = self.sccf().model().n_items();
-        for &(user, item) in events {
-            self.check_user(user)?;
-            if item as usize >= n_items {
-                return Err(ServingError::UnknownItem { item, n_items });
-            }
-        }
+        self.sccf()
+            .admission()
+            .events(events, |u| self.owns(u).then_some(()))?;
         for &(user, item) in events {
             self.apply_event(user, item).map_err(ServingError::from)?;
         }
@@ -585,10 +581,9 @@ impl<M: InductiveUiModel> ServingApi for RealtimeEngine<M> {
         users: &[u32],
         query: &RecQuery,
     ) -> Result<Vec<RecResponse>, ServingError> {
-        for &user in users {
-            self.check_user(user)?;
-        }
-        self.sccf().check_query(query.source, &query.exclude)?;
+        let admission = self.sccf().admission();
+        admission.users(users, |u| self.owns(u).then_some(()))?;
+        admission.query(query.source, &query.exclude)?;
         users
             .iter()
             .map(|&u| self.try_recommend(u, query))

@@ -442,17 +442,15 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
 
         // Overlay newest-blob-per-user across the chain (ascending
         // epochs: later writes win).
-        let n_users = sccf.user_count();
+        let admission = sccf.admission();
+        let n_users = admission.n_users;
         let mut histories: Vec<Vec<u32>> = vec![Vec::new(); n_users];
         let mut seen = vec![false; n_users];
         for ck in &chain {
             for blob in &ck.blobs {
                 let (user, _rep, history) = decode_user_state(blob)?;
-                if user as usize >= n_users {
-                    return Err(ServingError::Durability(format!(
-                        "checkpoint blob for user {user} exceeds the population of {n_users}"
-                    )));
-                }
+                let outside = |e| ServingError::Durability(format!("checkpoint blob: {e}"));
+                admission.user(user, Some).map_err(outside)?;
                 seen[user as usize] = true;
                 histories[user as usize] = history;
             }
@@ -487,12 +485,8 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
         replayed.sort_by_key(|r| r.seq);
         let stopped_at = target.map(|_| replayed.last().map_or(watermark, |r| r.seq));
         for r in &replayed {
-            if r.user as usize >= n_users {
-                return Err(ServingError::Durability(format!(
-                    "wal record seq {} names user {} outside the population of {n_users}",
-                    r.seq, r.user
-                )));
-            }
+            let outside = |e| ServingError::Durability(format!("wal record seq {}: {e}", r.seq));
+            admission.user(r.user, Some).map_err(outside)?;
             histories[r.user as usize].push(r.item);
         }
 

@@ -177,6 +177,7 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
                 started,
             } => {
                 self.tier_epoch += 1;
+                let n_users = self.admission.n_users;
                 let snapshot = match &base {
                     // Splice the dirty rows into the installed snapshot
                     // — bit-identical to the full rebuild at this
@@ -186,10 +187,9 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
                         self.shared
                             .build_neighbor_snapshot_delta(prev, self.tier_epoch, entries)
                     }
-                    None => {
-                        self.shared
-                            .build_neighbor_snapshot(self.tier_epoch, self.n_users, entries)
-                    }
+                    None => self
+                        .shared
+                        .build_neighbor_snapshot(self.tier_epoch, n_users, entries),
                 };
                 self.set_tier(Some(Arc::new(snapshot)), true);
                 self.last_refresh = Some(RefreshReport {
@@ -338,7 +338,7 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
             None => Vec::new(),
         };
         let mut wals = wals.into_iter();
-        let plan: Vec<u32> = (0..self.n_users as u32)
+        let plan: Vec<u32> = (0..self.admission.n_users as u32)
             .filter(|&u| self.ring.route(u) != new_ring.route(u))
             .collect();
         // Queue resize: swap every surviving worker onto a fresh queue
@@ -363,7 +363,7 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
         // worker logs and serves like the survivors from its first
         // adopted user on.
         for s in self.txs.len()..new_cfg.n_shards {
-            let view = Sccf::empty_shard_view(&self.shared, self.n_users);
+            let view = Sccf::empty_shard_view(&self.shared, self.admission.n_users);
             let (tx, handle) = spawn_worker(s, RealtimeEngine::new(view, Vec::new()), capacity);
             self.txs.push(tx);
             self.handles.push(Some(handle));
@@ -556,7 +556,7 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
             dirty
         } else {
             // Every user is owned by exactly one stable-ring shard.
-            (0..self.n_users as u32).collect()
+            (0..self.admission.n_users as u32).collect()
         };
         self.in_flight = Some(InFlight {
             kind: EpochKind::Refresh {
@@ -659,7 +659,8 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
     ) -> Result<(), ServingError> {
         self.idle_for("install_global_tier", Blocks::Refresh)?;
         // Checked before the broadcast, so nothing installs partially.
-        snapshot.check_fits(self.n_users, self.shared.model().dim(), self.n_items)?;
+        let world = self.admission;
+        snapshot.check_fits(world.n_users, self.shared.model().dim(), world.n_items)?;
         self.tier_epoch = self.tier_epoch.max(snapshot.epoch());
         // The artifact's provenance is unknown: the fleet's tier-dirty
         // sets say which users changed since *their* last export, not

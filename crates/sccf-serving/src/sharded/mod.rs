@@ -25,10 +25,12 @@
 //!
 //! The engine is driven through the unified
 //! [`ServingApi`] surface (typed queries,
-//! `Result` everywhere, batch entry points, [`ServingStats`]). Invalid
-//! ids are rejected at the router — they return
-//! [`ServingError`] and never reach (or kill)
-//! a worker.
+//! `Result` everywhere, batch entry points, [`ServingStats`]). Every
+//! request is admitted at the router by the framework's
+//! [`Admission`] — the rule the plain engine and the fleet router run
+//! too, with the shard ring as the placement — so an invalid
+//! id returns the same [`ServingError`] as on every other entry point
+//! and never reaches (or kills) a worker.
 //!
 //! State split (the contract that keeps the hot path lock-free):
 //!
@@ -99,8 +101,8 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{bounded, Sender, TrySendError};
 use sccf_core::{
-    decode_histories, encode_histories, CandidateSource, EngineTimings, Exclusion,
-    GlobalNeighborSnapshot, RealtimeEngine, Sccf, SccfShared,
+    decode_histories, encode_histories, Admission, EngineTimings, GlobalNeighborSnapshot,
+    RealtimeEngine, Sccf, SccfShared,
 };
 use sccf_models::InductiveUiModel;
 use sccf_util::timer::Stopwatch;
@@ -365,11 +367,10 @@ pub struct ShardedEngine<M: InductiveUiModel + 'static> {
     /// The item-side half, kept to seed empty shard views for workers
     /// spawned by scale-out reshards.
     shared: Arc<SccfShared<M>>,
-    /// Router-side validation state: requests with out-of-range ids are
-    /// rejected here, before they can reach (and kill) a worker.
-    n_users: usize,
-    n_items: usize,
-    has_ann: bool,
+    /// The admission rule, taken from the built framework: requests
+    /// with out-of-range ids are rejected here, before they can reach
+    /// (and kill) a worker. Placement is [`ShardedEngine::place`].
+    admission: Admission,
     /// Lifetime migration counters (reported via `ServingStats`).
     migrated_users: u64,
     migration_batches: u64,
@@ -440,20 +441,17 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
             ));
         }
         let ring = cfg.ring()?;
-        let n_users = sccf.user_count();
+        let admission = sccf.admission();
+        let n_users = admission.n_users;
         if histories.len() != n_users {
             return Err(ServingError::InvalidConfig(format!(
                 "history table has {} entries for a population of {n_users}",
                 histories.len()
             )));
         }
-        let n_items = sccf.model().n_items();
-        for h in &histories {
-            if let Some(&bad) = h.iter().find(|&&i| i as usize >= n_items) {
-                return Err(ServingError::UnknownItem { item: bad, n_items });
-            }
+        for &item in histories.iter().flatten() {
+            admission.item(item)?;
         }
-        let has_ann = sccf.config().ui_ann.is_some();
         let shared = Arc::clone(sccf.shared());
         let n = cfg.n_shards;
         // A slice ring assigns only its window's users (`try_route` is
@@ -485,9 +483,7 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
             in_flight: None,
             retired: Vec::new(),
             shared,
-            n_users,
-            n_items,
-            has_ann,
+            admission,
             migrated_users: 0,
             migration_batches: 0,
             current_tier: None,
@@ -558,43 +554,18 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
         }
     }
 
-    fn check_user(&self, user: u32) -> Result<usize, ServingError> {
-        if (user as usize) >= self.n_users {
-            return Err(ServingError::UnknownUser {
-                user,
-                n_users: self.n_users,
-            });
-        }
+    /// The admission rule every request on this engine passes first.
+    pub fn admission(&self) -> Admission {
+        self.admission
+    }
+
+    /// The placement [`ShardedEngine::admission`] checks: the shard
+    /// [`ShardedEngine::route`] picks, if this process hosts it — a
+    /// slice ring routes users outside its window past the local shard
+    /// count.
+    fn place(&self, user: u32) -> Option<usize> {
         let s = self.route(user);
-        // A slice ring routes users outside its window past the local
-        // shard count — this process does not host them.
-        if s >= self.txs.len() {
-            return Err(ServingError::NotOwned { user });
-        }
-        Ok(s)
-    }
-
-    fn check_item(&self, item: u32) -> Result<(), ServingError> {
-        if (item as usize) < self.n_items {
-            Ok(())
-        } else {
-            Err(ServingError::UnknownItem {
-                item,
-                n_items: self.n_items,
-            })
-        }
-    }
-
-    fn check_query(&self, query: &RecQuery) -> Result<(), ServingError> {
-        if query.source == CandidateSource::Ann && !self.has_ann {
-            return Err(ServingError::AnnUnavailable);
-        }
-        if let Exclusion::HistoryAnd(extra) = &query.exclude {
-            for &i in extra {
-                self.check_item(i)?;
-            }
-        }
-        Ok(())
+        (s < self.txs.len()).then_some(s)
     }
 
     /// Push a message onto shard `s`'s queue, sensing backpressure on
@@ -660,7 +631,7 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
     /// diagnostics for the cross-shard equivalence tests and the
     /// quality bench.
     pub fn neighbors_of(&mut self, user: u32) -> Result<Vec<Scored>, ServingError> {
-        let s = self.check_user(user)?;
+        let s = self.admission.user(user, |u| self.place(u))?;
         self.scatter([(s, user)], |user, reply| ShardMsg::Neighbors {
             user,
             reply,
@@ -684,10 +655,8 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
     /// outside this process's window with [`ServingError::NotOwned`],
     /// before exporting anything.
     pub fn export_user_states(&mut self, users: &[u32]) -> Result<Vec<Vec<u8>>, ServingError> {
-        // Validate everything first: an error means nothing was exported.
-        for &u in users {
-            self.check_user(u)?;
-        }
+        // Admit everyone first: an error means nothing was exported.
+        self.admission.users(users, |u| self.place(u))?;
         let (targets, layout): (Vec<_>, Vec<_>) =
             group_by_owner(users.iter().copied(), |&u| self.route(u))
                 .into_iter()
@@ -720,7 +689,7 @@ impl<M: InductiveUiModel + 'static> ShardedEngine<M> {
     pub fn try_snapshot(&mut self) -> Result<Vec<u8>, ServingError> {
         self.idle_for("snapshot", Blocks::AnyEpoch)?;
         let exports = self.fan_out(|reply| ShardMsg::Export { reply });
-        let mut full: Vec<Vec<u32>> = vec![Vec::new(); self.n_users];
+        let mut full: Vec<Vec<u32>> = vec![Vec::new(); self.admission.n_users];
         for (user, history) in exports.into_iter().flatten() {
             full[user as usize] = history;
         }
@@ -764,8 +733,7 @@ impl<M: InductiveUiModel + 'static> ServingApi for ShardedEngine<M> {
         user: u32,
         item: u32,
     ) -> Result<Option<sccf_core::EventTiming>, ServingError> {
-        let s = self.check_user(user)?;
-        self.check_item(item)?;
+        let s = self.admission.event(user, item, |u| self.place(u))?;
         self.events_routed += 1;
         let seq = self.events_routed;
         self.send(s, ShardMsg::Event { seq, user, item });
@@ -774,12 +742,9 @@ impl<M: InductiveUiModel + 'static> ServingApi for ShardedEngine<M> {
     }
 
     fn ingest_batch(&mut self, events: &[(u32, u32)]) -> Result<u64, ServingError> {
-        // Validate the whole batch before routing anything: an error
+        // Admit the whole batch before routing anything: an error
         // means no event was applied.
-        for &(user, item) in events {
-            self.check_user(user)?;
-            self.check_item(item)?;
-        }
+        self.admission.events(events, |u| self.place(u))?;
         for &(user, item) in events {
             let s = self.route(user);
             self.events_routed += 1;
@@ -794,8 +759,8 @@ impl<M: InductiveUiModel + 'static> ServingApi for ShardedEngine<M> {
     /// behind the user's earlier events, so it observes everything this
     /// caller already ingested.
     fn try_recommend(&mut self, user: u32, query: &RecQuery) -> Result<RecResponse, ServingError> {
-        let s = self.check_user(user)?;
-        self.check_query(query)?;
+        let s = self.admission.user(user, |u| self.place(u))?;
+        self.admission.query(query.source, &query.exclude)?;
         let query = Arc::new(query.clone());
         self.scatter([(s, user)], |user, reply| ShardMsg::Recommend {
             user,
@@ -814,10 +779,8 @@ impl<M: InductiveUiModel + 'static> ServingApi for ShardedEngine<M> {
         users: &[u32],
         query: &RecQuery,
     ) -> Result<Vec<RecResponse>, ServingError> {
-        for &user in users {
-            self.check_user(user)?;
-        }
-        self.check_query(query)?;
+        self.admission.users(users, |u| self.place(u))?;
+        self.admission.query(query.source, &query.exclude)?;
         let query = Arc::new(query.clone());
         let targets: Vec<(usize, u32)> = users.iter().map(|&u| (self.route(u), u)).collect();
         self.scatter(targets, |user, reply| ShardMsg::Recommend {

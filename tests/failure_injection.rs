@@ -755,3 +755,58 @@ fn reshard_swaps_surviving_workers_onto_new_capacity_queues() {
         "every accepted event processed exactly once"
     );
 }
+
+/// A fleet whose members announce different admission rules — here one
+/// member serves ANN and the other does not — is refused at connect,
+/// typed and naming the member, instead of routing a query only some
+/// members can serve. The members are stand-ins that answer the
+/// handshake and nothing else.
+#[test]
+fn members_announcing_different_admission_rules_are_refused_at_connect() {
+    use sccf::core::Admission;
+    use sccf::net::proto::{read_message, write_message};
+    use sccf::net::{FleetRouter, Response, PROTOCOL_VERSION};
+    use sccf::serving::fleet::{FleetMember, FleetTopology};
+    use sccf::serving::ServingError;
+    use std::io::{BufReader, Write};
+
+    let member = |base: usize, ann: bool| {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut buf = Vec::new();
+            read_message(&mut reader, &mut buf).expect("hello");
+            let admission = Admission {
+                n_users: 48,
+                n_items: 32,
+                ann,
+            };
+            let hello = Response::HelloOk {
+                protocol: PROTOCOL_VERSION,
+                admission,
+                base: base as u64,
+                count: 2,
+                total: 4,
+            };
+            write_message(&mut stream, &hello.encode()).expect("reply");
+            stream.flush().expect("flush");
+        });
+        FleetMember {
+            base,
+            count: 2,
+            addr,
+        }
+    };
+    let topology = FleetTopology::try_new(4, 0, vec![member(0, false), member(2, true)])
+        .expect("valid tiling");
+    match FleetRouter::connect(topology) {
+        Err(ServingError::Wire(msg)) => {
+            assert!(msg.contains("member 1"), "names the member: {msg}");
+            assert!(msg.contains("ann: true"), "names the rule: {msg}");
+        }
+        Err(other) => panic!("expected a typed Wire refusal, got {other:?}"),
+        Ok(_) => panic!("a fleet with mixed ANN settings must be refused"),
+    }
+}

@@ -767,3 +767,296 @@ fn a_batch_that_cannot_be_framed_is_applied_on_no_member() {
     sup.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// The ids one run of the admission table needs on one entry point.
+#[derive(Clone, Copy)]
+struct TableIds {
+    n_users: u32,
+    n_items: u32,
+    /// A user this entry point hosts.
+    owned: u32,
+    /// A user inside the population this entry point does not host —
+    /// only on an engine that owns a subset (a shard view, a slice).
+    foreign: Option<u32>,
+}
+
+type Probe<A> = Box<dyn Fn(&mut A) -> Result<(), ServingError>>;
+
+/// The admission conformance table: every bad request, by every entry
+/// point it can come in through, and the one [`ServingError`] it must
+/// get wherever it comes in. Nothing a row sends may move state.
+fn admission_table<A: ServingApi>(api: &mut A, ids: TableIds, name: &str) {
+    use sccf::core::{CandidateSource, Exclusion};
+    let TableIds {
+        n_users: nu,
+        n_items: ni,
+        owned,
+        foreign,
+    } = ids;
+    let unknown_user = ServingError::UnknownUser {
+        user: nu,
+        n_users: nu as usize,
+    };
+    let unknown_item = ServingError::UnknownItem {
+        item: ni,
+        n_items: ni as usize,
+    };
+    let top = RecQuery::top(5);
+    let ann = top.clone().with_source(CandidateSource::Ann);
+    let bad_exclude = top.clone().excluding(Exclusion::HistoryAnd(vec![1, ni]));
+    let recommend = |user: u32, q: &RecQuery| -> Probe<A> {
+        let q = q.clone();
+        Box::new(move |a: &mut A| a.try_recommend(user, &q).map(drop))
+    };
+    let recommend_many = |users: &[u32], q: &RecQuery| -> Probe<A> {
+        let (users, q) = (users.to_vec(), q.clone());
+        Box::new(move |a: &mut A| a.recommend_many(&users, &q).map(drop))
+    };
+    let ingest = |user: u32, item: u32| -> Probe<A> {
+        Box::new(move |a: &mut A| a.try_ingest(user, item).map(drop))
+    };
+    let batch = |events: &[(u32, u32)]| -> Probe<A> {
+        let events = events.to_vec();
+        Box::new(move |a: &mut A| a.ingest_batch(&events).map(drop))
+    };
+    let mut rows: Vec<(&str, ServingError, Probe<A>)> = vec![
+        (
+            "unknown user: try_ingest",
+            unknown_user.clone(),
+            ingest(nu, 0),
+        ),
+        (
+            "unknown user: ingest_batch",
+            unknown_user.clone(),
+            batch(&[(nu, 0)]),
+        ),
+        (
+            "unknown user: try_recommend",
+            unknown_user.clone(),
+            recommend(nu, &top),
+        ),
+        (
+            "unknown user: recommend_many",
+            unknown_user.clone(),
+            recommend_many(&[nu], &top),
+        ),
+        (
+            "unknown user with a bad item",
+            unknown_user.clone(),
+            ingest(nu, ni),
+        ),
+        (
+            "unknown item: try_ingest",
+            unknown_item.clone(),
+            ingest(owned, ni),
+        ),
+        (
+            "unknown item: ingest_batch",
+            unknown_item.clone(),
+            batch(&[(owned, ni)]),
+        ),
+        (
+            "unknown excluded item: try_recommend",
+            unknown_item.clone(),
+            recommend(owned, &bad_exclude),
+        ),
+        (
+            "unknown excluded item: recommend_many",
+            unknown_item.clone(),
+            recommend_many(&[owned], &bad_exclude),
+        ),
+        (
+            "ANN without ui_ann: try_recommend",
+            ServingError::AnnUnavailable,
+            recommend(owned, &ann),
+        ),
+        (
+            "ANN without ui_ann: recommend_many",
+            ServingError::AnnUnavailable,
+            recommend_many(&[owned], &ann),
+        ),
+        (
+            "unknown user + ANN: try_recommend",
+            unknown_user.clone(),
+            recommend(nu, &ann),
+        ),
+        (
+            "unknown user + ANN: recommend_many",
+            unknown_user.clone(),
+            recommend_many(&[owned, nu], &ann),
+        ),
+        (
+            "unknown user + bad exclusion",
+            unknown_user.clone(),
+            recommend(nu, &bad_exclude),
+        ),
+        (
+            "mixed batch, unknown user last",
+            unknown_user.clone(),
+            batch(&[(owned, 1), (owned, 2), (nu, 0)]),
+        ),
+        (
+            "mixed batch, unknown item last",
+            unknown_item.clone(),
+            batch(&[(owned, 1), (owned, ni)]),
+        ),
+        (
+            "empty list + ANN",
+            ServingError::AnnUnavailable,
+            recommend_many(&[], &ann),
+        ),
+        (
+            "empty list + bad exclusion",
+            unknown_item.clone(),
+            recommend_many(&[], &bad_exclude),
+        ),
+    ];
+    if let Some(f) = foreign {
+        let not_owned = ServingError::NotOwned { user: f };
+        rows.extend([
+            ("foreign user: try_ingest", not_owned.clone(), ingest(f, 0)),
+            (
+                "foreign user: try_recommend",
+                not_owned.clone(),
+                recommend(f, &top),
+            ),
+            (
+                "foreign user: recommend_many",
+                not_owned.clone(),
+                recommend_many(&[owned, f], &top),
+            ),
+            (
+                "foreign user with a bad item: try_ingest",
+                not_owned.clone(),
+                ingest(f, ni),
+            ),
+            (
+                "foreign user with a bad item: ingest_batch",
+                not_owned.clone(),
+                batch(&[(owned, 1), (f, ni)]),
+            ),
+            ("foreign user + ANN", not_owned.clone(), recommend(f, &ann)),
+            (
+                "mixed batch, foreign user last",
+                not_owned,
+                batch(&[(owned, 1), (f, 1)]),
+            ),
+        ]);
+    }
+    let before = api.snapshot_state().expect("snapshot before the table");
+    let failures: Vec<String> = rows
+        .iter()
+        .filter_map(|(row, want, probe)| {
+            let got = probe(api);
+            (got != Err(want.clone())).then(|| format!("{row}: want {want:?}, got {got:?}"))
+        })
+        .collect();
+    assert!(failures.is_empty(), "{name}:\n  {}", failures.join("\n  "));
+    let after = api.snapshot_state().expect("snapshot after the table");
+    assert!(before == after, "{name}: a rejected request moved state");
+}
+
+/// Id + score-bit slates of every user, for the pairs already pinned
+/// bit-identical.
+fn slate_bits(api: &mut impl ServingApi, n_users: usize) -> Vec<Vec<(u32, u32)>> {
+    let users: Vec<u32> = (0..n_users as u32).collect();
+    api.recommend_many(&users, &RecQuery::top(5))
+        .expect("valid slates")
+        .iter()
+        .map(|r| r.items.iter().map(|s| (s.id, s.score.to_bits())).collect())
+        .collect()
+}
+
+/// One admission rule everywhere: the plain engine over the full view
+/// and over a shard's subset, the sharded engine at one and four shards
+/// with a frozen tier installed, one process's slice of the ring, and
+/// the two-process fleet answer every row of the table with the same
+/// error and keep their state. Slates are compared only between pairs
+/// already pinned equal: the fleet against four shards in one process,
+/// one shard against the plain engine.
+#[test]
+fn every_entry_point_admits_by_one_rule() {
+    use sccf::core::{GlobalNeighborSnapshot, RealtimeEngine};
+    let spec = spec();
+    let root = scratch_dir("admission");
+    let model_path = root.join("model.fism");
+    let model = spec.train_model();
+    std::fs::write(&model_path, &model).expect("write model");
+    let world = || spec.build(Some(&model)).expect("world builds");
+    let config = |n_shards, router| ShardedConfig {
+        n_shards,
+        queue_capacity: 64,
+        router,
+    };
+    let sharded = |n_shards, router| {
+        let w = world();
+        ShardedEngine::try_new(w.sccf, w.histories, config(n_shards, router)).expect("valid config")
+    };
+    let (nu, ni) = (spec.n_users as u32, spec.n_items as u32);
+
+    let mut four = sharded(TOTAL_SHARDS, RouterKind::Modulo);
+    four.refresh_global_tier().expect("tier refresh");
+    let tier = four.global_tier().expect("tier installed").encode();
+    let mut one = sharded(1, RouterKind::Modulo);
+    one.install_global_tier(GlobalNeighborSnapshot::decode(&tier).expect("tier decodes"))
+        .expect("tier fits");
+    let w = world();
+    let mut plain = RealtimeEngine::new(w.sccf, w.histories);
+    // Member 0's window of the fleet's ring, in this process.
+    let slice_router = RouterKind::Slice {
+        total: TOTAL_SHARDS,
+        base: 0,
+        vnodes: 0,
+    };
+    let mut slice = sharded(PER_PROC, slice_router);
+    let (mut views, _) = sharded(TOTAL_SHARDS, RouterKind::Modulo).shutdown_into_engines();
+    let mut view = views.swap_remove(0);
+    // Shard 0 of four is inside member 0's window; shards 2 and 3 are
+    // outside it, so one pair of ids serves the view and the slice.
+    let owned = (0..nu)
+        .find(|&u| view.owns(u))
+        .expect("shard 0 hosts a user");
+    let foreign = (0..nu)
+        .find(|&u| !view.owns(u) && slice.neighbors_of(u).is_err())
+        .expect("a user outside member 0's window");
+
+    let sup = launch_fleet(&spec, &root, &model_path);
+    let mut fleet = connect_router(&sup);
+    fleet.install_tier_bytes(&tier).expect("fleet tier install");
+
+    let whole = TableIds {
+        n_users: nu,
+        n_items: ni,
+        owned,
+        foreign: None,
+    };
+    let subset = TableIds {
+        foreign: Some(foreign),
+        ..whole
+    };
+    admission_table(&mut plain, whole, "RealtimeEngine, full view");
+    admission_table(&mut view, subset, "RealtimeEngine, shard 0 of 4");
+    admission_table(&mut one, whole, "ShardedEngine, N = 1");
+    admission_table(&mut four, whole, "ShardedEngine, N = 4");
+    admission_table(&mut slice, subset, "ShardedEngine, slice [0, 2) of 4");
+    admission_table(&mut fleet, whole, "FleetRouter, 2 processes");
+
+    let n = spec.n_users;
+    assert_eq!(
+        slate_bits(&mut fleet, n),
+        slate_bits(&mut four, n),
+        "fleet vs 4 shards"
+    );
+    assert_eq!(
+        slate_bits(&mut one, n),
+        slate_bits(&mut plain, n),
+        "1 shard vs plain"
+    );
+
+    fleet.shutdown_all().expect("graceful shutdown");
+    sup.shutdown();
+    for engine in [one, four, slice] {
+        engine.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -1103,8 +1103,11 @@ fn golden_fixtures() -> Vec<(String, Vec<u8>)> {
             "HelloOk",
             Response::HelloOk {
                 protocol: PROTOCOL_VERSION,
-                n_users: 120,
-                n_items: 60,
+                admission: sccf::core::Admission {
+                    n_users: 120,
+                    n_items: 60,
+                    ann: true,
+                },
                 base: 2,
                 count: 2,
                 total: 4,
@@ -1175,10 +1178,12 @@ fn golden_fixtures() -> Vec<(String, Vec<u8>)> {
 /// CRC-32 of every fixture above, computed at the commit *before* the
 /// shared `sccf_util::codec` cursor replaced the per-format readers
 /// and writers (see CHANGES.md, PR 19) and not regenerated since —
-/// except the three rows wire v3 moved on purpose (CHANGES.md, PR 25):
-/// `req_Hello` / `resp_HelloOk` carry version 3, `resp_Stats` carries
-/// each timing's bucket section. `model_file` (`SCCFMDL2`) was added
-/// when the model file became one format.
+/// except the rows a wire version moved on purpose: v3 gave
+/// `resp_Stats` each timing's bucket section, v4 gave `resp_HelloOk`
+/// the member's ANN flag byte, and `req_Hello` / `resp_HelloOk` carry
+/// the version (4).
+/// `model_file` (`SCCFMDL2`) was added when the model file became one
+/// format.
 const GOLDEN_DIGESTS: &[(&str, u32)] = &[
     ("histories", 0x776113a8),
     ("user_state", 0xe13dc961),
@@ -1190,7 +1195,7 @@ const GOLDEN_DIGESTS: &[(&str, u32)] = &[
     ("wal_magic_and_one_frame", 0x5dea18af),
     ("param_store", 0xaac45f28),
     ("model_file", 0x2144df1c),
-    ("req_Hello", 0xd49758f3),
+    ("req_Hello", 0x4940604a),
     ("req_Ping", 0xa505df1b),
     ("req_IngestBatch", 0x2ec3c3e8),
     ("req_Recommend", 0xce20bb34),
@@ -1204,7 +1209,7 @@ const GOLDEN_DIGESTS: &[(&str, u32)] = &[
     ("req_InstallTier", 0x02859fd0),
     ("req_ClearTier", 0xdbb4a3a6),
     ("req_Shutdown", 0xacb39330),
-    ("resp_HelloOk", 0x0e092517),
+    ("resp_HelloOk", 0xeb332607),
     ("resp_Pong", 0xa505df1b),
     ("resp_Ingested", 0xa04942b6),
     ("resp_Slate", 0xea2d092a),
